@@ -39,8 +39,8 @@ fn bench_approximation_quality(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("distributed", n), &n, |b, _| {
             b.iter(|| {
-                let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-                std::hint::black_box(run.final_tree.max_degree())
+                let run = mdst_bench::improve(&graph, &initial);
+                std::hint::black_box(run.tree().max_degree())
             })
         });
     }

@@ -91,8 +91,8 @@ fn bench_mdst_improvement(c: &mut Criterion) {
     let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
     group.bench_with_input(BenchmarkId::new("sim", N), &N, |b, _| {
         b.iter(|| {
-            let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-            std::hint::black_box(run.final_tree.max_degree())
+            let run = mdst_bench::improve(&graph, &initial);
+            std::hint::black_box(run.tree().max_degree())
         })
     });
     for workers in [8usize, 32] {

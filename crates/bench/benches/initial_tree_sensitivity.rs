@@ -17,12 +17,8 @@ fn bench_initial_tree_sensitivity(c: &mut Criterion) {
             &kind,
             |b, &kind| {
                 b.iter(|| {
-                    // Construction + strict improvement, like every other
-                    // measured loop: no session extras (survivor grading,
-                    // report assembly) inflating the e7 baselines.
-                    let (initial, _metrics) = build_initial_tree(&graph, NodeId(0), kind).unwrap();
-                    let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-                    std::hint::black_box((run.rounds, run.final_tree.max_degree()))
+                    let run = Pipeline::on(&graph).initial(kind).run().unwrap();
+                    std::hint::black_box((run.rounds, run.tree().max_degree()))
                 })
             },
         );

@@ -15,11 +15,11 @@ fn bench_kmz(c: &mut Criterion) {
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+                let run = mdst_bench::improve(&graph, &initial);
                 std::hint::black_box(kmz_ratio(
-                    run.metrics.messages_total,
+                    run.improvement_metrics.messages_total,
                     n,
-                    run.final_tree.max_degree(),
+                    run.tree().max_degree(),
                 ))
             })
         });

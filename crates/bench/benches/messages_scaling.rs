@@ -15,16 +15,16 @@ fn bench_messages_scaling(c: &mut Criterion) {
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
         group.bench_with_input(BenchmarkId::new("star_plus_path", n), &n, |b, _| {
             b.iter(|| {
-                let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-                std::hint::black_box(run.metrics.messages_total)
+                let run = mdst_bench::improve(&graph, &initial);
+                std::hint::black_box(run.improvement_metrics.messages_total)
             })
         });
         let gnp = Arc::new(generators::gnp_connected(n, 0.1, 7).unwrap());
         let gnp_initial = algorithms::greedy_high_degree_tree(&gnp, NodeId(0)).unwrap();
         group.bench_with_input(BenchmarkId::new("gnp_0.1", n), &n, |b, _| {
             b.iter(|| {
-                let run = run_distributed_mdst(&gnp, &gnp_initial, SimConfig::default()).unwrap();
-                std::hint::black_box(run.metrics.messages_total)
+                let run = mdst_bench::improve(&gnp, &gnp_initial);
+                std::hint::black_box(run.improvement_metrics.messages_total)
             })
         });
     }

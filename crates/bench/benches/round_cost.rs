@@ -30,8 +30,8 @@ fn bench_round_cost(c: &mut Criterion) {
         let (graph, initial) = one_improvement_instance(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-                std::hint::black_box((run.rounds, run.metrics.messages_total))
+                let run = mdst_bench::improve(&graph, &initial);
+                std::hint::black_box((run.rounds, run.improvement_metrics.messages_total))
             })
         });
     }

@@ -17,8 +17,8 @@ fn bench_runtime_comparison(c: &mut Criterion) {
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
         group.bench_with_input(BenchmarkId::new("simulator", n), &n, |b, _| {
             b.iter(|| {
-                let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-                std::hint::black_box(run.final_tree.max_degree())
+                let run = mdst_bench::improve(&graph, &initial);
+                std::hint::black_box(run.tree().max_degree())
             })
         });
         group.bench_with_input(BenchmarkId::new("threaded", n), &n, |b, _| {

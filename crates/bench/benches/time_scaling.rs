@@ -15,8 +15,8 @@ fn bench_time_scaling(c: &mut Criterion) {
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-                std::hint::black_box(run.metrics.quiescence_time)
+                let run = mdst_bench::improve(&graph, &initial);
+                std::hint::black_box(run.improvement_metrics.quiescence_time)
             })
         });
     }

@@ -13,6 +13,16 @@ fn fmt_f(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// Runs the improvement protocol from `initial` on the simulator: the
+/// session every experiment and bench that builds its own initial tree
+/// measures. Panics unless the run ends with a validated spanning tree.
+pub fn improve(graph: &Arc<Graph>, initial: &RootedTree) -> RunReport {
+    Pipeline::on(graph)
+        .initial_tree(initial.clone())
+        .run()
+        .unwrap()
+}
+
 /// E1 — messages vs the paper's `O((k − k*)·m)` budget on G(n, p) sweeps and
 /// on the star-plus-path worst case.
 pub fn e1_message_scaling() -> Table {
@@ -37,9 +47,9 @@ pub fn e1_message_scaling() -> Table {
     }
     for (name, graph) in workloads {
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         let k = initial.max_degree();
-        let k_star = run.final_tree.max_degree();
+        let k_star = run.tree().max_degree();
         let budget = ((k - k_star + 1) * graph.edge_count()) as u64;
         table.add_row(vec![
             name,
@@ -48,9 +58,9 @@ pub fn e1_message_scaling() -> Table {
             k.to_string(),
             k_star.to_string(),
             run.rounds.to_string(),
-            run.metrics.messages_total.to_string(),
+            run.improvement_metrics.messages_total.to_string(),
             budget.to_string(),
-            fmt_f(run.metrics.messages_total as f64 / budget as f64),
+            fmt_f(run.improvement_metrics.messages_total as f64 / budget as f64),
         ]);
     }
     table
@@ -66,18 +76,18 @@ pub fn e2_time_scaling() -> Table {
     for &n in &[16usize, 32, 64, 128] {
         let graph = Arc::new(generators::star_with_leaf_edges(n).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         let k = initial.max_degree();
-        let k_star = run.final_tree.max_degree();
+        let k_star = run.tree().max_degree();
         let budget = ((k - k_star + 1) * n) as u64;
         table.add_row(vec![
             format!("star+path({n})"),
             n.to_string(),
             k.to_string(),
             k_star.to_string(),
-            run.metrics.quiescence_time.to_string(),
+            run.improvement_metrics.quiescence_time.to_string(),
             budget.to_string(),
-            fmt_f(run.metrics.quiescence_time as f64 / budget as f64),
+            fmt_f(run.improvement_metrics.quiescence_time as f64 / budget as f64),
         ]);
     }
     table
@@ -91,7 +101,7 @@ pub fn e3_round_breakdown() -> Table {
     );
     let graph = Arc::new(generators::star_with_leaf_edges(32).unwrap());
     let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-    let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+    let run = improve(&graph, &initial);
     let rounds = run.rounds as f64;
     let n = graph.node_count();
     let m = graph.edge_count();
@@ -105,7 +115,7 @@ pub fn e3_round_breakdown() -> Table {
             _ => String::new(),
         }
     };
-    for (kind, count) in &run.metrics.messages_by_kind {
+    for (kind, count) in &run.improvement_metrics.messages_by_kind {
         table.add_row(vec![
             kind.clone(),
             count.to_string(),
@@ -115,8 +125,8 @@ pub fn e3_round_breakdown() -> Table {
     }
     table.add_row(vec![
         "TOTAL".to_string(),
-        run.metrics.messages_total.to_string(),
-        fmt_f(run.metrics.messages_total as f64 / rounds),
+        run.improvement_metrics.messages_total.to_string(),
+        fmt_f(run.improvement_metrics.messages_total as f64 / rounds),
         format!("O(m + n), m = {m}, n = {n}"),
     ]);
     table
@@ -131,12 +141,12 @@ pub fn e4_message_size() -> Table {
     for &n in &[8usize, 16, 32, 64, 128, 256] {
         let graph = Arc::new(generators::star_with_leaf_edges(n).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         table.add_row(vec![
             n.to_string(),
             ((n as f64).log2().ceil() as usize).to_string(),
-            run.metrics.bits_max.to_string(),
-            fmt_f(run.metrics.bits_mean()),
+            run.improvement_metrics.bits_max.to_string(),
+            fmt_f(run.improvement_metrics.bits_mean()),
         ]);
     }
     table
@@ -191,9 +201,9 @@ pub fn e5_approximation_quality() -> Table {
     ];
     for (name, graph) in small {
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         let optimum = exact_min_degree(&graph).unwrap();
-        let final_degree = run.final_tree.max_degree();
+        let final_degree = run.tree().max_degree();
         table.add_row(vec![
             name,
             graph.node_count().to_string(),
@@ -208,12 +218,12 @@ pub fn e5_approximation_quality() -> Table {
     for &n in &[64usize, 128] {
         let graph = Arc::new(generators::gnp_connected(n, 0.08, 5).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         table.add_row(vec![
             format!("gnp({n},0.08)"),
             n.to_string(),
             initial.max_degree().to_string(),
-            run.final_tree.max_degree().to_string(),
+            run.tree().max_degree().to_string(),
             "-".to_string(),
             degree_lower_bound(&graph).to_string(),
             "-".to_string(),
@@ -231,16 +241,16 @@ pub fn e6_kmz_comparison() -> Table {
     for &n in &[8usize, 16, 32, 64] {
         let graph = Arc::new(generators::complete(n).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        let k_star = run.final_tree.max_degree();
+        let run = improve(&graph, &initial);
+        let k_star = run.tree().max_degree();
         let bound = kmz_message_lower_bound(n, k_star);
         table.add_row(vec![
             n.to_string(),
             graph.edge_count().to_string(),
             k_star.to_string(),
-            run.metrics.messages_total.to_string(),
+            run.improvement_metrics.messages_total.to_string(),
             fmt_f(bound),
-            fmt_f(kmz_ratio(run.metrics.messages_total, n, k_star)),
+            fmt_f(kmz_ratio(run.improvement_metrics.messages_total, n, k_star)),
         ]);
     }
     table
@@ -338,13 +348,13 @@ pub fn a1_algorithm_comparison() -> Table {
     ];
     for (name, graph) in workloads {
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let dist = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let dist = improve(&graph, &initial);
         let paper = paper_local_search(&graph, &initial).unwrap();
         let fr = furer_raghavachari(&graph, &initial, true).unwrap();
         table.add_row(vec![
             name,
             initial.max_degree().to_string(),
-            dist.final_tree.max_degree().to_string(),
+            dist.tree().max_degree().to_string(),
             paper.tree.max_degree().to_string(),
             fr.tree.max_degree().to_string(),
             degree_lower_bound(&graph).to_string(),
@@ -399,12 +409,16 @@ pub fn a2_delay_sensitivity() -> Table {
             delay,
             ..Default::default()
         };
-        let run = run_distributed_mdst(&graph, &initial, config).unwrap();
+        let run = Pipeline::on(&graph)
+            .initial_tree(initial.clone())
+            .sim(config)
+            .run()
+            .unwrap();
         table.add_row(vec![
             name,
-            run.final_tree.max_degree().to_string(),
-            run.metrics.messages_total.to_string(),
-            run.metrics.quiescence_time.to_string(),
+            run.tree().max_degree().to_string(),
+            run.improvement_metrics.messages_total.to_string(),
+            run.improvement_metrics.quiescence_time.to_string(),
         ]);
     }
     table
@@ -464,9 +478,7 @@ pub fn a4_runtime_comparison() -> Table {
     for &n in &[16usize, 32, 64] {
         let graph = Arc::new(generators::gnp_connected(n, 0.12, 3).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let t0 = Instant::now();
-        let sim = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        let sim_wall = t0.elapsed();
+        let sim = improve(&graph, &initial);
         let nodes = MdstNode::from_tree(&initial);
         let threaded = ThreadedRuntime::run(&graph, |id, _| nodes[id.index()].clone());
         let thr_tree = collect_tree(&threaded.nodes).unwrap();
@@ -475,16 +487,16 @@ pub fn a4_runtime_comparison() -> Table {
             .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
             .collect::<std::collections::BTreeSet<_>>()
             == sim
-                .final_tree
+                .tree()
                 .edges()
                 .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
                 .collect::<std::collections::BTreeSet<_>>();
         table.add_row(vec![
             n.to_string(),
-            sim.metrics.messages_total.to_string(),
+            sim.improvement_metrics.messages_total.to_string(),
             threaded.metrics.messages_total.to_string(),
             same.to_string(),
-            fmt_f(sim_wall.as_secs_f64() * 1e3),
+            fmt_f(sim.wall_ms),
             fmt_f(threaded.wall_time.as_secs_f64() * 1e3),
         ]);
     }
@@ -511,27 +523,27 @@ pub fn f1_figure1() -> Table {
         Some(NodeId(1)),
     ];
     let initial = RootedTree::from_parents(NodeId(0), parents).unwrap();
-    let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+    let run = improve(&graph, &initial);
     table.add_row(vec![
         "initial max degree".into(),
         initial.max_degree().to_string(),
     ]);
     table.add_row(vec![
         "final max degree".into(),
-        run.final_tree.max_degree().to_string(),
+        run.tree().max_degree().to_string(),
     ]);
     table.add_row(vec![
         "added edge (the figure's Add)".into(),
         format!(
             "(v3, v5) in tree: {}",
-            run.final_tree.has_edge(NodeId(3), NodeId(5))
+            run.tree().has_edge(NodeId(3), NodeId(5))
         ),
     ]);
     table.add_row(vec![
         "deleted edge (the figure's Delete)".into(),
         format!(
             "(v0, v1) in tree: {}",
-            run.final_tree.has_edge(NodeId(0), NodeId(1))
+            run.tree().has_edge(NodeId(0), NodeId(1))
         ),
     ]);
     table.add_row(vec!["exchanges".into(), run.improvements.to_string()]);
@@ -568,26 +580,26 @@ pub fn f2_figure2() -> Table {
         &tree_edges.map(|(u, v)| (NodeId(u), NodeId(v))),
     )
     .unwrap();
-    let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+    let run = improve(&graph, &initial);
     table.add_row(vec![
         "initial max degree".into(),
         initial.max_degree().to_string(),
     ]);
     table.add_row(vec![
         "final max degree".into(),
-        run.final_tree.max_degree().to_string(),
+        run.tree().max_degree().to_string(),
     ]);
     table.add_row(vec![
         "BFS wave messages".into(),
-        run.metrics.count_of("BFS").to_string(),
+        run.improvement_metrics.count_of("BFS").to_string(),
     ]);
     table.add_row(vec![
         "cousin replies (outgoing edges seen)".into(),
-        run.metrics.count_of("BFSReply").to_string(),
+        run.improvement_metrics.count_of("BFSReply").to_string(),
     ]);
     table.add_row(vec![
         "BFSBack convergecast".into(),
-        run.metrics.count_of("BFSBack").to_string(),
+        run.improvement_metrics.count_of("BFSBack").to_string(),
     ]);
     table
 }
@@ -675,56 +687,45 @@ pub fn e9_graph_substrate() -> Table {
     table
 }
 
-/// E10 — the pool's batched message fabric against the legacy per-message
-/// send path, on the deterministic echo-flood workload at two scales. The
-/// flood's message count is schedule-independent (see [`crate::fabric`]),
-/// so both fabrics move exactly the same load and the throughput ratio
-/// isolates the send path: bucketed per-destination flushes with one
-/// relaxed in-flight bump per quantum versus one destination lock, one
-/// sequentially consistent RMW and one run-queue push per message.
+/// E10 — throughput of the pool's batched message fabric on the
+/// deterministic echo-flood workload at two scales. The flood's message
+/// count is schedule-independent (see [`crate::fabric`]), so every run moves
+/// exactly the same load and the throughput isolates the send path:
+/// bucketed per-destination flushes with one relaxed in-flight bump per
+/// quantum.
 ///
 /// Besides the table, the experiment writes `BENCH_fabric.json` (machine
-/// readable, one record per measured run) to the working directory so CI can
+/// readable, one record per workload) to the working directory so CI can
 /// archive the numbers. `BENCH_SMOKE=1` shrinks the workloads to CI-smoke
 /// size; the criterion sibling lives in `benches/message_fabric.rs`.
 pub fn e10_message_fabric() -> Table {
     use crate::fabric;
     let mut table = Table::new(
-        "E10: batched message fabric vs legacy per-message sends (pool flood)",
-        &[
-            "workload", "fabric", "messages", "wall ms", "msgs/sec", "speedup",
-        ],
+        "E10: batched message fabric throughput (pool flood)",
+        &["workload", "messages", "wall ms", "msgs/sec"],
     );
     let reps = if fabric::smoke() { 2 } else { 3 };
     let mut records: Vec<serde::Value> = Vec::new();
     for n in fabric::e10_nodes() {
         let graph = fabric::workload(n);
-        let legacy = fabric::best_of(&graph, false, 0, reps);
-        let batched = fabric::best_of(&graph, true, 0, reps);
-        let speedup = legacy.wall.as_secs_f64() / batched.wall.as_secs_f64().max(1e-9);
-        for (name, sample, speedup) in [("legacy", &legacy, 1.0), ("batched", &batched, speedup)] {
-            let wall_ms = sample.wall.as_secs_f64() * 1e3;
-            table.add_row(vec![
-                format!("flood random_connected({n})"),
-                name.to_string(),
-                sample.messages.to_string(),
-                fmt_f(wall_ms),
-                fmt_f(sample.msgs_per_sec()),
-                fmt_f(speedup),
-            ]);
-            records.push(serde::Value::Object(vec![
-                ("n".into(), serde::Value::UInt(n as u64)),
-                ("m".into(), serde::Value::UInt(graph.edge_count() as u64)),
-                ("fabric".into(), serde::Value::String(name.to_string())),
-                ("messages".into(), serde::Value::UInt(sample.messages)),
-                ("wall_ms".into(), serde::Value::Float(wall_ms)),
-                (
-                    "msgs_per_sec".into(),
-                    serde::Value::Float(sample.msgs_per_sec()),
-                ),
-                ("speedup_vs_legacy".into(), serde::Value::Float(speedup)),
-            ]));
-        }
+        let sample = fabric::best_of(&graph, 0, reps);
+        let wall_ms = sample.wall.as_secs_f64() * 1e3;
+        table.add_row(vec![
+            format!("flood random_connected({n})"),
+            sample.messages.to_string(),
+            fmt_f(wall_ms),
+            fmt_f(sample.msgs_per_sec()),
+        ]);
+        records.push(serde::Value::Object(vec![
+            ("n".into(), serde::Value::UInt(n as u64)),
+            ("m".into(), serde::Value::UInt(graph.edge_count() as u64)),
+            ("messages".into(), serde::Value::UInt(sample.messages)),
+            ("wall_ms".into(), serde::Value::Float(wall_ms)),
+            (
+                "msgs_per_sec".into(),
+                serde::Value::Float(sample.msgs_per_sec()),
+            ),
+        ]));
     }
     let doc = serde::Value::Object(vec![
         (

@@ -1,20 +1,19 @@
-//! Shared fixtures of experiment E10: the pool's batched message fabric
-//! measured against the legacy per-message send path. Both the criterion
-//! bench (`benches/message_fabric.rs`) and the harness table
-//! ([`crate::experiments::e10_message_fabric`]) drive *these* workloads, so
-//! the two reports can never drift apart.
+//! Shared fixtures of experiment E10: throughput of the pool's batched
+//! message fabric. Both the criterion bench (`benches/message_fabric.rs`)
+//! and the harness table ([`crate::experiments::e10_message_fabric`]) drive
+//! *these* workloads, so the two reports can never drift apart.
 //!
 //! The workload is a hop-bounded **echo flood**: node 0 emits a token with a
 //! TTL, and every delivery with TTL > 0 re-broadcasts a decremented copy to
 //! all neighbours except the sender. The total message count is the number
 //! of non-backtracking walks from the origin of length ≤ TTL — a purely
-//! local, schedule-independent quantity — so both fabrics move *exactly* the
-//! same load and the timing difference is pure send-path cost. Unlike a
-//! one-shot broadcast (every destination distinct, nothing to coalesce), the
-//! echo flood's quanta re-broadcast every drained token to the same
-//! neighbour set, which is precisely the repeated-destination traffic the
-//! coalesced flush exists for: one destination lock per *group* versus one
-//! lock plus one SeqCst RMW per *message* on the legacy path.
+//! local, schedule-independent quantity — so every batch size and worker
+//! count moves *exactly* the same load and the timing difference is pure
+//! send-path cost. Unlike a one-shot broadcast (every destination distinct,
+//! nothing to coalesce), the echo flood's quanta re-broadcast every drained
+//! token to the same neighbour set, which is precisely the
+//! repeated-destination traffic the coalesced flush exists for: one
+//! destination lock per *group* of messages.
 
 use mdst::prelude::*;
 use std::sync::Arc;
@@ -128,7 +127,7 @@ impl Protocol for EchoFloodSt {
 /// One measured flood run on the pool.
 pub struct FabricSample {
     /// Messages delivered (the non-backtracking-walk count of the graph —
-    /// identical across fabrics, batch sizes and backends).
+    /// identical across batch sizes and backends).
     pub messages: u64,
     /// First wake-up to quiescence, as reported by the pool.
     pub wall: Duration,
@@ -141,16 +140,14 @@ impl FabricSample {
     }
 }
 
-/// Runs the echo flood over `graph` on the pool: `coalesce = true` for the
-/// batched fabric, `false` for the legacy per-message path; `batch = 0`
-/// means [`PoolRuntime::DEFAULT_BATCH`].
-pub fn flood_on_pool(graph: &Arc<Graph>, coalesce: bool, batch: usize) -> FabricSample {
+/// Runs the echo flood over `graph` on the pool; `batch = 0` means
+/// [`PoolRuntime::DEFAULT_BATCH`].
+pub fn flood_on_pool(graph: &Arc<Graph>, batch: usize) -> FabricSample {
     let ttl = rounds(graph.node_count());
     let run = PoolRuntime::run(
         graph,
         |id, _| EchoFloodSt::new(id, ttl),
         &PoolConfig {
-            coalesce,
             batch,
             ..Default::default()
         },
@@ -165,10 +162,10 @@ pub fn flood_on_pool(graph: &Arc<Graph>, coalesce: bool, batch: usize) -> Fabric
 
 /// Best (fastest) of `reps` flood runs — the standard noise guard for a
 /// one-shot harness table.
-pub fn best_of(graph: &Arc<Graph>, coalesce: bool, batch: usize, reps: usize) -> FabricSample {
+pub fn best_of(graph: &Arc<Graph>, batch: usize, reps: usize) -> FabricSample {
     let mut best: Option<FabricSample> = None;
     for _ in 0..reps.max(1) {
-        let sample = flood_on_pool(graph, coalesce, batch);
+        let sample = flood_on_pool(graph, batch);
         if best.as_ref().is_none_or(|b| sample.wall < b.wall) {
             best = Some(sample);
         }
@@ -179,16 +176,6 @@ pub fn best_of(graph: &Arc<Graph>, coalesce: bool, batch: usize, reps: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn both_fabrics_move_the_same_deterministic_load() {
-        let graph = workload(300);
-        let batched = flood_on_pool(&graph, true, 0);
-        let legacy = flood_on_pool(&graph, false, 0);
-        assert_eq!(legacy.messages, batched.messages);
-        assert!(batched.messages > 0);
-        assert!(batched.msgs_per_sec() > 0.0);
-    }
 
     #[test]
     fn echo_flood_count_matches_the_simulator() {

@@ -130,16 +130,14 @@ mod tests {
         for seed in 0..4u64 {
             let g = std::sync::Arc::new(generators::gnp_connected(24, 0.2, seed).unwrap());
             let initial = mdst_graph::algorithms::greedy_high_degree_tree(&g, NodeId(0)).unwrap();
-            let run = crate::driver::run_distributed_mdst(
-                &g,
-                &initial,
-                mdst_netsim::SimConfig::default(),
-            )
-            .unwrap();
+            let report = crate::driver::Pipeline::on(&g)
+                .initial_tree(initial)
+                .run()
+                .unwrap();
+            let degree = report.tree().max_degree();
             assert!(
-                within_paper_degree_bound(&g, run.final_tree.max_degree()),
-                "seed {seed}: degree {} above bound {}",
-                run.final_tree.max_degree(),
+                within_paper_degree_bound(&g, degree),
+                "seed {seed}: degree {degree} above bound {}",
                 paper_degree_upper_bound(&g)
             );
         }

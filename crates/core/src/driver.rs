@@ -29,10 +29,9 @@
 //! assert!(report.final_degree <= 3);
 //! ```
 //!
-//! The pre-redesign entry points (`run_pipeline`, `run_pipeline_with_faults`
-//! and their twin report structs) survive as thin `#[deprecated]` wrappers
-//! with bit-identical results, proven by the `api_equivalence` property
-//! tests.
+//! Callers that need the improved tree itself read [`RunReport::tree`] (or
+//! match on [`RunReport::final_tree`]): it is present only for a quiesced,
+//! fully terminated run whose snapshot validated as a spanning tree.
 
 use crate::distributed::MdstNode;
 use crate::observer::{ConstructionEvent, ExchangeEvent, FaultEvent, Observer, RoundEvent};
@@ -59,18 +58,6 @@ pub enum PipelineError {
     /// The executor backend rejected the configuration or failed to run
     /// (e.g. asking the pool for simulated delays or fault injection).
     Exec(SimError),
-    /// Strict entry points only ([`run_distributed_mdst_on`]): the protocol
-    /// hit the event cap before quiescing.
-    EventLimit {
-        /// The configured cap.
-        max_events: u64,
-    },
-    /// Strict entry points only: the network quiesced but some node never
-    /// received `Stop`.
-    Unterminated,
-    /// Strict entry points only: the network quiesced with every node
-    /// terminated, yet the snapshot did not form a spanning tree.
-    PartialSnapshot,
 }
 
 impl fmt::Display for PipelineError {
@@ -78,16 +65,6 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::Graph(e) => write!(f, "{e}"),
             PipelineError::Exec(e) => write!(f, "{e}"),
-            PipelineError::EventLimit { max_events } => {
-                write!(
-                    f,
-                    "protocol did not quiesce: event limit of {max_events} exceeded"
-                )
-            }
-            PipelineError::Unterminated => write!(f, "a node never received Stop"),
-            PipelineError::PartialSnapshot => {
-                write!(f, "the final snapshot does not span the graph")
-            }
         }
     }
 }
@@ -97,7 +74,6 @@ impl std::error::Error for PipelineError {
         match self {
             PipelineError::Graph(e) => Some(e),
             PipelineError::Exec(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -111,26 +87,6 @@ impl From<GraphError> for PipelineError {
 impl From<SimError> for PipelineError {
     fn from(e: SimError) -> Self {
         PipelineError::Exec(e)
-    }
-}
-
-impl PipelineError {
-    /// The [`GraphError`] the pre-redesign API reported for this failure.
-    /// Used by the deprecated wrappers to stay bit-identical with their
-    /// historical behaviour (executor errors were stringly mapped onto
-    /// `GraphError::InvalidParameter`, protocol misbehaviour onto
-    /// `GraphError::NotASpanningTree`).
-    pub fn into_graph_error(self) -> GraphError {
-        match self {
-            PipelineError::Graph(e) => e,
-            PipelineError::Exec(e) => GraphError::InvalidParameter(e.to_string()),
-            // The protocol-misbehaviour variants keep their historical
-            // NotASpanningTree spelling; the message is the single copy in
-            // the Display impl above.
-            err @ (PipelineError::EventLimit { .. }
-            | PipelineError::Unterminated
-            | PipelineError::PartialSnapshot) => GraphError::NotASpanningTree(err.to_string()),
-        }
     }
 }
 
@@ -199,28 +155,6 @@ impl Deserialize for Outcome {
     }
 }
 
-/// Result of running the distributed improvement on one initial tree (the
-/// improvement-only slice of a [`RunReport`], used by benches that construct
-/// their initial trees explicitly).
-#[must_use = "an MdstRun carries the improved tree and metrics; inspect or propagate it"]
-#[derive(Debug, Clone, Serialize)]
-pub struct MdstRun {
-    /// The improved spanning tree.
-    pub final_tree: RootedTree,
-    /// Metrics of the improvement protocol (messages, bits, causal time).
-    pub metrics: Metrics,
-    /// Number of rounds executed (SearchDegree broadcasts), including the
-    /// final round that detects local optimality.
-    pub rounds: u32,
-    /// Number of edge exchanges performed (one per improving round).
-    pub improvements: u32,
-    /// Wall-clock milliseconds of the improvement execution, as reported by
-    /// the backend that ran it.
-    pub wall_ms: f64,
-    /// Which backend executed the improvement.
-    pub executor: ExecutorKind,
-}
-
 /// Configuration of a full pipeline run. [`Pipeline`] is the ergonomic way
 /// to assemble one; the struct remains public so campaign specs can resolve
 /// into it and hand it over wholesale via [`Pipeline::config`].
@@ -272,8 +206,7 @@ impl PipelineConfig {
 
 /// The unified report of one pipeline session, whatever happened during it.
 ///
-/// Replaces the pre-redesign `PipelineReport` / `FaultPipelineReport` pair:
-/// a fault-free optimal run, a degraded faulty run and an event-limit abort
+/// A fault-free optimal run, a degraded faulty run and an event-limit abort
 /// all come back through this one shape, distinguished by [`Outcome`]. The
 /// survivor grading is always computed (for fault-free runs it degenerates
 /// to the whole graph), so consumers never branch on which of two report
@@ -702,262 +635,6 @@ impl<'obs> Pipeline<'obs> {
     }
 }
 
-/// Runs the distributed improvement protocol on `graph`, starting from
-/// `initial` (which must be a spanning tree of `graph`), on the
-/// discrete-event simulator. Shorthand for [`run_distributed_mdst_on`] with
-/// [`ExecutorKind::Sim`].
-#[must_use = "the run result carries the improved tree and metrics; dropping it hides failures"]
-pub fn run_distributed_mdst(
-    graph: &Arc<Graph>,
-    initial: &RootedTree,
-    sim_config: SimConfig,
-) -> Result<MdstRun, PipelineError> {
-    run_distributed_mdst_on(
-        ExecutorKind::Sim,
-        graph,
-        initial,
-        &ExecConfig::from_sim(sim_config),
-    )
-}
-
-/// Runs the distributed improvement protocol on `graph`, starting from
-/// `initial` (which must be a spanning tree of `graph`), on the chosen
-/// executor backend. The protocol is message-deterministic, so every backend
-/// produces the same locally optimal tree — only the scheduling (and the
-/// wall time) differs.
-///
-/// This is the *strict* improvement-only entry used by benches and
-/// cross-backend tests: anything short of a quiescent, fully terminated run
-/// with a validated spanning tree is a [`PipelineError`], not an outcome.
-/// Session-level code wants [`Pipeline`] instead; this entry deliberately
-/// skips the session extras (initial-tree clone, survivor grading, observer
-/// replay) so measured bench loops pay exactly the protocol's cost, as they
-/// did before the redesign.
-#[must_use = "the run result carries the improved tree and metrics; dropping it hides failures"]
-pub fn run_distributed_mdst_on(
-    executor: ExecutorKind,
-    graph: &Arc<Graph>,
-    initial: &RootedTree,
-    config: &ExecConfig,
-) -> Result<MdstRun, PipelineError> {
-    initial.validate_against(graph)?;
-    let nodes = MdstNode::from_tree(initial);
-    let run = executor.run(graph, |id, _| nodes[id.index()].clone(), config)?;
-    if run.status != ExecStatus::Quiesced {
-        return Err(PipelineError::EventLimit {
-            max_events: config.sim.max_events,
-        });
-    }
-    if !run.all_terminated() {
-        return Err(PipelineError::Unterminated);
-    }
-    let final_tree = collect_tree(&run.nodes)?;
-    final_tree.validate_against(graph)?;
-    let rounds = run.nodes.iter().map(|p| p.round()).max().unwrap_or(0);
-    let improvements = run.nodes.iter().map(|p| p.improvements_made()).sum();
-    Ok(MdstRun {
-        final_tree,
-        metrics: run.metrics,
-        rounds,
-        improvements,
-        wall_ms: run.wall_time.as_secs_f64() * 1e3,
-        executor,
-    })
-}
-
-/// Enforces the strict contract of the improvement-only entry points: the
-/// run must have quiesced, terminated everywhere and produced a validated
-/// spanning tree.
-fn strict_tree(
-    mut report: RunReport,
-    max_events: u64,
-) -> Result<(RunReport, RootedTree), PipelineError> {
-    if report.outcome == Outcome::EventLimitAborted {
-        return Err(PipelineError::EventLimit { max_events });
-    }
-    if !report.all_terminated {
-        return Err(PipelineError::Unterminated);
-    }
-    match report.final_tree.take() {
-        Some(tree) => Ok((report, tree)),
-        None => Err(PipelineError::PartialSnapshot),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated pre-redesign surface. Everything below is a thin wrapper over
-// `Pipeline` kept for source compatibility; results are bit-identical to the
-// historical implementations (proven by the `api_equivalence` proptest). The
-// inner module lets the wrappers reference each other without tripping the
-// deprecation lint the rest of the workspace builds with.
-// ---------------------------------------------------------------------------
-
-mod compat {
-    #![allow(deprecated)]
-
-    use super::*;
-
-    /// Everything an experiment needs to report about one **strict**
-    /// pipeline run (the historical fault-free report shape).
-    #[deprecated(note = "use `Pipeline::on(..).run()` and the unified `RunReport`")]
-    #[derive(Debug, Clone, Serialize)]
-    pub struct PipelineReport {
-        /// Number of nodes of the input graph.
-        pub n: usize,
-        /// Number of edges of the input graph.
-        pub m: usize,
-        /// The initial spanning tree handed to the improvement protocol.
-        pub initial_tree: RootedTree,
-        /// Maximum degree `k` of the initial tree.
-        pub initial_degree: usize,
-        /// The improved tree.
-        pub final_tree: RootedTree,
-        /// Maximum degree `k*` of the improved tree.
-        pub final_degree: usize,
-        /// Metrics of the initial construction (`None` for centralized seeds).
-        pub construction_metrics: Option<Metrics>,
-        /// Metrics of the improvement protocol.
-        pub improvement_metrics: Metrics,
-        /// Rounds executed by the improvement protocol.
-        pub rounds: u32,
-        /// Edge exchanges performed.
-        pub improvements: u32,
-        /// Wall-clock milliseconds of the improvement execution.
-        pub wall_ms: f64,
-        /// Which backend executed the improvement.
-        pub executor: ExecutorKind,
-    }
-
-    impl PipelineReport {
-        /// `k − k*`: the quantity the paper's complexity bounds use.
-        pub fn degree_drop(&self) -> usize {
-            self.initial_degree.saturating_sub(self.final_degree)
-        }
-
-        /// The paper's message budget for this run, `(k − k* + 1) · m`.
-        pub fn paper_message_budget(&self) -> u64 {
-            (self.degree_drop() as u64 + 1) * self.m as u64
-        }
-
-        /// The paper's time budget for this run, `(k − k* + 1) · n`.
-        pub fn paper_time_budget(&self) -> u64 {
-            (self.degree_drop() as u64 + 1) * self.n as u64
-        }
-    }
-
-    /// How a fault-tolerant run ended (historical two-state taxonomy).
-    #[deprecated(note = "use the unified `Outcome` (RunReport::outcome)")]
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-    pub enum RunStatus {
-        /// The event queue drained: the network went quiescent.
-        Quiesced,
-        /// The event cap was hit first (livelock guard).
-        EventLimitExceeded,
-    }
-
-    /// Report of one pipeline run executed under a fault plan (historical
-    /// fault-tolerant report shape).
-    #[deprecated(note = "use `Pipeline::on(..).run()` and the unified `RunReport`")]
-    #[derive(Debug, Clone)]
-    pub struct FaultPipelineReport {
-        /// Number of nodes of the input graph.
-        pub n: usize,
-        /// Number of edges of the input graph.
-        pub m: usize,
-        /// Maximum degree `k` of the (fault-free) initial tree.
-        pub initial_degree: usize,
-        /// How the improvement run ended.
-        pub status: RunStatus,
-        /// Whether every non-crashed node reported local termination.
-        pub all_live_terminated: bool,
-        /// The snapshot graded on the survivor component.
-        pub survivor: SurvivorReport,
-        /// Whether the run produced a correct tree on the survivor component.
-        pub correct_tree: bool,
-        /// Metrics of the initial construction (`None` for centralized seeds).
-        pub construction_metrics: Option<Metrics>,
-        /// Metrics of the improvement protocol.
-        pub improvement_metrics: Metrics,
-        /// Improvement rounds observed across all nodes.
-        pub rounds: u32,
-        /// Edge exchanges performed.
-        pub improvements: u32,
-        /// Wall-clock milliseconds of the improvement execution.
-        pub wall_ms: f64,
-        /// Which backend executed the improvement.
-        pub executor: ExecutorKind,
-    }
-
-    /// Runs the full pipeline (construction + improvement) strictly and
-    /// assembles the historical experiment report.
-    #[deprecated(note = "use `Pipeline::on(graph).config(config.clone()).run()`")]
-    pub fn run_pipeline(
-        graph: &Arc<Graph>,
-        config: &PipelineConfig,
-    ) -> Result<PipelineReport, GraphError> {
-        let report = Pipeline::on(graph)
-            .config(config.clone())
-            .run()
-            .map_err(PipelineError::into_graph_error)?;
-        let (report, final_tree) =
-            strict_tree(report, config.sim.max_events).map_err(PipelineError::into_graph_error)?;
-        Ok(PipelineReport {
-            n: report.n,
-            m: report.m,
-            initial_degree: report.initial_degree,
-            final_degree: final_tree.max_degree(),
-            initial_tree: report.initial_tree,
-            final_tree,
-            construction_metrics: report.construction_metrics,
-            improvement_metrics: report.improvement_metrics,
-            rounds: report.rounds,
-            improvements: report.improvements,
-            wall_ms: report.wall_ms,
-            executor: report.executor,
-        })
-    }
-
-    /// Runs the full pipeline under the fault plan of `config.sim.faults`,
-    /// reporting degraded runs as results in the historical report shape.
-    #[deprecated(note = "use `Pipeline::on(graph).config(config.clone()).run()`")]
-    pub fn run_pipeline_with_faults(
-        graph: &Arc<Graph>,
-        config: &PipelineConfig,
-    ) -> Result<FaultPipelineReport, GraphError> {
-        let report = Pipeline::on(graph)
-            .config(config.clone())
-            .run()
-            .map_err(PipelineError::into_graph_error)?;
-        let status = match report.outcome {
-            // The historical shape predates cancellation; the deprecated
-            // wrappers never install a token, so `Aborted` is unreachable
-            // here and folds into the only non-quiescent status available.
-            Outcome::EventLimitAborted | Outcome::Aborted => RunStatus::EventLimitExceeded,
-            Outcome::Optimal | Outcome::PartialTree => RunStatus::Quiesced,
-        };
-        Ok(FaultPipelineReport {
-            n: report.n,
-            m: report.m,
-            initial_degree: report.initial_degree,
-            status,
-            all_live_terminated: report.all_live_terminated,
-            survivor: report.survivor,
-            correct_tree: report.outcome.is_optimal(),
-            construction_metrics: report.construction_metrics,
-            improvement_metrics: report.improvement_metrics,
-            rounds: report.rounds,
-            improvements: report.improvements,
-            wall_ms: report.wall_ms,
-            executor: report.executor,
-        })
-    }
-}
-
-#[allow(deprecated)]
-pub use compat::{
-    run_pipeline, run_pipeline_with_faults, FaultPipelineReport, PipelineReport, RunStatus,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1108,7 +785,7 @@ mod tests {
         let g = Arc::new(generators::path(4).unwrap());
         let other = generators::star(4).unwrap();
         let t = mdst_graph::algorithms::bfs_tree(&other, NodeId(0)).unwrap();
-        let err = run_distributed_mdst(&g, &t, SimConfig::default()).unwrap_err();
+        let err = Pipeline::on(&g).initial_tree(t).run().unwrap_err();
         assert!(matches!(err, PipelineError::Graph(_)), "{err:?}");
     }
 
@@ -1138,19 +815,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.outcome, Outcome::EventLimitAborted);
         assert!(report.final_tree.is_none());
-        // The strict improvement-only entry still errors on the same run.
-        let initial = mdst_graph::algorithms::bfs_tree(&g, NodeId(0)).unwrap();
-        let err = run_distributed_mdst(
-            &g,
-            &initial,
-            SimConfig {
-                max_events: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, PipelineError::EventLimit { max_events: 3 });
-        assert!(err.to_string().contains("event limit of 3"));
     }
 
     #[test]
@@ -1343,83 +1007,5 @@ mod tests {
         assert_eq!(report.initial_tree, initial);
         assert!(report.construction_metrics.is_none());
         assert!(report.final_degree <= initial.max_degree());
-    }
-
-    // ---- deprecated wrapper equivalence (spot checks; the exhaustive
-    // ---- property test lives in tests/api_equivalence.rs) ----
-
-    #[test]
-    #[allow(deprecated)]
-    fn benign_fault_wrapper_matches_the_strict_wrapper() {
-        let g = Arc::new(generators::gnp_connected(18, 0.25, 3).unwrap());
-        let config = PipelineConfig::default();
-        let strict = run_pipeline(&g, &config).unwrap();
-        let faulty = run_pipeline_with_faults(&g, &config).unwrap();
-        assert_eq!(faulty.status, RunStatus::Quiesced);
-        assert!(faulty.all_live_terminated);
-        assert!(faulty.correct_tree);
-        assert_eq!(faulty.survivor.live_nodes, g.node_count());
-        assert_eq!(faulty.survivor.component_size(), g.node_count());
-        assert_eq!(faulty.survivor.max_degree, strict.final_degree);
-        assert_eq!(faulty.initial_degree, strict.initial_degree);
-        assert_eq!(faulty.improvement_metrics, strict.improvement_metrics);
-        assert_eq!(faulty.rounds, strict.rounds);
-        assert_eq!(faulty.improvements, strict.improvements);
-        assert_eq!(faulty.improvement_metrics.dropped_messages, 0);
-        assert_eq!(faulty.improvement_metrics.crashed_nodes, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn fault_wrapper_runs_on_every_backend_under_benign_plans() {
-        let g = Arc::new(generators::gnp_connected(16, 0.3, 2).unwrap());
-        for executor in ExecutorKind::all() {
-            let config = PipelineConfig {
-                executor,
-                ..Default::default()
-            };
-            let report = run_pipeline_with_faults(&g, &config).unwrap();
-            assert_eq!(report.status, RunStatus::Quiesced, "{executor}");
-            assert!(report.correct_tree, "{executor}");
-            assert_eq!(report.executor, executor);
-            assert_eq!(report.survivor.component_size(), 16, "{executor}");
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn strict_wrapper_reports_historical_error_strings() {
-        let g = Arc::new(generators::complete(10).unwrap());
-        let config = PipelineConfig {
-            sim: SimConfig {
-                max_events: 3,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let err = run_pipeline(&g, &config).unwrap_err();
-        assert_eq!(
-            err,
-            GraphError::NotASpanningTree(
-                "protocol did not quiesce: event limit of 3 exceeded".to_string()
-            )
-        );
-        // Executor rejections keep the historical stringly mapping. (Traces
-        // are recorded on every backend nowadays, so the rejection probe is a
-        // simulated delay model, which the pool genuinely cannot honour.)
-        let config = PipelineConfig {
-            executor: ExecutorKind::Pool,
-            sim: SimConfig {
-                delay: mdst_netsim::DelayModel::UniformRandom {
-                    min: 1,
-                    max: 4,
-                    seed: 7,
-                },
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let err = run_pipeline(&g, &config).unwrap_err();
-        assert!(matches!(err, GraphError::InvalidParameter(_)), "{err:?}");
     }
 }

@@ -34,14 +34,7 @@ pub mod sequential;
 pub mod verify;
 
 pub use distributed::{Candidate, MdstMsg, MdstNode};
-pub use driver::{
-    run_distributed_mdst, run_distributed_mdst_on, MdstRun, Outcome, Pipeline, PipelineConfig,
-    PipelineError, RunReport,
-};
-#[allow(deprecated)]
-pub use driver::{
-    run_pipeline, run_pipeline_with_faults, FaultPipelineReport, PipelineReport, RunStatus,
-};
+pub use driver::{Outcome, Pipeline, PipelineConfig, PipelineError, RunReport};
 pub use observer::{
     ChannelObserver, ConstructionEvent, CountingObserver, ExchangeEvent, FaultEvent, FinishSummary,
     Observer, RoundEvent, SessionEvent,

@@ -71,28 +71,6 @@
 //! assert_eq!(counts.finishes, 1);
 //! ```
 //!
-//! ## Migrating from the pre-session API
-//!
-//! The forked entry points survive as `#[deprecated]` wrappers with
-//! bit-identical results (proven by the `api_equivalence` property test):
-//!
-//! | old call | new chain |
-//! |---|---|
-//! | `run_pipeline(&g, &config)?` | `Pipeline::on(&g).config(config.clone()).run()?` (check `report.outcome`) |
-//! | `run_pipeline_with_faults(&g, &config)?` | same chain — faults are just another outcome |
-//! | `PipelineReport { final_tree, .. }` | `RunReport { final_tree: Option<_>, .. }` / `report.tree()` |
-//! | `FaultPipelineReport { status, correct_tree, survivor, .. }` | `RunReport { outcome, survivor, .. }` |
-//! | `RunStatus::Quiesced` + `correct_tree` | `Outcome::Optimal` |
-//! | `RunStatus::Quiesced` + `!correct_tree` | `Outcome::PartialTree` |
-//! | `RunStatus::EventLimitExceeded` | `Outcome::EventLimitAborted` |
-//! | `GraphError::InvalidParameter(stringly)` | typed `PipelineError::{Graph, Exec}` |
-//!
-//! The improvement-only entry points `run_distributed_mdst(_on)` remain for
-//! benches that construct initial trees explicitly; they now return the
-//! typed [`PipelineError`](mdst_core::PipelineError) but deliberately skip
-//! the session extras (survivor grading, observer replay), so measured
-//! loops pay exactly the protocol's cost.
-//!
 //! ## Crate map
 //!
 //! | Crate | Contents |
@@ -126,14 +104,7 @@ pub mod prelude {
         within_paper_degree_bound,
     };
     pub use mdst_core::distributed::{Candidate, MdstMsg, MdstNode};
-    pub use mdst_core::driver::{
-        run_distributed_mdst, run_distributed_mdst_on, MdstRun, Outcome, Pipeline, PipelineConfig,
-        PipelineError, RunReport,
-    };
-    #[allow(deprecated)]
-    pub use mdst_core::driver::{
-        run_pipeline, run_pipeline_with_faults, FaultPipelineReport, PipelineReport, RunStatus,
-    };
+    pub use mdst_core::driver::{Outcome, Pipeline, PipelineConfig, PipelineError, RunReport};
     pub use mdst_core::observer::{
         ConstructionEvent, CountingObserver, ExchangeEvent, FaultEvent, Observer, RoundEvent,
     };
@@ -173,15 +144,5 @@ mod tests {
         assert_eq!(report.outcome, Outcome::Optimal);
         assert!(report.final_degree <= 3);
         assert!(verify_termination_certificate(&graph, report.tree()));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn prelude_keeps_the_deprecated_wrappers_callable() {
-        let graph = Arc::new(generators::complete(8).unwrap());
-        let old = run_pipeline(&graph, &PipelineConfig::default()).unwrap();
-        let new = Pipeline::on(&graph).run().unwrap();
-        assert_eq!(old.final_degree, new.final_degree);
-        assert_eq!(old.improvement_metrics, new.improvement_metrics);
     }
 }

@@ -177,18 +177,6 @@ pub struct ExecConfig {
     pub batch: usize,
 }
 
-impl ExecConfig {
-    /// Wraps a simulator configuration with the default worker count and
-    /// drain batch.
-    pub fn from_sim(sim: SimConfig) -> Self {
-        ExecConfig {
-            sim,
-            workers: 0,
-            batch: 0,
-        }
-    }
-}
-
 /// How an execution ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecStatus {
@@ -447,7 +435,6 @@ impl Executor for PoolExecutor {
             start: config.sim.start.clone(),
             record_trace: config.sim.record_trace,
             batch: config.batch,
-            coalesce: true,
         };
         let run = PoolRuntime::run_with_cancel(graph, factory, &pool_config, cancel)?;
         let n = graph.node_count();

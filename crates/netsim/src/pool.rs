@@ -40,7 +40,7 @@
 //!   own sends are counted, so the counter reaching zero really means the
 //!   network is quiescent, never a transient gap. The counter uses
 //!   relaxed/acquire-release orderings; the happens-before argument lives on
-//!   the increment site in `process_node_batched`.
+//!   the increment site in `process_node`.
 //! * **per-node memory diet** — the runtime is monomorphised over a
 //!   compile-time `TraceMode`: on untraced runs the per-envelope message
 //!   identity and the per-cell link sequence counters are zero-sized *types*,
@@ -94,13 +94,6 @@ pub struct PoolConfig {
     /// per-quantum locking over more messages; smaller batches interleave
     /// nodes more fairly. Resolved by [`PoolRuntime::effective_batch`].
     pub batch: usize,
-    /// Whether to coalesce the quantum's sends into grouped per-destination
-    /// flushes (the default). `false` selects the legacy pre-batching path —
-    /// one destination-cell lock, one sequentially consistent in-flight RMW
-    /// and one run-queue push *per message* — kept only so the `message_fabric`
-    /// bench can A/B the fabric on a single build. Results are equivalent
-    /// either way; only the locking rhythm differs.
-    pub coalesce: bool,
 }
 
 impl Default for PoolConfig {
@@ -111,7 +104,6 @@ impl Default for PoolConfig {
             start: StartModel::Simultaneous,
             record_trace: false,
             batch: 0,
-            coalesce: true,
         }
     }
 }
@@ -269,50 +261,15 @@ struct Shared<P: Protocol, T: TraceMode> {
     n: usize,
     /// Resolved drain-batch size (never zero).
     batch: usize,
-    /// `false` selects the legacy per-message flush path (bench baseline).
-    coalesce: bool,
     /// Present exactly when the run records a trace.
     trace: Option<TraceShared>,
 }
 
-/// Context handed to a protocol while one worker processes its node: sends
-/// are buffered and delivered after the handler returns (and after the cell
-/// lock is released, so delivery never holds two cell locks at once).
-struct PoolCtx<'a, M> {
-    id: NodeId,
-    neighbors: &'a [NodeId],
-    network_size: usize,
-    outbox: &'a mut Vec<(NodeId, M, u64)>,
-    current_depth: u64,
-}
-
-impl<M: NetMessage> Context<M> for PoolCtx<'_, M> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn neighbors(&self) -> &[NodeId] {
-        self.neighbors
-    }
-    fn send(&mut self, to: NodeId, msg: M) {
-        assert!(
-            self.neighbors.binary_search(&to).is_ok(),
-            "protocol bug: {} tried to send {:?} to non-neighbour {}",
-            self.id,
-            msg,
-            to
-        );
-        self.outbox.push((to, msg, self.current_depth + 1));
-    }
-    fn network_size(&self) -> usize {
-        self.network_size
-    }
-}
-
-/// Context of the batched fabric: each send is routed straight into the
-/// per-neighbour bucket the flush later drains, reusing the slot that the
-/// neighbourship check computes anyway — so grouping by destination costs
-/// nothing beyond the validation the legacy path already paid, and the flush
-/// needs no sort.
+/// Context handed to a protocol while one worker processes its node: each
+/// send is routed straight into the per-neighbour bucket the flush later
+/// drains, reusing the slot that the neighbourship check computes anyway —
+/// so grouping by destination costs nothing beyond the validation, and the
+/// flush needs no sort.
 struct BatchedCtx<'a, M, T: TraceMode> {
     id: NodeId,
     neighbors: &'a [NodeId],
@@ -508,7 +465,6 @@ impl PoolRuntime {
             max_events: config.max_events,
             n,
             batch: Self::effective_batch(config.batch),
-            coalesce: config.coalesce,
             trace: config.record_trace.then(|| TraceShared {
                 stamp: AtomicU64::new(0),
                 next_msg_id: AtomicU64::new(1),
@@ -788,14 +744,12 @@ fn worker_loop<P: Protocol, T: TraceMode>(
 fn pop_local<P: Protocol, T: TraceMode>(w: usize, shared: &Shared<P, T>) -> Option<u32> {
     let mut queue = lock_ignore_poison(&shared.queues[w]);
     let popped = queue.pop_front();
-    // Batched fabric: start pulling the *next* runnable node's cell line
-    // while the popped one is processed — a whole quantum of latency to
-    // hide the miss behind (node indices are effectively random, so the
-    // line is almost always cold).
-    if shared.coalesce {
-        if let Some(&front) = queue.front() {
-            std::hint::black_box(shared.cells[front as usize].is_poisoned());
-        }
+    // Start pulling the *next* runnable node's cell line while the popped
+    // one is processed — a whole quantum of latency to hide the miss behind
+    // (node indices are effectively random, so the line is almost always
+    // cold).
+    if let Some(&front) = queue.front() {
+        std::hint::black_box(shared.cells[front as usize].is_poisoned());
     }
     popped
 }
@@ -817,179 +771,11 @@ fn steal<P: Protocol, T: TraceMode>(
 }
 
 /// Processes one scheduling quantum of node `u`: the pending wake-up (if
-/// any) plus up to [`PoolConfig::batch`] mailbox messages, then flushes the
-/// buffered sends and settles the node's `scheduled` flag. Returns one node
-/// the flush made runnable, for immediate local continuation (batched
-/// fabric only — the legacy path always schedules through the queue).
+/// any) plus up to [`PoolConfig::batch`] mailbox messages, drained into the
+/// recycled [`Scratch`]; then flushes the buffered sends per destination
+/// group and settles the node's `scheduled` flag. Returns one node the flush
+/// made runnable, for immediate local continuation.
 fn process_node<P: Protocol, T: TraceMode>(
-    u: u32,
-    w: usize,
-    shared: &Shared<P, T>,
-    metrics: &mut Metrics,
-    events: &mut Vec<TraceEvent>,
-    scratch: &mut Scratch<P, T>,
-) -> Option<u32> {
-    if shared.coalesce {
-        process_node_batched(u, w, shared, metrics, events, scratch)
-    } else {
-        process_node_legacy(u, w, shared, metrics, events);
-        None
-    }
-}
-
-/// The legacy pre-batching quantum, kept as the `message_fabric` bench
-/// baseline (`PoolConfig::coalesce = false`) and faithful to the original
-/// rhythm: fresh buffers every quantum, and one sequentially consistent
-/// in-flight RMW, one destination-cell lock and one run-queue push *per
-/// message*. Results are identical to the batched path either way.
-fn process_node_legacy<P: Protocol, T: TraceMode>(
-    u: u32,
-    w: usize,
-    shared: &Shared<P, T>,
-    metrics: &mut Metrics,
-    events: &mut Vec<TraceEvent>,
-) {
-    let node = u as usize;
-    let mut outbox: Vec<(NodeId, P::Message, u64)> = Vec::new();
-    let neighbors = shared.graph.neighbor_slice(NodeId(u));
-    let (units, send_ids) = {
-        let mut cell = lock_ignore_poison(&shared.cells[node]);
-        let start_unit = cell.pending_start;
-        cell.pending_start = false;
-        let batch: Vec<Envelope<P::Message, T>> = {
-            let take = cell.mailbox.len().min(shared.batch);
-            cell.mailbox.drain(..take).collect()
-        };
-        let wake = !cell.started && (start_unit || !batch.is_empty());
-        if wake {
-            cell.started = true;
-            let wake_depth = if start_unit {
-                0
-            } else {
-                batch.first().map(|e| e.causal_depth).unwrap_or(0)
-            };
-            let mut ctx = PoolCtx {
-                id: NodeId(u),
-                neighbors,
-                network_size: shared.n,
-                outbox: &mut outbox,
-                current_depth: wake_depth,
-            };
-            cell.protocol.on_start(&mut ctx);
-        }
-        for envelope in batch.iter() {
-            metrics.record_delivery(
-                envelope.from.index(),
-                node,
-                envelope.msg.kind(),
-                envelope.msg.encoded_bits(),
-                envelope.causal_depth,
-                envelope.causal_depth,
-            );
-            if T::ENABLED {
-                if let Some(tracing) = &shared.trace {
-                    events.push(TraceEvent {
-                        time: tracing.stamp.fetch_add(1, Ordering::SeqCst),
-                        kind: TraceEventKind::Deliver,
-                        from: envelope.from,
-                        to: NodeId(u),
-                        message_kind: envelope.msg.kind().into(),
-                        msg_id: T::msg_id(envelope.meta),
-                        seq: T::link_seq(envelope.meta),
-                    });
-                }
-            }
-        }
-        let batch_len = batch.len();
-        for envelope in batch {
-            let mut ctx = PoolCtx {
-                id: NodeId(u),
-                neighbors,
-                network_size: shared.n,
-                outbox: &mut outbox,
-                current_depth: envelope.causal_depth,
-            };
-            cell.protocol
-                .on_message(envelope.from, envelope.msg, &mut ctx);
-        }
-        let send_ids: Vec<(u64, u64)> = match &shared.trace {
-            Some(tracing) if T::ENABLED => {
-                let cell = &mut *cell;
-                outbox
-                    .iter()
-                    .map(|(to, msg, _)| {
-                        let msg_id = tracing.next_msg_id.fetch_add(1, Ordering::SeqCst);
-                        // One neighbour lookup per message — the pre-batching
-                        // rhythm this baseline preserves. `send` already
-                        // asserted neighbourship; the fallback is unreachable.
-                        let slot = neighbors.binary_search(to).unwrap_or(0);
-                        let link_seq = T::next_link_seq(&mut cell.link_seq, slot, neighbors.len());
-                        events.push(TraceEvent {
-                            time: tracing.stamp.fetch_add(1, Ordering::SeqCst),
-                            kind: TraceEventKind::Send,
-                            from: NodeId(u),
-                            to: *to,
-                            message_kind: msg.kind().into(),
-                            msg_id,
-                            seq: link_seq,
-                        });
-                        (msg_id, link_seq)
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-        (start_unit as i64 + batch_len as i64, send_ids)
-    };
-    for (i, (to, msg, causal_depth)) in outbox.into_iter().enumerate() {
-        let meta = send_ids
-            .get(i)
-            .map(|&(msg_id, link_seq)| T::meta(msg_id, link_seq))
-            .unwrap_or_default();
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let needs_enqueue = {
-            let mut cell = lock_ignore_poison(&shared.cells[to.index()]);
-            cell.mailbox.push_back(Envelope {
-                from: NodeId(u),
-                msg,
-                causal_depth,
-                meta,
-            });
-            if cell.scheduled {
-                false
-            } else {
-                cell.scheduled = true;
-                true
-            }
-        };
-        if needs_enqueue {
-            lock_ignore_poison(&shared.queues[w]).push_back(to.0);
-        }
-    }
-    // Settle the node: keep it runnable if messages arrived meanwhile.
-    let requeue = {
-        let mut cell = lock_ignore_poison(&shared.cells[node]);
-        if cell.mailbox.is_empty() {
-            cell.scheduled = false;
-            false
-        } else {
-            true
-        }
-    };
-    if requeue {
-        lock_ignore_poison(&shared.queues[w]).push_back(u);
-    }
-    shared.in_flight.fetch_sub(units, Ordering::Release);
-    let processed = shared.processed.fetch_add(units as u64, Ordering::SeqCst) + units as u64;
-    if processed > shared.max_events {
-        shared.aborted.store(true, Ordering::SeqCst);
-    }
-}
-
-/// The batched quantum: drains into the recycled [`Scratch`], flushes the
-/// buffered sends per destination group and settles the node. Returns one
-/// continuation node when the flush produced any wake-ups.
-fn process_node_batched<P: Protocol, T: TraceMode>(
     u: u32,
     w: usize,
     shared: &Shared<P, T>,

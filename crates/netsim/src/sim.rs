@@ -613,7 +613,9 @@ impl<P: Protocol> Simulator<P> {
     /// Runs the simulation to quiescence (empty event queue).
     pub fn run(&mut self) -> Result<(), SimError> {
         while self.processed_events < self.config.max_events {
-            if self.processed_events.is_multiple_of(Self::CANCEL_POLL_STRIDE)
+            if self
+                .processed_events
+                .is_multiple_of(Self::CANCEL_POLL_STRIDE)
                 && self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
             {
                 return Err(SimError::Cancelled);

@@ -13,7 +13,12 @@
 
 use mdst_scenario::CampaignReport;
 use serde::{Deserialize, Serialize, Value};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+
+/// Longest request line the server accepts, newline included. Far above any
+/// real campaign spec; a longer line is answered with [`Response::Error`]
+/// as soon as the cap is passed.
+pub const MAX_REQUEST_BYTES: u64 = 4 << 20;
 
 /// Default socket path: `scenario-serve.sock` in the system temp directory,
 /// overridable everywhere with `--socket`.
@@ -223,13 +228,33 @@ pub fn write_line<T: Serialize>(writer: &mut impl Write, msg: &T) -> std::io::Re
 }
 
 /// Reads one line and decodes it as `T`. `Ok(None)` means a clean EOF before
-/// any content.
+/// any content. Unbounded: clients read whole campaign reports this way.
 pub fn read_line<T: Deserialize>(reader: &mut impl BufRead) -> Result<Option<T>, String> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(|e| e.to_string())?;
+    read_line_within(reader, u64::MAX)
+}
+
+/// Reads one client [`Request`] line, capped at [`MAX_REQUEST_BYTES`] so a
+/// client that never sends `\n` cannot grow server memory without limit.
+pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String> {
+    read_line_within(reader, MAX_REQUEST_BYTES)
+}
+
+fn read_line_within<T: Deserialize>(
+    reader: &mut impl BufRead,
+    max_bytes: u64,
+) -> Result<Option<T>, String> {
+    let mut line = Vec::new();
+    let n = reader
+        .take(max_bytes.saturating_add(1))
+        .read_until(b'\n', &mut line)
+        .map_err(|e| e.to_string())?;
     if n == 0 {
         return Ok(None);
     }
+    if n as u64 > max_bytes {
+        return Err(format!("request line exceeds {max_bytes} bytes"));
+    }
+    let line = std::str::from_utf8(&line).map_err(|e| e.to_string())?;
     let value: Value = serde::from_json_str(line.trim_end()).map_err(|e| e.to_string())?;
     T::from_value(&value).map(Some).map_err(|e| e.to_string())
 }

@@ -15,7 +15,7 @@
 //! completion, so a watcher that connects late still sees the whole story.
 
 use crate::cost::CostModel;
-use crate::proto::{read_line, write_line, Event, Request, Response, ServeStatus, SpecFormat};
+use crate::proto::{read_request, write_line, Event, Request, Response, ServeStatus, SpecFormat};
 use crate::scheduler::{Claim, Completion, Scheduler};
 use mdst_core::{ChannelObserver, SessionEvent};
 use mdst_scenario::prelude::ScenarioMatrix;
@@ -293,7 +293,7 @@ impl Inner {
             Err(_) => return,
         });
         let mut writer = BufWriter::new(stream);
-        let request: Request = match read_line(&mut reader) {
+        let request = match read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) => return,
             Err(message) => {

@@ -5,7 +5,7 @@
 
 use mdst_scenario::prelude::ScenarioMatrix;
 use mdst_scenario::{run_campaign, RunnerConfig};
-use mdst_serve::proto::Event;
+use mdst_serve::proto::{Event, Response, MAX_REQUEST_BYTES};
 use mdst_serve::{client, serve, ServeConfig, SpecFormat};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -345,4 +345,47 @@ fn seed_reports_prime_the_cost_model() {
         .expect("server thread")
         .expect("serve exits cleanly");
     let _ = std::fs::remove_file(&report_path);
+}
+
+/// A client that streams an over-long request and never sends `\n` gets an
+/// error back once the line passes [`MAX_REQUEST_BYTES`], instead of growing
+/// server memory without limit, and the service keeps answering others.
+#[test]
+fn oversized_request_lines_are_refused() {
+    use std::io::{BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let socket = test_socket("oversized");
+    let config = ServeConfig {
+        socket: socket.clone(),
+        workers: 1,
+        quiet: true,
+        ..ServeConfig::default()
+    };
+    let server = std::thread::spawn(move || serve(&config));
+    wait_for_server(&socket);
+
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    // Without the cap the server would wait for a newline forever: fail
+    // instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set a read timeout");
+    let flood = vec![b'x'; MAX_REQUEST_BYTES as usize + 1];
+    stream.write_all(&flood).expect("send the oversized line");
+    let response: Response = mdst_serve::proto::read_line(&mut BufReader::new(&stream))
+        .expect("decodable response")
+        .expect("the server answers before closing");
+    assert!(
+        matches!(&response, Response::Error { message } if message.contains("exceeds")),
+        "{response:?}"
+    );
+    drop(stream);
+
+    client::status(&socket).expect("the service keeps serving after the refusal");
+    client::shutdown(&socket).expect("shutdown");
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
 }

@@ -4,6 +4,14 @@
 use mdst::prelude::*;
 use std::sync::Arc;
 
+/// Runs the improvement protocol from `initial` on the simulator.
+fn improve(graph: &Arc<Graph>, initial: &RootedTree) -> RunReport {
+    Pipeline::on(graph)
+        .initial_tree(initial.clone())
+        .run()
+        .unwrap()
+}
+
 /// Builds the worst-case family of the complexity analysis: the initial tree
 /// is the star (degree n − 1) and the graph allows improvement down to a
 /// degree-2 or 3 tree, so the number of rounds is Θ(n).
@@ -19,9 +27,9 @@ fn per_round_message_cost_is_linear_in_m() {
     // Measured: the average cost of a round never exceeds a small multiple of m + n.
     for n in [10, 20, 40, 80] {
         let (graph, initial) = worst_case(n);
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         let m = graph.edge_count() as f64;
-        let per_round = run.metrics.messages_total as f64 / run.rounds as f64;
+        let per_round = run.improvement_metrics.messages_total as f64 / run.rounds as f64;
         assert!(
             per_round <= 4.0 * (m + n as f64),
             "n={n}: {per_round} messages per round vs m={m}"
@@ -37,10 +45,10 @@ fn total_messages_scale_with_degree_drop_times_m() {
     for n in [12, 24, 48, 96] {
         let (graph, initial) = worst_case(n);
         let k = initial.max_degree();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        let k_star = run.final_tree.max_degree();
+        let run = improve(&graph, &initial);
+        let k_star = run.tree().max_degree();
         let budget = ((k - k_star + 1) * graph.edge_count()) as f64;
-        ratios.push(run.metrics.messages_total as f64 / budget);
+        ratios.push(run.improvement_metrics.messages_total as f64 / budget);
     }
     for ratio in &ratios {
         assert!(*ratio <= 5.0, "ratios {ratios:?}");
@@ -58,13 +66,13 @@ fn total_time_scales_with_degree_drop_times_n() {
     for n in [12, 24, 48, 96] {
         let (graph, initial) = worst_case(n);
         let k = initial.max_degree();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        let k_star = run.final_tree.max_degree();
+        let run = improve(&graph, &initial);
+        let k_star = run.tree().max_degree();
         let budget = ((k - k_star + 1) * n) as u64;
         assert!(
-            run.metrics.quiescence_time <= 8 * budget,
+            run.improvement_metrics.quiescence_time <= 8 * budget,
             "n={n}: time {} vs budget {budget}",
-            run.metrics.quiescence_time
+            run.improvement_metrics.quiescence_time
         );
     }
 }
@@ -74,10 +82,10 @@ fn message_size_grows_logarithmically() {
     let mut sizes = Vec::new();
     for n in [8, 16, 32, 64, 128] {
         let (graph, initial) = worst_case(n);
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        sizes.push(run.metrics.bits_max);
+        let run = improve(&graph, &initial);
+        sizes.push(run.improvement_metrics.bits_max);
         let id_bits = (usize::BITS - (n - 1).leading_zeros()) as u64;
-        assert!(run.metrics.bits_max <= 4 + 5 * id_bits, "n={n}");
+        assert!(run.improvement_metrics.bits_max <= 4 + 5 * id_bits, "n={n}");
     }
     // Doubling n adds a constant number of bits, it does not double the size.
     for pair in sizes.windows(2) {
@@ -94,9 +102,9 @@ fn complete_graph_cost_stays_close_to_the_kmz_lower_bound() {
     for n in [8, 16, 32] {
         let graph = Arc::new(generators::complete(n).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        let k_star = run.final_tree.max_degree();
-        let ratio = kmz_ratio(run.metrics.messages_total, n, k_star);
+        let run = improve(&graph, &initial);
+        let k_star = run.tree().max_degree();
+        let ratio = kmz_ratio(run.improvement_metrics.messages_total, n, k_star);
         assert!(ratio.is_finite());
         assert!(
             ratio <= 4.0 * n as f64,
@@ -112,8 +120,8 @@ fn rounds_track_the_degree_drop() {
     // improvements ≥ k − k*.
     for n in [10, 20, 40] {
         let (graph, initial) = worst_case(n);
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        let drop = initial.max_degree() - run.final_tree.max_degree();
+        let run = improve(&graph, &initial);
+        let drop = initial.max_degree() - run.tree().max_degree();
         assert!(run.improvements as usize >= drop);
         assert_eq!(run.rounds, run.improvements + 1);
     }

@@ -4,6 +4,14 @@
 use mdst::prelude::*;
 use std::sync::Arc;
 
+/// Runs the improvement protocol from `initial` on the simulator.
+fn improve(graph: &Arc<Graph>, initial: &RootedTree) -> RunReport {
+    Pipeline::on(graph)
+        .initial_tree(initial.clone())
+        .run()
+        .unwrap()
+}
+
 #[test]
 fn distributed_run_matches_the_sequential_mirror_exactly() {
     // The protocol's decisions are a deterministic function of the tree, so
@@ -13,10 +21,10 @@ fn distributed_run_matches_the_sequential_mirror_exactly() {
     for seed in 0..10u64 {
         let graph = Arc::new(generators::gnp_connected(24, 0.18, seed).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let distributed = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let distributed = improve(&graph, &initial);
         let mirror = paper_local_search(&graph, &initial).unwrap();
         assert_eq!(
-            distributed.final_tree.max_degree(),
+            distributed.tree().max_degree(),
             mirror.tree.max_degree(),
             "seed {seed}"
         );
@@ -27,7 +35,7 @@ fn distributed_run_matches_the_sequential_mirror_exactly() {
         assert_eq!(distributed.rounds as usize, mirror.rounds, "seed {seed}");
         // Not just the degree: the edge sets coincide.
         let dist_edges: std::collections::BTreeSet<(NodeId, NodeId)> = distributed
-            .final_tree
+            .tree()
             .edges()
             .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
             .collect();
@@ -61,9 +69,9 @@ fn distributed_result_is_sandwiched_between_optimum_and_initial_degree() {
     for seed in 0..8u64 {
         let graph = Arc::new(generators::gnp_connected(12, 0.3, seed).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         let optimum = exact_min_degree(&graph).unwrap();
-        let result = run.final_tree.max_degree();
+        let result = run.tree().max_degree();
         assert!(result >= optimum, "seed {seed}");
         assert!(result <= initial.max_degree(), "seed {seed}");
     }
@@ -79,10 +87,10 @@ fn exact_solver_confirms_structured_optima_reached_by_the_protocol() {
         Arc::new(generators::wheel(10).unwrap()),
     ] {
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         let optimum = exact_min_degree(&graph).unwrap();
         assert_eq!(optimum, 2);
-        assert!(run.final_tree.max_degree() <= optimum + 1);
+        assert!(run.tree().max_degree() <= optimum + 1);
     }
 }
 
@@ -92,8 +100,8 @@ fn forced_hub_instances_are_recognised_as_unimprovable() {
     // so the protocol must stop immediately with zero exchanges.
     let graph = Arc::new(generators::high_optimum(5, 2).unwrap());
     let initial = algorithms::bfs_tree(&graph, NodeId(0)).unwrap();
-    let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+    let run = improve(&graph, &initial);
     assert_eq!(run.improvements, 0);
-    assert_eq!(run.final_tree.max_degree(), 5);
+    assert_eq!(run.tree().max_degree(), 5);
     assert_eq!(exact_min_degree(&graph).unwrap(), 5);
 }

@@ -1,6 +1,7 @@
 //! End-to-end pipeline tests across topology families and configurations.
 
 use mdst::prelude::*;
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn families(seed: u64) -> Vec<(&'static str, Arc<Graph>)> {
@@ -168,4 +169,208 @@ fn large_sparse_network_completes_with_reasonable_cost() {
         report.rounds,
         per_round_budget
     );
+}
+
+/// An `Observer` registered through the builder receives at least one
+/// on-round and exactly one on-finish event on **every** executor backend.
+#[test]
+fn observers_fire_on_every_executor_backend() {
+    let graph = Arc::new(generators::star_with_leaf_edges(16).unwrap());
+    for kind in ExecutorKind::all() {
+        let mut counts = CountingObserver::default();
+        let report = Pipeline::on(&graph)
+            .executor(kind)
+            .observer(&mut counts)
+            .run()
+            .unwrap();
+        assert_eq!(report.outcome, Outcome::Optimal, "{kind}");
+        assert_eq!(counts.constructions, 1, "{kind}");
+        assert!(counts.rounds >= 1, "{kind}: no on-round event");
+        assert_eq!(counts.rounds as u32, report.rounds, "{kind}");
+        assert_eq!(counts.exchanges as u32, report.improvements, "{kind}");
+        assert_eq!(counts.finishes, 1, "{kind}: on-finish must fire once");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Benign fault plans (omitted, or spelled out with a seed) on a
+    /// reliable network end optimal on every backend and construction, with
+    /// the simulator's message counts, rounds and improvements.
+    #[test]
+    fn benign_fault_plans_end_optimal_on_every_backend(
+        (n, extra, seed) in (4usize..24, 0usize..30, any::<u64>()),
+        (exec, init, spelled_benign) in (0usize..3, 0usize..3, any::<bool>()),
+    ) {
+        let graph =
+            Arc::new(generators::random_connected(n, extra, seed).expect("valid parameters"));
+        let initial = match init {
+            0 => InitialTreeKind::GreedyHub,
+            1 => InitialTreeKind::Bfs,
+            _ => InitialTreeKind::Random(seed ^ 0xABCD),
+        };
+        let faults = if spelled_benign {
+            // A benign plan with a seed set is still benign: the loss coin
+            // stream is never consulted.
+            FaultPlan { loss: 0.0, seed: seed ^ 0x5EED, ..Default::default() }
+        } else {
+            FaultPlan::none()
+        };
+        let reference = Pipeline::on(&graph).initial(initial).run().unwrap();
+        let report = Pipeline::on(&graph)
+            .initial(initial)
+            .executor(ExecutorKind::all()[exec])
+            .workers(2)
+            .faults(faults)
+            .run()
+            .unwrap();
+        prop_assert_eq!(report.outcome, Outcome::Optimal);
+        prop_assert!(report.tree().is_spanning_tree_of(&graph));
+        prop_assert_eq!(report.final_degree, report.tree().max_degree());
+        prop_assert_eq!(report.survivor.component_size(), n);
+        prop_assert_eq!(&report.initial_tree, &reference.initial_tree);
+        prop_assert_eq!(report.final_degree, reference.final_degree);
+        // Message counts are deterministic on every backend; the causal
+        // clocks also depend on thread scheduling, so they are not compared.
+        let (got, want) = (&report.improvement_metrics, &reference.improvement_metrics);
+        prop_assert_eq!(got.messages_total, want.messages_total);
+        prop_assert_eq!(&got.messages_by_kind, &want.messages_by_kind);
+        prop_assert_eq!(got.bits_total, want.bits_total);
+        prop_assert_eq!(report.rounds, reference.rounds);
+        prop_assert_eq!(report.improvements, reference.improvements);
+    }
+
+    /// Lossy and crashing simulator runs are graded, never errored: an
+    /// optimal outcome implies a terminated, spanning survivor snapshot, and
+    /// the reported degree is the survivor grading's.
+    #[test]
+    fn faulty_sim_runs_are_graded_not_errored(
+        (n, extra, seed, loss_tenths, crash) in
+            (5usize..20, 0usize..24, any::<u64>(), 1u32..8, any::<bool>())
+    ) {
+        let graph =
+            Arc::new(generators::random_connected(n, extra, seed).expect("valid parameters"));
+        let mut faults = FaultPlan {
+            loss: f64::from(loss_tenths) / 10.0,
+            seed: seed ^ 0xF00D,
+            ..Default::default()
+        };
+        if crash {
+            faults.crashes.push(CrashAt {
+                node: NodeId::new((seed % n as u64) as usize),
+                at: 3,
+            });
+        }
+        let report = Pipeline::on(&graph).faults(faults).run().unwrap();
+        prop_assert_eq!(report.final_degree, report.survivor.max_degree);
+        if report.outcome.is_optimal() {
+            prop_assert!(report.all_live_terminated);
+            prop_assert!(report.survivor.spans_component);
+        }
+    }
+}
+
+/// The reference semantics of `RunReport::final_tree`, written out as a
+/// test-side oracle: build, validate, run, require quiescence and
+/// termination everywhere, collect, validate. A node that crashed *after*
+/// receiving `Stop` still lets this path collect and return the tree.
+fn historical_strict_run(
+    graph: &Arc<Graph>,
+    config: &PipelineConfig,
+) -> Result<(RootedTree, Metrics, u32, u32), GraphError> {
+    let (initial_tree, _construction) = build_initial_tree(graph, config.root, config.initial)?;
+    initial_tree.validate_against(graph)?;
+    let nodes = MdstNode::from_tree(&initial_tree);
+    let run = config
+        .executor
+        .run(
+            graph,
+            |id, _| nodes[id.index()].clone(),
+            &config.exec_config(),
+        )
+        .map_err(|e| GraphError::InvalidParameter(e.to_string()))?;
+    if run.status != ExecStatus::Quiesced {
+        return Err(GraphError::NotASpanningTree(format!(
+            "protocol did not quiesce: event limit of {} exceeded",
+            config.sim.max_events
+        )));
+    }
+    if !run.all_terminated() {
+        return Err(GraphError::NotASpanningTree(
+            "a node never received Stop".to_string(),
+        ));
+    }
+    let final_tree = collect_tree(&run.nodes)?;
+    final_tree.validate_against(graph)?;
+    let rounds = run.nodes.iter().map(|p| p.round()).max().unwrap_or(0);
+    let improvements = run.nodes.iter().map(|p| p.improvements_made()).sum();
+    Ok((final_tree, run.metrics, rounds, improvements))
+}
+
+fn crash_config(node: NodeId, at: u64) -> PipelineConfig {
+    PipelineConfig {
+        sim: SimConfig {
+            faults: FaultPlan {
+                crashes: vec![CrashAt { node, at }],
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The session carries a tree exactly when the reference path collects
+    /// one, and then agrees with it on the tree, metrics, rounds and
+    /// improvements.
+    #[test]
+    fn final_tree_matches_the_reference_path_under_crash_plans(
+        (n, extra, seed, crash_node, crash_at) in
+            (5usize..18, 0usize..20, any::<u64>(), 0u64..18, 0u64..80)
+    ) {
+        let graph =
+            Arc::new(generators::random_connected(n, extra, seed).expect("valid parameters"));
+        let config = crash_config(NodeId::new((crash_node % n as u64) as usize), crash_at);
+        let oracle = historical_strict_run(&graph, &config);
+        let report = Pipeline::on(&graph)
+            .config(config)
+            .run()
+            .expect("crash plans degrade runs, they never fail the session");
+        match (oracle, &report.final_tree) {
+            (Ok((tree, metrics, rounds, improvements)), Some(final_tree)) => {
+                prop_assert_eq!(&tree, final_tree);
+                prop_assert_eq!(&metrics, &report.improvement_metrics);
+                prop_assert_eq!(rounds, report.rounds);
+                prop_assert_eq!(improvements, report.improvements);
+            }
+            (Err(_), None) => {}
+            (oracle, final_tree) => prop_assert!(
+                false,
+                "tree divergence: oracle {oracle:?}, session {final_tree:?}"
+            ),
+        }
+    }
+}
+
+/// A crash that fires *after* the node received `Stop` still lets the
+/// session collect and return the tree (regression pin for the case the
+/// proptest above may or may not sample).
+#[test]
+fn post_termination_crashes_still_yield_the_collected_tree() {
+    let graph = Arc::new(generators::random_connected(8, 4, 0).unwrap());
+    let config = crash_config(NodeId(0), 29);
+    let report = Pipeline::on(&graph).config(config.clone()).run().unwrap();
+    assert_eq!(report.improvement_metrics.crashed_nodes, 1);
+    assert!(report.all_terminated, "crash must land after Stop here");
+    let tree = report
+        .final_tree
+        .as_ref()
+        .expect("a fully terminated snapshot collects even after a late crash");
+    assert!(tree.is_spanning_tree_of(&graph));
+    let (oracle_tree, ..) = historical_strict_run(&graph, &config).unwrap();
+    assert_eq!(&oracle_tree, tree);
 }

@@ -6,6 +6,14 @@ use mdst::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Runs the improvement protocol from `initial` on the simulator.
+fn improve(graph: &Arc<Graph>, initial: &RootedTree) -> RunReport {
+    Pipeline::on(graph)
+        .initial_tree(initial.clone())
+        .run()
+        .unwrap()
+}
+
 /// Strategy: a random connected graph described by (n, extra edges, seed).
 fn connected_graph() -> impl Strategy<Value = Graph> {
     (3usize..28, 0usize..40, any::<u64>()).prop_map(|(n, extra, seed)| {
@@ -115,12 +123,12 @@ proptest! {
     fn distributed_improvement_preserves_spanning_and_never_worsens(
         (graph, initial) in graph_with_tree()
     ) {
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        prop_assert!(run.final_tree.is_spanning_tree_of(&graph));
-        prop_assert!(run.final_tree.max_degree() <= initial.max_degree());
-        prop_assert!(run.final_tree.max_degree() >= degree_lower_bound(&graph));
+        let run = improve(&graph, &initial);
+        prop_assert!(run.tree().is_spanning_tree_of(&graph));
+        prop_assert!(run.tree().max_degree() <= initial.max_degree());
+        prop_assert!(run.tree().max_degree() >= degree_lower_bound(&graph));
         // Termination certificate: the targeted max-degree node is blocked.
-        prop_assert!(verify_termination_certificate(&graph, &run.final_tree));
+        prop_assert!(verify_termination_certificate(&graph, run.tree()));
         // Rounds bookkeeping: one exchange per round except the last.
         prop_assert_eq!(run.improvements + 1, run.rounds);
     }
@@ -129,25 +137,25 @@ proptest! {
     fn message_and_time_complexity_match_the_papers_bounds(
         (graph, initial) in graph_with_tree()
     ) {
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         let n = graph.node_count() as u64;
         let m = graph.edge_count() as u64;
         let rounds = run.rounds as u64;
         // Per §4.2 a round costs at most 2m + O(n) messages and O(n) time; the
         // constants below are generous but finite, which is what the
         // asymptotic claim needs.
-        prop_assert!(run.metrics.messages_total <= rounds * (4 * m + 6 * n) + n);
-        prop_assert!(run.metrics.causal_time <= rounds * 8 * n + 8);
+        prop_assert!(run.improvement_metrics.messages_total <= rounds * (4 * m + 6 * n) + n);
+        prop_assert!(run.improvement_metrics.causal_time <= rounds * 8 * n + 8);
         // O(log n) bits per message: tag + at most five identity-sized fields.
         let id_bits = (usize::BITS - (graph.node_count() - 1).max(1).leading_zeros()) as u64;
-        prop_assert!(run.metrics.bits_max <= 4 + 5 * id_bits.max(1));
+        prop_assert!(run.improvement_metrics.bits_max <= 4 + 5 * id_bits.max(1));
     }
 
     #[test]
     fn distributed_and_sequential_mirror_agree((graph, initial) in graph_with_tree()) {
-        let run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
+        let run = improve(&graph, &initial);
         let mirror = paper_local_search(&graph, &initial).unwrap();
-        prop_assert_eq!(run.final_tree.max_degree(), mirror.tree.max_degree());
+        prop_assert_eq!(run.tree().max_degree(), mirror.tree.max_degree());
         prop_assert_eq!(run.improvements as usize, mirror.improvements);
     }
 

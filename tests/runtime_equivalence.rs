@@ -13,14 +13,17 @@ fn run_both(
     graph: &Arc<Graph>,
     initial: &RootedTree,
 ) -> (RootedTree, RootedTree, Metrics, Metrics) {
-    let sim_run = run_distributed_mdst(graph, initial, SimConfig::default()).unwrap();
+    let sim_run = Pipeline::on(graph)
+        .initial_tree(initial.clone())
+        .run()
+        .unwrap();
     let nodes = MdstNode::from_tree(initial);
     let threaded = ThreadedRuntime::run(graph, |id, _| nodes[id.index()].clone());
     let threaded_tree = collect_tree(&threaded.nodes).unwrap();
     (
-        sim_run.final_tree,
+        sim_run.tree().clone(),
         threaded_tree,
-        sim_run.metrics,
+        sim_run.improvement_metrics,
         threaded.metrics,
     )
 }
@@ -61,31 +64,31 @@ fn pool_and_simulated_runs_produce_the_same_tree() {
     for seed in 0..5u64 {
         let graph = Arc::new(generators::gnp_connected(24, 0.2, seed).unwrap());
         let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let sim_run = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        let pool_run = run_distributed_mdst_on(
-            ExecutorKind::Pool,
-            &graph,
-            &initial,
-            &ExecConfig {
-                workers: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let sim_run = Pipeline::on(&graph)
+            .initial_tree(initial.clone())
+            .run()
+            .unwrap();
+        let pool_run = Pipeline::on(&graph)
+            .initial_tree(initial)
+            .executor(ExecutorKind::Pool)
+            .workers(4)
+            .run()
+            .unwrap();
         assert_eq!(pool_run.executor, ExecutorKind::Pool);
         let a: std::collections::BTreeSet<_> = sim_run
-            .final_tree
+            .tree()
             .edges()
             .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
             .collect();
         let b: std::collections::BTreeSet<_> = pool_run
-            .final_tree
+            .tree()
             .edges()
             .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
             .collect();
         assert_eq!(a, b, "seed {seed}");
         assert_eq!(
-            sim_run.metrics.messages_by_kind, pool_run.metrics.messages_by_kind,
+            sim_run.improvement_metrics.messages_by_kind,
+            pool_run.improvement_metrics.messages_by_kind,
             "seed {seed}"
         );
     }
@@ -108,39 +111,32 @@ proptest! {
         let graph = Arc::new(generators::gnp_connected(18, 0.25, seed).expect("valid"));
         let initial =
             algorithms::greedy_high_degree_tree(&graph, NodeId(0)).expect("connected");
-        let sim_run =
-            run_distributed_mdst(&graph, &initial, SimConfig::default()).expect("sim");
-        let pool_run = run_distributed_mdst_on(
-            ExecutorKind::Pool,
-            &graph,
-            &initial,
-            &ExecConfig {
-                workers,
-                batch,
-                ..Default::default()
-            },
-        )
-        .expect("pool");
+        let sim_run = Pipeline::on(&graph)
+            .initial_tree(initial.clone())
+            .run()
+            .expect("sim");
+        let pool_run = Pipeline::on(&graph)
+            .initial_tree(initial)
+            .executor(ExecutorKind::Pool)
+            .workers(workers)
+            .batch(batch)
+            .run()
+            .expect("pool");
         let a: std::collections::BTreeSet<_> = sim_run
-            .final_tree
+            .tree()
             .edges()
             .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
             .collect();
         let b: std::collections::BTreeSet<_> = pool_run
-            .final_tree
+            .tree()
             .edges()
             .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
             .collect();
         prop_assert_eq!(a, b);
-        prop_assert_eq!(
-            &sim_run.metrics.messages_by_kind,
-            &pool_run.metrics.messages_by_kind
-        );
-        prop_assert_eq!(sim_run.metrics.bits_total, pool_run.metrics.bits_total);
-        prop_assert_eq!(
-            sim_run.metrics.messages_total,
-            pool_run.metrics.messages_total
-        );
+        let (sim, pool) = (&sim_run.improvement_metrics, &pool_run.improvement_metrics);
+        prop_assert_eq!(&sim.messages_by_kind, &pool.messages_by_kind);
+        prop_assert_eq!(sim.bits_total, pool.bits_total);
+        prop_assert_eq!(sim.messages_total, pool.messages_total);
     }
 }
 

@@ -5,17 +5,13 @@
 //! ```
 //!
 //! `lint` is a token-level source gate (no rustc, no new dependencies) that
-//! enforces three workspace rules:
+//! enforces two workspace rules:
 //!
 //! 1. **No `unwrap()` / `expect()` / `panic!` in non-test library code.**
 //!    Test modules (`#[cfg(test)]`) are exempt; deliberate uses in library
 //!    code (mutex-poisoning propagation, proven-unreachable states) must be
 //!    listed in `xtask/lint-allow.txt` — the allowlist is the audit trail.
-//! 2. **No `allow(deprecated)` outside `tests/api_equivalence.rs`.** The
-//!    deprecated pre-pipeline entry points survive only for the equivalence
-//!    suite; new call sites must use the unified `Pipeline` API. The
-//!    defining module and its re-export shims are allowlisted.
-//! 3. **No imports of non-vendored crates.** Every `Cargo.toml` dependency
+//! 2. **No imports of non-vendored crates.** Every `Cargo.toml` dependency
 //!    must be a workspace crate or one of the offline stand-ins under
 //!    `vendor/`; anything else would need registry access the build
 //!    environment does not have.
@@ -76,16 +72,14 @@ fn load_allowlist(root: &Path, problems: &mut Vec<String>) -> Vec<Allow> {
         }
         let mut parts = line.split_whitespace();
         match (parts.next(), parts.next(), parts.next()) {
-            (Some(p), Some(t), None) if FORBIDDEN.contains(&t) || t == "allow-deprecated" => {
-                entries.push(Allow {
-                    path: p.to_string(),
-                    token: t.to_string(),
-                    used: false,
-                })
-            }
+            (Some(p), Some(t), None) if FORBIDDEN.contains(&t) => entries.push(Allow {
+                path: p.to_string(),
+                token: t.to_string(),
+                used: false,
+            }),
             _ => problems.push(format!(
                 "xtask/lint-allow.txt:{}: malformed entry `{line}` \
-                 (want `<path> <unwrap|expect|panic|allow-deprecated>`)",
+                 (want `<path> <unwrap|expect|panic>`)",
                 lineno + 1
             )),
         }
@@ -102,15 +96,8 @@ fn lint() -> ExitCode {
     for krate in list_dir(&root.join("crates")) {
         collect_rs(&krate.join("src"), &mut library_files);
     }
-    let mut test_files = Vec::new();
-    collect_rs(&root.join("tests"), &mut test_files);
-    collect_rs(&root.join("examples"), &mut test_files);
-
     for file in &library_files {
-        lint_source(&root, file, true, &mut allows, &mut problems);
-    }
-    for file in &test_files {
-        lint_source(&root, file, false, &mut allows, &mut problems);
+        lint_source(&root, file, &mut allows, &mut problems);
     }
     lint_manifests(&root, &mut problems);
 
@@ -125,9 +112,8 @@ fn lint() -> ExitCode {
 
     if problems.is_empty() {
         println!(
-            "lint: {} library files, {} test/example files, all manifests clean",
-            library_files.len(),
-            test_files.len()
+            "lint: {} library files, all manifests clean",
+            library_files.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -168,16 +154,8 @@ fn rel(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Lints one source file. `library` enables rule 1 (the forbidden-token
-/// scan); rule 2 (`allow(deprecated)`) applies everywhere except the
-/// equivalence suite.
-fn lint_source(
-    root: &Path,
-    path: &Path,
-    library: bool,
-    allows: &mut [Allow],
-    problems: &mut Vec<String>,
-) {
+/// Lints one library source file against rule 1 (the forbidden-token scan).
+fn lint_source(root: &Path, path: &Path, allows: &mut [Allow], problems: &mut Vec<String>) {
     let rel_path = rel(root, path);
     let Ok(source) = std::fs::read_to_string(path) else {
         problems.push(format!("{rel_path}: unreadable"));
@@ -198,39 +176,25 @@ fn lint_source(
         hit
     };
 
-    if library {
-        for &token in FORBIDDEN {
-            let lines = forbidden_token_lines(&masked, token);
-            if lines.is_empty() || allowed(token) {
-                continue;
-            }
-            for line in lines {
-                let spelled = match token {
-                    "panic" => "panic!".to_string(),
-                    other => format!(".{other}()"),
-                };
-                problems.push(format!(
-                    "{rel_path}:{line}: `{spelled}` in non-test library code \
-                     (handle the error, or add `{rel_path} {token}` to xtask/lint-allow.txt)"
-                ));
-            }
+    for &token in FORBIDDEN {
+        let lines = forbidden_token_lines(&masked, token);
+        if lines.is_empty() || allowed(token) {
+            continue;
         }
-    }
-
-    if rel_path != "tests/api_equivalence.rs" {
-        let lines = substring_lines(&masked, "allow(deprecated)");
-        if !lines.is_empty() && !allowed("allow-deprecated") {
-            for line in lines {
-                problems.push(format!(
-                    "{rel_path}:{line}: `allow(deprecated)` outside tests/api_equivalence.rs — \
-                     deprecated entry points are frozen for the equivalence suite only"
-                ));
-            }
+        for line in lines {
+            let spelled = match token {
+                "panic" => "panic!".to_string(),
+                other => format!(".{other}()"),
+            };
+            problems.push(format!(
+                "{rel_path}:{line}: `{spelled}` in non-test library code \
+                 (handle the error, or add `{rel_path} {token}` to xtask/lint-allow.txt)"
+            ));
         }
     }
 }
 
-/// Rule 3: every dependency of every workspace manifest must be a workspace
+/// Rule 2: every dependency of every workspace manifest must be a workspace
 /// crate or a vendored stand-in.
 fn lint_manifests(root: &Path, problems: &mut Vec<String>) {
     let mut known: Vec<String> = VENDORED.iter().map(|s| s.to_string()).collect();
@@ -517,16 +481,6 @@ fn prev_non_ws(chars: &[char], i: usize) -> Option<char> {
         }
     }
     None
-}
-
-/// 1-indexed lines containing `needle` verbatim (post-masking).
-fn substring_lines(masked: &str, needle: &str) -> Vec<usize> {
-    masked
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| l.contains(needle))
-        .map(|(i, _)| i + 1)
-        .collect()
 }
 
 #[cfg(test)]
