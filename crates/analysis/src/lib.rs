@@ -2,8 +2,8 @@
 //!
 //! Static happens-before analysis of execution traces.
 //!
-//! Every backend of `mdst-netsim` (discrete-event simulator, thread-per-node
-//! runtime, work-stealing pool, step-controlled net) can record a
+//! Every backend of `mdst-netsim` (discrete-event simulator, work-stealing
+//! pool, step-controlled net) can record a
 //! [`mdst_netsim::TraceRecorder`] whose events carry a run-unique message id
 //! and a per-directed-link sequence number. This crate replays such a trace
 //! *offline*, reconstructs the causal partial order with vector clocks

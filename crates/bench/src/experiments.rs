@@ -4,7 +4,6 @@
 //! the harness binary, the tests and EXPERIMENTS.md all see the same numbers.
 
 use crate::table::Table;
-use mdst::core::distributed::MdstNode;
 use mdst::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -461,48 +460,6 @@ pub fn a3_improvement_policy() -> Table {
     table
 }
 
-/// A4 — the discrete-event simulator vs the threaded crossbeam runtime: same
-/// messages, different wall time.
-pub fn a4_runtime_comparison() -> Table {
-    let mut table = Table::new(
-        "A4: simulator vs threaded runtime (same protocol, same seeds)",
-        &[
-            "n",
-            "sim messages",
-            "thread messages",
-            "same tree",
-            "sim wall ms",
-            "thread wall ms",
-        ],
-    );
-    for &n in &[16usize, 32, 64] {
-        let graph = Arc::new(generators::gnp_connected(n, 0.12, 3).unwrap());
-        let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let sim = improve(&graph, &initial);
-        let nodes = MdstNode::from_tree(&initial);
-        let threaded = ThreadedRuntime::run(&graph, |id, _| nodes[id.index()].clone());
-        let thr_tree = collect_tree(&threaded.nodes).unwrap();
-        let same = thr_tree
-            .edges()
-            .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect::<std::collections::BTreeSet<_>>()
-            == sim
-                .tree()
-                .edges()
-                .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
-                .collect::<std::collections::BTreeSet<_>>();
-        table.add_row(vec![
-            n.to_string(),
-            sim.improvement_metrics.messages_total.to_string(),
-            threaded.metrics.messages_total.to_string(),
-            same.to_string(),
-            fmt_f(sim.wall_ms),
-            fmt_f(threaded.wall_time.as_secs_f64() * 1e3),
-        ]);
-    }
-    table
-}
-
 /// F1 — Figure 1 as a table: the exchange performed on the figure's instance.
 pub fn f1_figure1() -> Table {
     let mut table = Table::new(
@@ -876,7 +833,6 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("a1", a1_algorithm_comparison),
         ("a2", a2_delay_sensitivity),
         ("a3", a3_improvement_policy),
-        ("a4", a4_runtime_comparison),
     ]
 }
 
@@ -906,7 +862,7 @@ mod tests {
     #[test]
     fn experiment_registry_is_complete_and_unique() {
         let all = all_experiments();
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 15);
         let ids: std::collections::BTreeSet<&str> = all.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids.len(), all.len());
     }

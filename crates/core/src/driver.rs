@@ -5,8 +5,8 @@
 //! improvement protocol runs on the resulting tree. The construction always
 //! executes on the discrete-event simulator (its metrics are the paper's
 //! construction-cost tables); the improvement phase runs on whichever
-//! [`ExecutorKind`] backend the session selects — the simulator, the
-//! thread-per-node runtime or the work-stealing pool — through the uniform
+//! [`ExecutorKind`] backend the session selects — the simulator or the
+//! work-stealing pool — through the uniform
 //! `mdst_netsim::exec::Executor` surface.
 //!
 //! ## One session API
@@ -173,7 +173,7 @@ pub struct PipelineConfig {
     /// Which backend executes the improvement protocol.
     pub executor: ExecutorKind,
     /// Worker threads for the pool backend (`0` = auto); ignored by the
-    /// other backends.
+    /// simulator.
     pub workers: usize,
     /// Mailbox messages the pool backend drains per scheduling quantum
     /// (`0` = the backend default); ignored by the other backends.
@@ -260,14 +260,14 @@ pub struct RunReport {
     /// Wall-clock milliseconds of the improvement execution, as reported by
     /// the backend that ran it.
     pub wall_ms: f64,
-    /// OS threads the backend used: 1 for the simulator, `n` for the
-    /// thread-per-node runtime, the pool size for the pool.
+    /// OS threads the backend used: 1 for the simulator, the pool size for
+    /// the pool.
     pub workers: usize,
     /// Which backend executed the improvement.
     pub executor: ExecutorKind,
     /// Message trace of the improvement phase, recorded by every backend
     /// when `sim.record_trace` is set (the simulator stamps simulated time;
-    /// the threaded and pool runtimes stamp an atomic global order) and the
+    /// the pool stamps an atomic global order) and the
     /// disabled (empty) recorder otherwise. Feed it to the `mdst-analysis`
     /// happens-before auditor to check causal delivery and FIFO order.
     pub trace: mdst_netsim::TraceRecorder,
@@ -743,7 +743,11 @@ mod tests {
         let g = Arc::new(generators::star_with_leaf_edges(14).unwrap());
         let reference = Pipeline::on(&g).run().unwrap();
         for executor in ExecutorKind::all() {
-            let report = Pipeline::on(&g).executor(executor).run().unwrap();
+            let report = Pipeline::on(&g)
+                .executor(executor)
+                .workers(4)
+                .run()
+                .unwrap();
             assert_eq!(report.executor, executor);
             assert_eq!(report.outcome, Outcome::Optimal, "{executor}");
             assert_eq!(report.final_degree, reference.final_degree, "{executor}");
@@ -760,24 +764,23 @@ mod tests {
     #[test]
     fn concurrent_backends_reject_fault_plans_loudly() {
         let g = Arc::new(generators::path(6).unwrap());
-        for executor in [ExecutorKind::Threaded, ExecutorKind::Pool] {
-            let err = Pipeline::on(&g)
-                .executor(executor)
-                .faults(FaultPlan {
-                    loss: 0.2,
-                    ..Default::default()
-                })
-                .run()
-                .unwrap_err();
-            assert!(
-                matches!(err, PipelineError::Exec(SimError::InvalidConfig(_))),
-                "{executor}: expected a typed executor rejection, got {err:?}"
-            );
-            assert!(
-                err.to_string().contains("sim"),
-                "{executor}: the error must point at the sim backend, got {err}"
-            );
-        }
+        let err = Pipeline::on(&g)
+            .executor(ExecutorKind::Pool)
+            .workers(4)
+            .faults(FaultPlan {
+                loss: 0.2,
+                ..Default::default()
+            })
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, PipelineError::Exec(SimError::InvalidConfig(_))),
+            "expected a typed executor rejection, got {err:?}"
+        );
+        assert!(
+            err.to_string().contains("sim"),
+            "the error must point at the sim backend, got {err}"
+        );
     }
 
     #[test]

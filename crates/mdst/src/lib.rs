@@ -49,7 +49,7 @@
 //! let report = Pipeline::on(&graph)
 //!     .initial(InitialTreeKind::Bfs)        // which construction seeds the run
 //!     .root(NodeId(0))                      // construction initiator
-//!     .executor(ExecutorKind::Pool)         // sim | threaded | pool
+//!     .executor(ExecutorKind::Pool)         // sim | pool
 //!     .workers(4)                           // pool width (0 = auto)
 //!     .run()
 //!     .unwrap();
@@ -76,7 +76,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`mdst_graph`] | graphs, rooted trees, generators, classic algorithms |
-//! | [`mdst_netsim`] | asynchronous message-passing executors: discrete-event simulator, thread-per-node runtime, work-stealing pool |
+//! | [`mdst_netsim`] | asynchronous message-passing executors: discrete-event simulator, work-stealing pool |
 //! | [`mdst_spanning`] | distributed spanning-tree constructions (the startup step) |
 //! | [`mdst_core`] | the distributed MDegST protocol, the `Pipeline` session API, baselines, bounds, verification |
 //! | [`mdst_check`] | exhaustive small-state model checker: every schedule on every ≤6-node topology, minimized counterexamples |
@@ -121,7 +121,7 @@ pub mod prelude {
         Context, ControlledEvent, ControlledNet, CrashAt, CutAt, DelayModel, ExecConfig, ExecRun,
         ExecStatus, Executor, ExecutorKind, FaultPlan, Metrics, NetMessage, PoolConfig, PoolRun,
         PoolRuntime, Protocol, SimConfig, SimError, Simulator, StartDiscipline, StartModel,
-        ThreadedRun, ThreadedRuntime, UnknownExecutor,
+        UnknownExecutor,
     };
     pub use mdst_scenario::{
         diff_reports, diff_reports_with, run_campaign, CampaignReport, DiffOptions, FaultSpec,

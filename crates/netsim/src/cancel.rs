@@ -3,8 +3,7 @@
 //! A [`CancelToken`] is a shared flag a controller raises to ask a running
 //! executor to stop at the next safe point. Cancellation is *cooperative*:
 //! backends poll the token between work units (the simulator between events,
-//! the threaded runtime in its termination detector, the pool in every
-//! scheduling quantum), wind down exactly like an event-cap abort, and report
+//! the pool in every scheduling quantum), wind down exactly like an event-cap abort, and report
 //! [`crate::exec::ExecStatus::Cancelled`] with the partial node states and
 //! metrics accumulated so far. Nothing is killed mid-handler, so the
 //! snapshot a cancelled run returns is always internally consistent.

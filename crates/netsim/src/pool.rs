@@ -1,10 +1,9 @@
 //! Work-stealing pool runtime: thousands of nodes on a fixed worker pool.
 //!
-//! The thread-per-node [`crate::threaded::ThreadedRuntime`] demonstrates the
-//! protocols under genuine OS nondeterminism, but one thread per node caps it
-//! far below the `n ≥ 10⁴` regime where the paper's `O(Δ* + log n)` degree
-//! bound becomes interesting. This runtime multiplexes every node over a
-//! fixed pool of workers instead, around a **batched message fabric**:
+//! Runs the protocols under genuine OS nondeterminism well into the
+//! `n ≥ 10⁴` regime where the paper's `O(Δ* + log n)` degree bound becomes
+//! interesting. This runtime multiplexes every node over a fixed pool of
+//! workers, around a **batched message fabric**:
 //!
 //! * **per-node mailboxes** — each node owns a mutex-guarded cell holding its
 //!   protocol state and a FIFO mailbox of in-flight envelopes. A link `{u,v}`
@@ -54,8 +53,8 @@
 //!
 //! The runtime reports the same [`Metrics`] as the other backends (message
 //! counts, bits, causal depth) plus the wall-clock duration and honors the
-//! `max_events` cap ([`ExecStatus::EventLimitExceeded`]). Like the threaded
-//! runtime it cannot honor simulated delays or fault plans; the
+//! `max_events` cap ([`ExecStatus::EventLimitExceeded`]). It cannot honor
+//! simulated delays or fault plans; the
 //! [`crate::exec::PoolExecutor`] front door rejects such configurations.
 
 use crate::cancel::CancelToken;
@@ -504,8 +503,8 @@ impl PoolRuntime {
         } else {
             TraceRecorder::disabled()
         };
-        // Like the threaded runtime, there is no simulated clock: the
-        // quiescence clock is reported as the maximum causal depth.
+        // There is no simulated clock: the quiescence clock is reported as
+        // the maximum causal depth.
         metrics.quiescence_time = metrics.causal_time;
         let status = if shared.cancelled.load(Ordering::SeqCst) {
             ExecStatus::Cancelled
@@ -1392,6 +1391,38 @@ mod tests {
         let run = PoolRuntime::run(&g, flood, &PoolConfig::default()).unwrap();
         assert!(!run.trace.is_enabled());
         assert!(run.trace.events().is_empty());
+    }
+
+    #[test]
+    fn per_node_counters_are_consistent() {
+        let g = Arc::new(generators::complete(6).unwrap());
+        let config = PoolConfig {
+            workers: 4,
+            ..Default::default()
+        };
+        let run = PoolRuntime::run(&g, flood, &config).unwrap();
+        let sent: u64 = run.metrics.sent_per_node.iter().sum();
+        let received: u64 = run.metrics.received_per_node.iter().sum();
+        assert_eq!(sent, run.metrics.messages_total);
+        assert_eq!(received, run.metrics.messages_total);
+    }
+
+    #[test]
+    fn empty_protocol_network_quiesces_immediately() {
+        struct Silent;
+        impl Protocol for Silent {
+            type Message = Token;
+            fn on_start(&mut self, _: &mut dyn Context<Token>) {}
+            fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
+        }
+        let g = Arc::new(generators::cycle(5).unwrap());
+        let config = PoolConfig {
+            workers: 4,
+            ..Default::default()
+        };
+        let run = PoolRuntime::run(&g, |_, _| Silent, &config).unwrap();
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert_eq!(run.metrics.messages_total, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use mdst_graph::NodeId;
 
 /// The interface a running node uses to interact with the network.
 ///
-/// Implemented by both runtimes (simulator and threaded); protocols never see
+/// Implemented by every runtime (simulator, pool, controlled); protocols never see
 /// which one is driving them.
 pub trait Context<M: NetMessage> {
     /// Identity of this node.

@@ -14,7 +14,7 @@
 //! partial order from them and statically checks per-link FIFO, causal
 //! delivery and protocol-level mutual exclusion — on the discrete-event
 //! simulator, where the trace is totally ordered by simulated time, and on the
-//! threaded and pool backends, where each worker keeps a lock-free local
+//! pool backend, where each worker keeps a lock-free local
 //! buffer stamped from one atomic global counter and the buffers are merged
 //! into a single recorder at quiescence.
 
@@ -126,7 +126,7 @@ pub enum TraceEventKind {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// When the event happened. The simulator records the simulated clock;
-    /// the threaded and pool backends record a globally unique stamp drawn
+    /// the pool backend records a globally unique stamp drawn
     /// from one atomic counter (so the merged trace is totally ordered by
     /// real recording order, and a message's `Send` stamp is always smaller
     /// than its `Deliver` stamp).
@@ -172,9 +172,9 @@ impl TraceRecorder {
         TraceRecorder::default()
     }
 
-    /// An enabled recorder over pre-recorded events — how the threaded and
-    /// pool backends publish their merged per-worker buffers. The caller is
-    /// responsible for the event order (the concurrent backends sort by the
+    /// An enabled recorder over pre-recorded events — how the pool backend
+    /// publishes its merged per-worker buffers. The caller is responsible
+    /// for the event order (the pool sorts by the
     /// atomic global stamp in [`TraceEvent::time`]).
     pub fn from_events(events: Vec<TraceEvent>) -> Self {
         TraceRecorder {

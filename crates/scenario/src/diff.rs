@@ -248,14 +248,6 @@ fn outcome_rank(outcome: RunOutcome) -> u8 {
     }
 }
 
-fn run_key(run: &RunRecord) -> String {
-    // Delegates to the shared [`crate::runner::run_key`] so diff matching,
-    // progress lines and the serve event stream all agree on one identity
-    // per sweep-matrix cell (including the omitted default-batch segment
-    // that keeps pre-batch baselines byte-identical).
-    run.key()
-}
-
 /// Diffs `candidate` against `baseline` with the default options (wall time
 /// ignored). See the module docs for the classification rules.
 pub fn diff_reports(baseline: &CampaignReport, candidate: &CampaignReport) -> ReportDiff {
@@ -276,7 +268,7 @@ pub fn diff_reports_with(
 ) -> ReportDiff {
     let mut base_by_key: BTreeMap<String, VecDeque<&RunRecord>> = BTreeMap::new();
     for run in &baseline.runs {
-        base_by_key.entry(run_key(run)).or_default().push_back(run);
+        base_by_key.entry(run.key()).or_default().push_back(run);
     }
     let mut diff = ReportDiff {
         baseline_name: baseline.name.clone(),
@@ -289,7 +281,7 @@ pub fn diff_reports_with(
         drift: Vec::new(),
     };
     for cand in &candidate.runs {
-        let key = run_key(cand);
+        let key = cand.key();
         let Some(base) = base_by_key.get_mut(&key).and_then(VecDeque::pop_front) else {
             diff.only_in_candidate.push(key);
             continue;

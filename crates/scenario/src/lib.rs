@@ -75,18 +75,17 @@
 //! The optional `executor` axis picks the `mdst_netsim` backend per run:
 //!
 //! ```text
-//! executor = ["sim", "threaded", "pool"]   # default: "sim"
-//! workers = 8                              # pool worker cap (0 / omitted = auto)
+//! executor = ["sim", "pool"]   # default: "sim"
+//! workers = 8                  # pool worker cap (0 / omitted = auto)
 //! ```
 //!
 //! * `sim` — the deterministic discrete-event simulator (full delay/fault
 //!   support, trace recording);
-//! * `threaded` — one OS thread per node over FIFO channels (real
-//!   nondeterministic scheduling);
-//! * `pool` — a fixed work-stealing worker pool multiplexing thousands of
-//!   nodes (the scale backend).
+//! * `pool` — a fixed work-stealing pool of OS threads multiplexing
+//!   thousands of nodes (real nondeterministic scheduling, and the scale
+//!   backend).
 //!
-//! The non-sim backends schedule on real threads, so they only combine with
+//! The pool schedules on real threads, so it only combines with
 //! unit delays, simultaneous starts and fault-free plans; the parser rejects
 //! any other combination at load time. The backend label and its measured
 //! `exec_wall_ms` appear in every run record, so cross-backend campaigns
@@ -97,8 +96,8 @@
 //! ## Audit axis
 //!
 //! The optional boolean `audit` axis records a message trace on *every*
-//! backend (the simulator stamps simulated time; the threaded and pool
-//! runtimes stamp an atomic global order) and replays it through the
+//! backend (the simulator stamps simulated time; the pool stamps an atomic
+//! global order) and replays it through the
 //! `mdst-analysis` happens-before auditor when the run finishes:
 //!
 //! ```text
@@ -190,7 +189,7 @@ pub use diff::{diff_reports, diff_reports_with, DiffFinding, DiffOptions, Report
 pub use io::{load_graph, save_graph, GraphFormat, IoError};
 pub use report::{campaign_to_csv, campaign_to_json};
 pub use runner::{
-    aggregate_records, execute_run, execute_run_controlled, run_campaign, run_key, CampaignReport,
+    aggregate_records, execute_run, execute_run_controlled, run_campaign, CampaignReport,
     PredictedMs, RunControls, RunOutcome, RunRecord, RunnerConfig, TopologyCache,
 };
 pub use spec::{FaultSpec, RunSpec, ScenarioMatrix, ScenarioSpec, SpecError};
@@ -202,7 +201,7 @@ pub mod prelude {
     pub use crate::report::{campaign_to_csv, campaign_to_json, summarize, write_csv, write_json};
     pub use crate::runner::{
         aggregate_records, execute_run, execute_run_cached, execute_run_controlled, execute_runs,
-        run_campaign, run_key, CampaignReport, PredictedMs, RunControls, RunOutcome, RunRecord,
+        run_campaign, CampaignReport, PredictedMs, RunControls, RunOutcome, RunRecord,
         RunnerConfig, ScenarioStats, TopologyCache,
     };
     pub use crate::spec::{

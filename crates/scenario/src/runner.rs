@@ -16,7 +16,9 @@ use mdst_netsim::CancelToken;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -173,32 +175,6 @@ impl std::fmt::Display for PredictedMs {
     }
 }
 
-/// The full configuration key of one sweep-matrix cell, shared by report
-/// diffing, progress lines and the serve event stream so a run carries one
-/// identity everywhere. The default-batch segment is omitted so pre-batch
-/// baselines keep producing byte-identical keys.
-#[allow(clippy::too_many_arguments)]
-pub fn run_key(
-    scenario: &str,
-    graph: &str,
-    initial: &str,
-    delay: &str,
-    start: &str,
-    faults: &str,
-    executor: &str,
-    batch: usize,
-    seed: u64,
-) -> String {
-    let batch = if batch == 0 {
-        String::new()
-    } else {
-        format!(" / batch {batch}")
-    };
-    format!(
-        "{scenario} / {graph} / {initial} / {delay} / {start} / {faults} / {executor}{batch} / seed {seed}"
-    )
-}
-
 /// Runner configuration.
 #[derive(Debug, Clone, Default)]
 pub struct RunnerConfig {
@@ -219,8 +195,8 @@ pub struct RunnerConfig {
 
 /// The campaign progress tap: a per-run [`Observer`] streaming one line per
 /// finished run to stderr, prefixed with the run's full configuration key
-/// (see [`run_key`]) so interleaved output under `--jobs > 1` — or under the
-/// serve scheduler's multiplexing — stays attributable to its run.
+/// (see [`RunRecord::key`]) so interleaved output under `--jobs > 1` — or
+/// under the serve scheduler's multiplexing — stays attributable to its run.
 struct ProgressLine {
     label: String,
 }
@@ -346,7 +322,7 @@ pub struct RunRecord {
     pub start: String,
     /// Fault plan label (`"none"` for fault-free runs).
     pub faults: String,
-    /// Executor backend label (`"sim"`, `"threaded"`, `"pool"`).
+    /// Executor backend label (`"sim"`, `"pool"`).
     pub executor: String,
     /// Drain-batch size swept by the `batch` axis (`0` = backend default;
     /// Null-tolerant so pre-batch reports still deserialize — see
@@ -400,8 +376,7 @@ pub struct RunRecord {
     pub improvements: u32,
     /// Wall-clock milliseconds of the improvement execution alone, as
     /// reported by the backend that ran it (the simulator's event loop, the
-    /// threaded runtime's first-wake-up-to-quiescence span, the pool's
-    /// worker lifetime).
+    /// pool's worker lifetime).
     pub exec_wall_ms: f64,
     /// Wall-clock milliseconds the cost-aware scheduler predicted for this
     /// run before executing it (`0` when the run was not scheduled by a cost
@@ -426,19 +401,68 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
+    /// The record of `spec` before any measurement: the identity fields are
+    /// real, every measurement is zero and the outcome is
+    /// [`RunOutcome::Failed`] until a finished run fills them in.
+    pub fn unstarted(spec: &RunSpec) -> RunRecord {
+        RunRecord {
+            scenario: spec.scenario.clone(),
+            graph: spec.graph.label(),
+            initial: spec.initial.clone(),
+            delay: spec.delay.label(),
+            start: spec.start.label(),
+            faults: spec.faults.label(),
+            executor: spec.executor.label().to_string(),
+            batch: BatchSize(spec.batch),
+            audit: spec.audit,
+            seed: spec.seed,
+            n: 0,
+            m: 0,
+            outcome: RunOutcome::Failed,
+            initial_degree: 0,
+            final_degree: 0,
+            degree_lower_bound: 0,
+            degree_upper_bound: 0,
+            within_bound: false,
+            dropped_messages: 0,
+            crashed_nodes: 0,
+            survivors: 0,
+            approx_ratio: 0.0,
+            messages: 0,
+            construction_messages: 0,
+            causal_time: 0,
+            quiescence_time: 0,
+            rounds: 0,
+            improvements: 0,
+            exec_wall_ms: 0.0,
+            predicted_wall_ms: PredictedMs(0.0),
+            audit_findings: 0,
+            audit_rules: String::new(),
+            wall_ms: 0.0,
+            error: None,
+        }
+    }
+
     /// The run's full configuration key — the identity of one cell of the
-    /// sweep matrix (see [`run_key`]).
+    /// sweep matrix, shared by report diffing, progress lines and the serve
+    /// event stream so a run carries one identity everywhere. The
+    /// default-batch segment is omitted so pre-batch baselines keep
+    /// producing byte-identical keys.
     pub fn key(&self) -> String {
-        run_key(
-            &self.scenario,
-            &self.graph,
-            &self.initial,
-            &self.delay,
-            &self.start,
-            &self.faults,
-            &self.executor,
-            self.batch.0,
-            self.seed,
+        let batch = match self.batch.0 {
+            0 => String::new(),
+            b => format!(" / batch {b}"),
+        };
+        format!(
+            "{} / {} / {} / {} / {} / {} / {}{batch} / seed {}",
+            self.scenario,
+            self.graph,
+            self.initial,
+            self.delay,
+            self.start,
+            self.faults,
+            self.executor,
+            self.seed
         )
     }
 }
@@ -619,43 +643,14 @@ pub fn execute_run_controlled(
     controls: RunControls<'_>,
 ) -> RunRecord {
     let start = Instant::now();
-    let mut record = RunRecord {
-        scenario: spec.scenario.clone(),
-        graph: spec.graph.label(),
-        initial: spec.initial.clone(),
-        delay: spec.delay.label(),
-        start: spec.start.label(),
-        faults: spec.faults.label(),
-        executor: spec.executor.label().to_string(),
-        batch: BatchSize(spec.batch),
-        audit: spec.audit,
-        seed: spec.seed,
-        n: 0,
-        m: 0,
-        outcome: RunOutcome::Failed,
-        initial_degree: 0,
-        final_degree: 0,
-        degree_lower_bound: 0,
-        degree_upper_bound: 0,
-        within_bound: false,
-        dropped_messages: 0,
-        crashed_nodes: 0,
-        survivors: 0,
-        approx_ratio: 0.0,
-        messages: 0,
-        construction_messages: 0,
-        causal_time: 0,
-        quiescence_time: 0,
-        rounds: 0,
-        improvements: 0,
-        exec_wall_ms: 0.0,
+    let unstarted = || RunRecord {
         predicted_wall_ms: PredictedMs(controls.predicted_wall_ms),
-        audit_findings: 0,
-        audit_rules: String::new(),
-        wall_ms: 0.0,
-        error: None,
+        ..RunRecord::unstarted(spec)
     };
-    let outcome = (|| -> Result<(), String> {
+    let mut record = unstarted();
+    // A panicking protocol handler or observer fails this one run; it must
+    // not unwind into the campaign runner or the serve worker driving it.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
         let graph = topologies.get(&spec.graph, spec.seed)?;
         let config = spec.pipeline_config().map_err(|e| e.to_string())?;
         if spec.root >= graph.node_count() {
@@ -667,19 +662,7 @@ pub fn execute_run_controlled(
         }
         // One session whatever the fault axis says: degraded endings are
         // outcomes of the unified report, not a separate code path.
-        let mut progress_line = ProgressLine {
-            label: run_key(
-                &spec.scenario,
-                &spec.graph.label(),
-                &spec.initial,
-                &spec.delay.label(),
-                &spec.start.label(),
-                &spec.faults.label(),
-                spec.executor.label(),
-                spec.batch,
-                spec.seed,
-            ),
-        };
+        let mut progress_line = ProgressLine { label: spec.key() };
         let mut auditor = mdst_analysis::Auditor::new();
         let mut session = Pipeline::on(&graph).config(config);
         if controls.progress {
@@ -761,12 +744,28 @@ pub fn execute_run_controlled(
             ));
         }
         Ok(())
-    })();
+    }))
+    .unwrap_or_else(|payload| {
+        record = unstarted();
+        Err(format!("run panicked: {}", panic_message(payload.as_ref())))
+    });
     if let Err(e) = outcome {
         record.error = Some(e);
     }
     record.wall_ms = start.elapsed().as_secs_f64() * 1e3;
     record
+}
+
+/// The message of a caught panic: the `panic!` string, or a placeholder for
+/// a non-string payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
 }
 
 /// Expands `matrix` and executes every run in parallel. A non-zero
@@ -1091,5 +1090,38 @@ mod tests {
         assert_eq!(report.total.runs, 1);
         assert_eq!(report.total.failures, 1);
         assert!(report.runs[0].error.as_deref().unwrap().contains("root"));
+    }
+
+    #[test]
+    fn a_panicking_observer_fails_its_run_instead_of_unwinding() {
+        struct Boom;
+        impl Observer for Boom {
+            fn on_finish(&mut self, _report: &RunReport) {
+                panic!("observer exploded");
+            }
+        }
+        let runs = ScenarioMatrix::from_toml_str(SPEC)
+            .unwrap()
+            .expand()
+            .unwrap();
+        let spec = &runs[0];
+        let mut boom = Boom;
+        let record = execute_run_controlled(
+            spec,
+            &TopologyCache::new(),
+            RunControls {
+                predicted_wall_ms: 2.5,
+                observer: Some(&mut boom),
+                ..Default::default()
+            },
+        );
+        assert_eq!(record.outcome, RunOutcome::Failed);
+        assert_eq!(
+            record.error.as_deref(),
+            Some("run panicked: observer exploded")
+        );
+        assert_eq!(record.key(), spec.key());
+        assert_eq!(record.predicted_wall_ms, PredictedMs(2.5));
+        assert_eq!((record.n, record.messages), (0, 0));
     }
 }

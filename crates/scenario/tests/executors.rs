@@ -101,22 +101,6 @@ fn executor_and_exec_wall_time_appear_in_reports() {
 }
 
 #[test]
-fn threaded_executor_also_sweeps() {
-    let spec = r#"
-        [[scenario]]
-        name = "tri"
-        graph = { family = "star_with_leaf_edges", n = 10 }
-        executor = ["sim", "threaded", "pool"]
-    "#;
-    let matrix = ScenarioMatrix::from_toml_str(spec).unwrap();
-    let report = run_campaign(&matrix, &RunnerConfig::default()).unwrap();
-    assert_eq!(report.total.runs, 3);
-    assert_eq!(report.total.failures, 0);
-    let degrees: Vec<usize> = report.runs.iter().map(|r| r.final_degree).collect();
-    assert!(degrees.windows(2).all(|w| w[0] == w[1]), "{degrees:?}");
-}
-
-#[test]
 fn executor_axis_rejects_sim_only_combinations() {
     let bad_delay = r#"
         [[scenario]]
@@ -143,7 +127,7 @@ fn executor_axis_rejects_sim_only_combinations() {
         name = "x"
         graph = { family = "path", n = 6 }
         start = { model = "staggered", max_offset = 9 }
-        executor = ["threaded"]
+        executor = ["pool"]
     "#;
     let err = ScenarioMatrix::from_toml_str(bad_start).unwrap_err();
     assert!(err.to_string().contains("start"), "{err}");

@@ -161,7 +161,7 @@ pub enum Event {
         seq: u64,
         /// Owning campaign.
         campaign: u64,
-        /// Full run configuration key (see `mdst_scenario::run_key`).
+        /// Full run configuration key (see `mdst_scenario::RunRecord::key`).
         key: String,
         /// Cost-model prediction for this run (0 = unseeded model).
         predicted_ms: f64,

@@ -23,7 +23,7 @@
 use crate::cost::CostModel;
 use mdst_netsim::CancelToken;
 use mdst_scenario::prelude::{RunSpec, ScenarioMatrix};
-use mdst_scenario::{aggregate_records, CampaignReport, PredictedMs, RunOutcome, RunRecord};
+use mdst_scenario::{aggregate_records, CampaignReport, RunOutcome, RunRecord};
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -396,40 +396,8 @@ impl Default for Scheduler {
 /// fields are real, every measurement is zero, the outcome is `aborted`.
 fn aborted_record(spec: &RunSpec) -> RunRecord {
     RunRecord {
-        scenario: spec.scenario.clone(),
-        graph: spec.graph.label(),
-        initial: spec.initial.clone(),
-        delay: spec.delay.label(),
-        start: spec.start.label(),
-        faults: spec.faults.label(),
-        executor: spec.executor.label().to_string(),
-        batch: mdst_scenario::runner::BatchSize(spec.batch),
-        audit: spec.audit,
-        seed: spec.seed,
-        n: 0,
-        m: 0,
         outcome: RunOutcome::Aborted,
-        initial_degree: 0,
-        final_degree: 0,
-        degree_lower_bound: 0,
-        degree_upper_bound: 0,
-        within_bound: false,
-        dropped_messages: 0,
-        crashed_nodes: 0,
-        survivors: 0,
-        approx_ratio: 0.0,
-        messages: 0,
-        construction_messages: 0,
-        causal_time: 0,
-        quiescence_time: 0,
-        rounds: 0,
-        improvements: 0,
-        exec_wall_ms: 0.0,
-        predicted_wall_ms: PredictedMs(0.0),
-        audit_findings: 0,
-        audit_rules: String::new(),
-        wall_ms: 0.0,
-        error: None,
+        ..RunRecord::unstarted(spec)
     }
 }
 

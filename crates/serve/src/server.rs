@@ -165,17 +165,7 @@ impl Inner {
             predicted_ms,
             token,
         } = claim;
-        let key = mdst_scenario::run_key(
-            &spec.scenario,
-            &spec.graph.label(),
-            &spec.initial,
-            &spec.delay.label(),
-            &spec.start.label(),
-            &spec.faults.label(),
-            spec.executor.label(),
-            spec.batch,
-            spec.seed,
-        );
+        let key = spec.key();
         self.emit(
             campaign,
             &Event::RunStarted {

@@ -1,7 +1,6 @@
-//! Runs the same MDegST improvement on all three executor backends through
-//! the uniform `Executor` surface and compares their verdicts and wall
-//! times: the discrete-event simulator, the thread-per-node runtime, and the
-//! work-stealing pool that scales past one OS thread per node.
+//! Runs the same MDegST improvement on both executor backends through the
+//! uniform `Executor` surface and compares their verdicts and wall times:
+//! the discrete-event simulator and the work-stealing pool of OS threads.
 //!
 //! ```text
 //! cargo run --release --example executors
@@ -28,7 +27,7 @@ fn main() {
         let report = Pipeline::on(&graph)
             .initial_tree(initial.clone())
             .executor(kind)
-            .workers(8) // pool only; the other backends ignore it
+            .workers(8) // pool only; the simulator ignores it
             .run()
             .unwrap();
         assert_eq!(report.outcome, Outcome::Optimal);
@@ -50,5 +49,5 @@ fn main() {
         degrees.windows(2).all(|w| w[0] == w[1]),
         "the protocol's decisions are schedule independent"
     );
-    println!("all three executors agree on the locally optimal tree");
+    println!("both executors agree on the locally optimal tree");
 }

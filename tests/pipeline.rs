@@ -201,7 +201,7 @@ proptest! {
     #[test]
     fn benign_fault_plans_end_optimal_on_every_backend(
         (n, extra, seed) in (4usize..24, 0usize..30, any::<u64>()),
-        (exec, init, spelled_benign) in (0usize..3, 0usize..3, any::<bool>()),
+        (exec, init, spelled_benign) in (0..ExecutorKind::all().len(), 0usize..3, any::<bool>()),
     ) {
         let graph =
             Arc::new(generators::random_connected(n, extra, seed).expect("valid parameters"));

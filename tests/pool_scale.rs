@@ -1,7 +1,7 @@
 //! Scale test of the work-stealing pool: the acceptance bar for the executor
 //! refactor is a 5,000-node run completing on at most 64 worker threads —
-//! the regime the thread-per-node runtime structurally cannot reach (it
-//! would need 5,000 OS threads).
+//! the regime one OS thread per node structurally cannot reach (it would
+//! need 5,000 OS threads).
 
 use mdst::prelude::*;
 use mdst::spanning::flooding::FloodingSt;
@@ -112,14 +112,14 @@ fn pool_borrows_the_shared_topology_instead_of_rebuilding_adjacency() {
     assert_eq!(Arc::strong_count(&graph), baseline + 2);
     drop((first, second));
     assert_eq!(Arc::strong_count(&graph), baseline);
-    // The other two backends satisfy the same contract.
-    for kind in [ExecutorKind::Sim, ExecutorKind::Threaded] {
+    // Every backend satisfies the same contract, at any pool width.
+    let config = ExecConfig {
+        workers: 4,
+        ..Default::default()
+    };
+    for kind in ExecutorKind::all() {
         let run = kind
-            .run(
-                &graph,
-                |id, _| FloodingSt::new(id, NodeId(0)),
-                &ExecConfig::default(),
-            )
+            .run(&graph, |id, _| FloodingSt::new(id, NodeId(0)), &config)
             .unwrap();
         assert!(Arc::ptr_eq(&run.topology, &graph), "{kind}");
     }
@@ -128,7 +128,7 @@ fn pool_borrows_the_shared_topology_instead_of_rebuilding_adjacency() {
 #[test]
 fn pool_runs_the_full_mdst_pipeline_beyond_the_threaded_scale() {
     // The full pipeline (construction + improvement) at a node count where
-    // thread-per-node would already be painful: the pool executor drives the
+    // one OS thread per node would already be painful: the pool executor drives the
     // improvement protocol to the same verdicts the simulator would reach.
     let graph = Arc::new(generators::star_with_leaf_edges(600).unwrap());
     let report = Pipeline::on(&graph)

@@ -27,7 +27,6 @@ const VENDORED: &[&str] = &[
     "serde",
     "serde_derive",
     "rand",
-    "crossbeam-channel",
     "proptest",
     "criterion",
     "flate2",
