@@ -1096,6 +1096,39 @@ mod tests {
     }
 
     #[test]
+    fn flood_with_one_worker_per_node_reaches_everyone() {
+        let g = Arc::new(generators::gnp_connected(30, 0.15, 4).unwrap());
+        let config = PoolConfig {
+            workers: 30,
+            ..Default::default()
+        };
+        let run = PoolRuntime::run(&g, flood, &config).unwrap();
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert_eq!(run.workers, 30);
+        assert_eq!(run.nodes.len(), 30);
+        assert!(run.nodes.iter().all(|p| p.seen));
+        assert!(run.metrics.messages_total >= 29);
+    }
+
+    #[test]
+    fn one_worker_per_node_matches_the_simulator_on_a_path() {
+        // Flooding on a tree sends exactly one message per edge direction
+        // away from the initiator, regardless of scheduling, so even with
+        // every node on its own thread the count equals the simulated one.
+        let g = Arc::new(generators::path(12).unwrap());
+        let config = PoolConfig {
+            workers: 12,
+            ..Default::default()
+        };
+        let run = PoolRuntime::run(&g, flood, &config).unwrap();
+        assert_eq!(run.workers, 12);
+        let mut sim = Simulator::new(&g, SimConfig::default(), flood).unwrap();
+        sim.run().unwrap();
+        assert_eq!(run.metrics.messages_total, sim.metrics().messages_total);
+        assert_eq!(run.metrics.causal_time, sim.metrics().causal_time);
+    }
+
+    #[test]
     fn single_worker_pool_is_effectively_sequential_and_correct() {
         let g = Arc::new(generators::complete(9).unwrap());
         let run = PoolRuntime::run(
@@ -1334,21 +1367,11 @@ mod tests {
         assert_eq!(got, &expected, "per-link FIFO order must survive stealing");
     }
 
-    #[test]
-    fn traced_run_merges_per_worker_buffers_in_stamp_order() {
+    /// Checks a traced flood's merged trace: every send delivered, unique
+    /// stamps, send-before-deliver and per-link FIFO by seq.
+    fn assert_merged_trace_is_ordered(run: &PoolRun<crate::testutil::Flood>) {
         use crate::trace::TraceEventKind;
         use std::collections::{HashMap, HashSet};
-        let g = Arc::new(generators::gnp_connected(40, 0.15, 11).unwrap());
-        let run = PoolRuntime::run(
-            &g,
-            flood,
-            &PoolConfig {
-                workers: 4,
-                record_trace: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
         assert!(run.trace.is_enabled());
         let events = run.trace.events();
         let sends = events
@@ -1361,7 +1384,6 @@ mod tests {
             .count();
         assert_eq!(sends, delivers, "reliable network: every send delivered");
         assert_eq!(delivers as u64, run.metrics.messages_total);
-        // Unique stamps, send-before-deliver, and per-link FIFO by seq.
         let mut sent: HashSet<u64> = HashSet::new();
         let mut last_seq: HashMap<(usize, usize), u64> = HashMap::new();
         for pair in events.windows(2) {
@@ -1386,9 +1408,56 @@ mod tests {
     }
 
     #[test]
+    fn traced_run_merges_per_worker_buffers_in_stamp_order() {
+        let g = Arc::new(generators::gnp_connected(40, 0.15, 11).unwrap());
+        let run = PoolRuntime::run(
+            &g,
+            flood,
+            &PoolConfig {
+                workers: 4,
+                record_trace: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_merged_trace_is_ordered(&run);
+    }
+
+    #[test]
+    fn traced_run_with_one_worker_per_node_merges_in_stamp_order() {
+        let g = Arc::new(generators::gnp_connected(20, 0.2, 7).unwrap());
+        let run = PoolRuntime::run(
+            &g,
+            flood,
+            &PoolConfig {
+                workers: 20,
+                record_trace: true,
+                max_events: u64::MAX,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(run.workers, 20);
+        assert_merged_trace_is_ordered(&run);
+    }
+
+    #[test]
     fn untraced_run_returns_the_disabled_recorder() {
         let g = Arc::new(generators::path(4).unwrap());
         let run = PoolRuntime::run(&g, flood, &PoolConfig::default()).unwrap();
+        assert!(!run.trace.is_enabled());
+        assert!(run.trace.events().is_empty());
+    }
+
+    #[test]
+    fn untraced_run_with_one_worker_per_node_returns_the_disabled_recorder() {
+        let g = Arc::new(generators::path(4).unwrap());
+        let config = PoolConfig {
+            workers: 4,
+            ..Default::default()
+        };
+        let run = PoolRuntime::run(&g, flood, &config).unwrap();
+        assert_eq!(run.workers, 4);
         assert!(!run.trace.is_enabled());
         assert!(run.trace.events().is_empty());
     }

@@ -101,6 +101,23 @@ fn executor_and_exec_wall_time_appear_in_reports() {
 }
 
 #[test]
+fn four_worker_pool_also_sweeps() {
+    let spec = r#"
+        [[scenario]]
+        name = "tri"
+        graph = { family = "star_with_leaf_edges", n = 10 }
+        executor = ["sim", "pool"]
+        workers = 4
+    "#;
+    let matrix = ScenarioMatrix::from_toml_str(spec).unwrap();
+    let report = run_campaign(&matrix, &RunnerConfig::default()).unwrap();
+    assert_eq!(report.total.runs, 2);
+    assert_eq!(report.total.failures, 0);
+    let degrees: Vec<usize> = report.runs.iter().map(|r| r.final_degree).collect();
+    assert!(degrees.windows(2).all(|w| w[0] == w[1]), "{degrees:?}");
+}
+
+#[test]
 fn executor_axis_rejects_sim_only_combinations() {
     let bad_delay = r#"
         [[scenario]]
