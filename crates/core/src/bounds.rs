@@ -7,10 +7,13 @@
 //!   against which §5 claims the algorithm "is not far from the optimal";
 //! * implicit degree lower bounds on `Δ*` (the optimum), needed to interpret
 //!   the approximation quality on instances too large for the exact solver.
+//!
+//! The degree bounds cost `O(n + m)`: one iterative articulation-point DFS
+//! ([`cut_components`]) counts the components of `G − v` for every `v` at
+//! once, so grading a run costs less than ingesting its graph.
 
-use mdst_graph::algorithms::connected_components;
-use mdst_graph::{Graph, NodeId};
-use std::collections::BTreeSet;
+use mdst_graph::algorithms::cut_components;
+use mdst_graph::Graph;
 
 /// The Korach–Moran–Zaks lower bound on the number of messages any algorithm
 /// needs, in the worst case, to build a spanning tree of maximum degree at
@@ -29,21 +32,19 @@ pub fn kmz_message_lower_bound(n: usize, k: usize) -> f64 {
 ///   spanning tree must connect all of them through `v`, so `Δ* ≥ c(v)`;
 /// * any spanning tree on `n ≥ 3` vertices has a vertex of degree ≥ 2.
 pub fn degree_lower_bound(graph: &Graph) -> usize {
+    degree_bounds(graph).0
+}
+
+/// [`degree_lower_bound`] and [`paper_degree_upper_bound`] together, from a
+/// single `O(n + m)` pass — the pair every campaign run is graded with.
+pub fn degree_bounds(graph: &Graph) -> (usize, usize) {
     let n = graph.node_count();
-    if n <= 1 {
-        return 0;
-    }
-    if n == 2 {
-        return 1;
-    }
-    let mut bound = 2;
-    for v in graph.nodes() {
-        let keep: BTreeSet<NodeId> = graph.nodes().filter(|&u| u != v).collect();
-        let (without_v, _) = graph.induced_subgraph(&keep);
-        let components = connected_components(&without_v).len();
-        bound = bound.max(components);
-    }
-    bound
+    let lb = match n {
+        0 | 1 => 0,
+        2 => 1,
+        _ => cut_components(graph).into_iter().fold(2, usize::max),
+    };
+    (lb, 2 * lb + ceil_log2(n))
 }
 
 /// `⌈log₂ n⌉` (0 for `n ≤ 1`), the additive slack of the local-search degree
@@ -65,7 +66,7 @@ pub fn ceil_log2(n: usize) -> usize {
 /// *conservative* (never more permissive than the theorem) and is the bound
 /// the scenario harness applies to every campaign run.
 pub fn paper_degree_upper_bound(graph: &Graph) -> usize {
-    2 * degree_lower_bound(graph) + ceil_log2(graph.node_count())
+    degree_bounds(graph).1
 }
 
 /// Whether a final tree degree satisfies [`paper_degree_upper_bound`].
@@ -86,7 +87,7 @@ pub fn kmz_ratio(measured_messages: u64, n: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdst_graph::generators;
+    use mdst_graph::{generators, NodeId};
 
     #[test]
     fn kmz_bound_shrinks_with_larger_degree_budget() {

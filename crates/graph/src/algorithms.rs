@@ -139,94 +139,82 @@ pub fn diameter(g: &Graph) -> Result<usize> {
     Ok(g.nodes().map(|u| eccentricity(g, u)).max().unwrap_or(0))
 }
 
-/// Articulation points (cut vertices) of the graph, sorted by identity.
+/// `c(v)` for every node `v`: the number of connected components of `G − v`,
+/// from one iterative Hopcroft–Tarjan DFS in `O(n + m)`.
 ///
-/// A node `v` is an articulation point when removing it disconnects its
-/// component. The MDegST optimum must contain every edge incident to bridges,
-/// so articulation structure drives the lower bounds in `mdst-core::bounds`.
+/// With `C` components in `G`, `c(v) = (C − 1) + local(v)`, where `local(v)`
+/// counts the DFS children `w` of `v` with `low(w) ≥ disc(v)`, plus one
+/// unless `v` is a DFS root (the part of its component above `v`). An
+/// isolated `v` has `local(v) = 0`: deleting it deletes its component.
+/// `mdst-core::bounds` takes the maximum as its lower bound on `Δ*`.
+pub fn cut_components(g: &Graph) -> Vec<usize> {
+    let (components, local) = local_cut_counts(g);
+    local.into_iter().map(|l| components - 1 + l).collect()
+}
+
+/// Articulation points (cut vertices) of the graph, sorted by identity: the
+/// nodes whose removal disconnects their component, i.e. `c(v) > C` in the
+/// terms of [`cut_components`] (equivalently `local(v) ≥ 2`).
 pub fn articulation_points(g: &Graph) -> Vec<NodeId> {
+    let (_, local) = local_cut_counts(g);
+    (0..g.node_count())
+        .filter(|&v| local[v] >= 2)
+        .map(NodeId::new)
+        .collect()
+}
+
+/// The DFS behind [`cut_components`]: the number of components `C` of `g` and
+/// `local(v)` for every node. Iterative, so path-shaped graphs of any length
+/// cannot overflow the call stack.
+fn local_cut_counts(g: &Graph) -> (usize, Vec<usize>) {
+    const UNSEEN: usize = usize::MAX;
     let n = g.node_count();
-    let mut visited = vec![false; n];
-    let mut tin = vec![0usize; n];
+    let mut disc = vec![UNSEEN; n];
     let mut low = vec![0usize; n];
-    let mut is_art = vec![false; n];
-    let mut timer = 0usize;
-
-    // Iterative Tarjan-style DFS to avoid recursion-depth limits on long paths.
-    #[derive(Clone, Copy)]
-    struct Frame {
-        node: usize,
-        parent: Option<usize>,
-        next_neighbor: usize,
-        child_count: usize,
-    }
-
-    for start in 0..n {
-        if visited[start] {
+    let mut local = vec![0usize; n];
+    let mut components = 0;
+    let mut timer = 0;
+    // (node, index of its next neighbour to scan)
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if disc[root] != UNSEEN {
             continue;
         }
-        let mut stack = vec![Frame {
-            node: start,
-            parent: None,
-            next_neighbor: 0,
-            child_count: 0,
-        }];
-        visited[start] = true;
-        tin[start] = timer;
-        low[start] = timer;
+        components += 1;
+        disc[root] = timer;
+        low[root] = timer;
         timer += 1;
-
-        while let Some(frame) = stack.last_mut() {
-            let u = frame.node;
-            let neighbors: Vec<NodeId> = g.neighbors(NodeId::new(u)).collect();
-            if frame.next_neighbor < neighbors.len() {
-                let v = neighbors[frame.next_neighbor].index();
-                frame.next_neighbor += 1;
-                if Some(v) == frame.parent {
-                    continue;
-                }
-                if visited[v] {
-                    low[u] = low[u].min(tin[v]);
-                } else {
-                    visited[v] = true;
-                    tin[v] = timer;
-                    low[v] = timer;
+        stack.push((root, 0));
+        while let Some(top) = stack.last_mut() {
+            let u = top.0;
+            if let Some(&w) = g.neighbor_slice(NodeId::new(u)).get(top.1) {
+                top.1 += 1;
+                let w = w.index();
+                if disc[w] == UNSEEN {
+                    disc[w] = timer;
+                    low[w] = timer;
                     timer += 1;
-                    frame.child_count += 1;
-                    stack.push(Frame {
-                        node: v,
-                        parent: Some(u),
-                        next_neighbor: 0,
-                        child_count: 0,
-                    });
+                    // A non-root keeps the piece of its component above it.
+                    local[w] = 1;
+                    stack.push((w, 0));
+                } else {
+                    // The tree edge back to the parent lands here too; it
+                    // lowers `low(u)` only to `disc(parent)`, which leaves the
+                    // `low(w) ≥ disc(v)` test unchanged.
+                    low[u] = low[u].min(disc[w]);
                 }
             } else {
-                // Finished u: propagate low-link to the parent frame.
-                let finished = *frame;
                 stack.pop();
-                if let Some(parent_frame) = stack.last() {
-                    let p = parent_frame.node;
-                    low[p] = low[p].min(low[finished.node]);
-                    if low[finished.node] >= tin[p] && parent_frame.parent.is_some() {
-                        is_art[p] = true;
-                    }
-                } else {
-                    // finished is a DFS root.
-                    if finished.child_count >= 2 {
-                        is_art[finished.node] = true;
-                    }
-                }
-                // Root articulation rule handled above; nothing else to do.
-                if let Some(parent_frame) = stack.last() {
-                    if parent_frame.parent.is_none() {
-                        // parent is a DFS root; its articulation status depends on
-                        // child_count which is tracked in its own frame.
+                if let Some(&(p, _)) = stack.last() {
+                    low[p] = low[p].min(low[u]);
+                    if low[u] >= disc[p] {
+                        local[p] += 1;
                     }
                 }
             }
         }
     }
-    (0..n).filter(|&u| is_art[u]).map(NodeId::new).collect()
+    (components, local)
 }
 
 /// Bridges of the graph (edges whose removal disconnects their component),
@@ -261,7 +249,7 @@ pub fn bridges(g: &Graph) -> Vec<(NodeId, NodeId)> {
         }];
         while let Some(frame) = stack.last_mut() {
             let u = frame.node;
-            let neighbors: Vec<NodeId> = g.neighbors(NodeId::new(u)).collect();
+            let neighbors = g.neighbor_slice(NodeId::new(u));
             if frame.next_neighbor < neighbors.len() {
                 let v = neighbors[frame.next_neighbor].index();
                 frame.next_neighbor += 1;
@@ -538,6 +526,35 @@ mod tests {
         // Two triangles sharing node 2.
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]).unwrap();
         assert_eq!(articulation_points(&g), vec![NodeId(2)]);
+    }
+
+    #[test]
+    fn cut_components_of_path_and_star() {
+        assert_eq!(
+            cut_components(&generators::path(5).unwrap()),
+            vec![1, 2, 2, 2, 1]
+        );
+        // Deleting the hub isolates every leaf; deleting a leaf leaves one.
+        assert_eq!(
+            cut_components(&generators::star(5).unwrap()),
+            vec![4, 1, 1, 1, 1]
+        );
+        assert_eq!(cut_components(&Graph::empty(1)), vec![0]);
+        assert!(cut_components(&Graph::empty(0)).is_empty());
+    }
+
+    #[test]
+    fn cut_components_of_two_triangles() {
+        // Two triangles sharing node 2.
+        let g = graph_from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]).unwrap();
+        assert_eq!(cut_components(&g), vec![1, 1, 2, 1, 1]);
+    }
+
+    #[test]
+    fn cut_components_count_the_untouched_components_too() {
+        // A path 0-1-2, an edge 3-4 and an isolated node 5: three components.
+        let g = graph_from_edges(6, &[(0, 1), (1, 2), (3, 4)]).unwrap();
+        assert_eq!(cut_components(&g), vec![3, 4, 3, 3, 3, 2]);
     }
 
     #[test]

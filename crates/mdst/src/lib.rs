@@ -100,8 +100,8 @@ pub mod prelude {
         InvariantSuite, MdstInvariants, QuiescentOutcome, SweepReport, Violation,
     };
     pub use mdst_core::bounds::{
-        degree_lower_bound, kmz_message_lower_bound, kmz_ratio, paper_degree_upper_bound,
-        within_paper_degree_bound,
+        degree_bounds, degree_lower_bound, kmz_message_lower_bound, kmz_ratio,
+        paper_degree_upper_bound, within_paper_degree_bound,
     };
     pub use mdst_core::distributed::{Candidate, MdstMsg, MdstNode};
     pub use mdst_core::driver::{Outcome, Pipeline, PipelineConfig, PipelineError, RunReport};

@@ -693,16 +693,9 @@ pub fn execute_run_controlled(
         // crashes can shrink the component; skip the subgraph copy whenever
         // every node survived — the common case.
         let (lb, ub) = if report.survivor.component_size() == graph.node_count() {
-            (
-                bounds::degree_lower_bound(&graph),
-                bounds::paper_degree_upper_bound(&graph),
-            )
+            bounds::degree_bounds(&graph)
         } else {
-            let survivor_graph = report.survivor.component_subgraph(&graph);
-            (
-                bounds::degree_lower_bound(&survivor_graph),
-                bounds::paper_degree_upper_bound(&survivor_graph),
-            )
+            bounds::degree_bounds(&report.survivor.component_subgraph(&graph))
         };
         record.initial_degree = report.initial_degree;
         record.final_degree = report.survivor.max_degree;

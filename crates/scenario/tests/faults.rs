@@ -1,7 +1,12 @@
 //! End-to-end fault-campaign tests: the benign-faults bit-identity guarantee,
 //! the outcome taxonomy under real faults, and spec validation of fault axes.
 
+use mdst_core::bounds::ceil_log2;
+use mdst_core::Pipeline;
+use mdst_graph::algorithms::connected_components;
+use mdst_graph::{Graph, NodeId};
 use mdst_scenario::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// A scratch file that cleans up after itself.
@@ -19,6 +24,22 @@ impl TempFile {
 impl Drop for TempFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// `degree_lower_bound` by its definition: the most components `G − v` has
+/// over all `v`, each `G − v` rebuilt from scratch (test oracle only).
+fn brute_force_degree_lower_bound(graph: &Graph) -> usize {
+    match graph.node_count() {
+        0 | 1 => 0,
+        2 => 1,
+        _ => graph
+            .nodes()
+            .map(|v| {
+                let keep: BTreeSet<NodeId> = graph.nodes().filter(|&u| u != v).collect();
+                connected_components(&graph.induced_subgraph(&keep).0).len()
+            })
+            .fold(2, usize::max),
     }
 }
 
@@ -204,4 +225,55 @@ fn out_of_range_fault_targets_fail_the_run_not_the_campaign() {
     assert_eq!(report.total.failures, 1);
     let error = report.runs[0].error.as_deref().unwrap();
     assert!(error.contains("crash"), "{error}");
+}
+
+#[test]
+fn crashed_runs_are_graded_on_the_survivor_component() {
+    // Crashing hubs of sparse random graphs shrinks the survivor component,
+    // so the runner grades these runs on `component_subgraph`, a path the
+    // fault-free campaigns never take. Replaying each run's session gives
+    // the survivor component to grade independently.
+    let spec = r#"
+        [[scenario]]
+        name = "crash-grading"
+        graph = { family = "random_connected", n = [16, 24], extra = 4 }
+        faults = [ { crashes = [[0, 3]] }, { crashes = [[1, 2], [2, 40]] } ]
+        seeds = [1, 2, 3]
+    "#;
+    let matrix = ScenarioMatrix::from_toml_str(spec).unwrap();
+    let report = run_campaign(&matrix, &RunnerConfig::default()).unwrap();
+    let runs = matrix.expand().unwrap();
+    assert_eq!(runs.len(), report.runs.len());
+    let topologies = TopologyCache::new();
+    let (mut shrunk, mut regraded) = (0, 0);
+    for (spec, run) in runs.iter().zip(&report.runs) {
+        assert_eq!(spec.key(), run.key());
+        assert!(run.error.is_none(), "{}: {:?}", run.key(), run.error);
+        let graph = topologies.get(&spec.graph, spec.seed).unwrap();
+        let session = Pipeline::on(&graph)
+            .config(spec.pipeline_config().unwrap())
+            .run()
+            .unwrap();
+        assert_eq!(session.survivor.component_size(), run.survivors);
+        let survivors = session.survivor.component_subgraph(&graph);
+        let lb = brute_force_degree_lower_bound(&survivors);
+        let ub = 2 * lb + ceil_log2(survivors.node_count());
+        assert_eq!(run.degree_lower_bound, lb, "{}", run.key());
+        assert_eq!(run.degree_upper_bound, ub, "{}", run.key());
+        if run.survivors < run.n {
+            shrunk += 1;
+        }
+        if lb != brute_force_degree_lower_bound(&graph) {
+            regraded += 1;
+        }
+    }
+    assert_eq!(
+        shrunk,
+        runs.len(),
+        "every crash must shrink the survivor component"
+    );
+    assert!(
+        regraded > 0,
+        "no run's survivor bound differs from the whole graph's"
+    );
 }

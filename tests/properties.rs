@@ -2,8 +2,10 @@
 //! initial trees: the invariants that must hold for *every* input, not just
 //! the structured families.
 
+use mdst::graph::graph::graph_from_edges;
 use mdst::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Runs the improvement protocol from `initial` on the simulator.
@@ -28,6 +30,53 @@ fn graph_with_tree() -> impl Strategy<Value = (Arc<Graph>, RootedTree)> {
         let tree = algorithms::random_spanning_tree(&graph, root, seed).expect("connected");
         (Arc::new(graph), tree)
     })
+}
+
+/// Strategy: an arbitrary simple graph on `0..24` nodes — each pair joined
+/// with a probability drawn per case, so sparse cases are disconnected and
+/// carry isolated nodes while dense ones are connected.
+fn any_graph() -> impl Strategy<Value = Graph> {
+    (0usize..24, 0u64..60, any::<u64>()).prop_map(|(n, percent, seed)| {
+        if percent == 0 {
+            return Graph::empty(n);
+        }
+        let mut state = seed;
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in u + 1..n {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if (state >> 33) % 100 < percent {
+                    edges.push((u, v));
+                }
+            }
+        }
+        graph_from_edges(n, &edges).expect("distinct pairs of in-range nodes")
+    })
+}
+
+/// The definition the linear grader implements: for every `v`, rebuild
+/// `G − v` and count its components. `O(n·(n+m)·log n)`, a test oracle only.
+fn brute_force_cut_components(graph: &Graph) -> Vec<usize> {
+    graph
+        .nodes()
+        .map(|v| {
+            let keep: BTreeSet<NodeId> = graph.nodes().filter(|&u| u != v).collect();
+            algorithms::connected_components(&graph.induced_subgraph(&keep).0).len()
+        })
+        .collect()
+}
+
+/// [`degree_lower_bound`] by its definition, on top of the brute force.
+fn brute_force_degree_lower_bound(graph: &Graph) -> usize {
+    match graph.node_count() {
+        0 | 1 => 0,
+        2 => 1,
+        _ => brute_force_cut_components(graph)
+            .into_iter()
+            .fold(2, usize::max),
+    }
 }
 
 /// One numbered token of the FIFO probe below.
@@ -208,5 +257,23 @@ proptest! {
         let (tree, _) = build_initial_tree(&graph, NodeId(0), kind).unwrap();
         prop_assert!(tree.is_spanning_tree_of(&graph));
         prop_assert_eq!(tree.root(), NodeId(0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn linear_grader_matches_the_per_vertex_brute_force(graph in any_graph()) {
+        prop_assert_eq!(
+            algorithms::cut_components(&graph),
+            brute_force_cut_components(&graph)
+        );
+        let lb = brute_force_degree_lower_bound(&graph);
+        prop_assert_eq!(degree_lower_bound(&graph), lb);
+        prop_assert_eq!(
+            paper_degree_upper_bound(&graph),
+            2 * lb + mdst::core::bounds::ceil_log2(graph.node_count())
+        );
     }
 }
