@@ -183,8 +183,9 @@ mod tests {
         // independent (every delivery's fan-out is a local function of the
         // arriving token), so the comparison pins down the batched fabric's
         // split accounting — `record_sent_batch` / `record_received_batch` /
-        // `record_payload` — column by column against the simulator's
-        // per-message bookkeeping, not just in total.
+        // `record_payload` and the per-worker kind counters — column by
+        // column against the simulator's per-message bookkeeping, not just
+        // in total.
         let graph = workload(300);
         let ttl = rounds(graph.node_count());
         let mut sim = Simulator::new(&graph, SimConfig::default(), |id, _| {

@@ -37,18 +37,22 @@ pub struct MdstNode {
     /// Maximum tree degree `k` of the current round (learnt from Cut/BFS).
     round_k: usize,
 
+    // The three pending sets below are sorted `Vec`s, refilled in place each
+    // round (`clear` + `extend` keeps their capacity) and removed from by
+    // binary search.
+
     // SearchDegree convergecast.
-    search_pending: BTreeSet<NodeId>,
+    search_pending: Vec<NodeId>,
     search_best: (usize, NodeId),
     search_via: Option<NodeId>,
 
     // Coordinator (node `p`) state.
     coordinator: bool,
-    choose_pending: BTreeSet<NodeId>,
+    choose_pending: Vec<NodeId>,
 
     // Fragment BFS state.
     fragment: Option<FragmentId>,
-    bfs_expected: BTreeSet<NodeId>,
+    bfs_expected: Vec<NodeId>,
     bfs_reported: bool,
     pending_cousins: Vec<(NodeId, FragmentId)>,
 
@@ -76,13 +80,13 @@ impl MdstNode {
             rounds_coordinated: 0,
             round: 0,
             round_k: 0,
-            search_pending: BTreeSet::new(),
+            search_pending: Vec::new(),
             search_best: (0, id),
             search_via: None,
             coordinator: false,
-            choose_pending: BTreeSet::new(),
+            choose_pending: Vec::new(),
             fragment: None,
-            bfs_expected: BTreeSet::new(),
+            bfs_expected: Vec::new(),
             bfs_reported: false,
             pending_cousins: Vec::new(),
             best_candidate: None,
@@ -179,14 +183,13 @@ impl MdstNode {
         debug_assert!(self.parent.is_none(), "only the root starts rounds");
         self.round += 1;
         self.reset_round_state();
-        self.search_pending = self.children.clone();
+        self.search_pending.extend(&self.children);
         if self.search_pending.is_empty() {
             self.finalize_search(ctx);
             return;
         }
         let n = ctx.network_size();
-        let targets: Vec<NodeId> = self.search_pending.iter().copied().collect();
-        for c in targets {
+        for &c in &self.children {
             ctx.send(
                 c,
                 MdstMsg::SearchInit {
@@ -235,12 +238,12 @@ impl MdstNode {
         self.coordinator = true;
         self.rounds_coordinated += 1;
         self.round_k = k;
-        self.choose_pending = self.children.clone();
+        self.choose_pending.clear();
+        self.choose_pending.extend(&self.children);
         self.best_candidate = None;
         self.best_via_child = None;
         let n = ctx.network_size();
-        let targets: Vec<NodeId> = self.children.iter().copied().collect();
-        for c in targets {
+        for &c in &self.children {
             ctx.send(
                 c,
                 MdstMsg::Cut {
@@ -288,8 +291,7 @@ impl MdstNode {
         self.done = true;
         self.coordinator = false;
         let n = ctx.network_size();
-        let targets: Vec<NodeId> = self.children.iter().copied().collect();
-        for c in targets {
+        for &c in &self.children {
             ctx.send(c, MdstMsg::Stop { n });
         }
     }
@@ -307,7 +309,7 @@ impl MdstNode {
     fn on_search_init(&mut self, round: u32, ctx: &mut dyn Context<MdstMsg>) {
         self.round = round;
         self.reset_round_state();
-        self.search_pending = self.children.clone();
+        self.search_pending.extend(&self.children);
         let n = ctx.network_size();
         if self.search_pending.is_empty() {
             let parent = self.parent.expect("a non-root node received SearchInit");
@@ -322,8 +324,7 @@ impl MdstNode {
             );
             return;
         }
-        let targets: Vec<NodeId> = self.search_pending.iter().copied().collect();
-        for c in targets {
+        for &c in &self.children {
             ctx.send(c, MdstMsg::SearchInit { round, n });
         }
     }
@@ -339,7 +340,7 @@ impl MdstNode {
             self.search_best = (best_deg, best_id);
             self.search_via = Some(from);
         }
-        self.search_pending.remove(&from);
+        remove_sorted(&mut self.search_pending, from);
         if !self.search_pending.is_empty() {
             return;
         }
@@ -402,15 +403,15 @@ impl MdstNode {
         self.best_candidate = None;
         self.best_via_child = None;
         let parent = self.parent;
-        self.bfs_expected = ctx
-            .neighbors()
-            .iter()
-            .copied()
-            .filter(|&v| Some(v) != parent)
-            .collect();
+        self.bfs_expected.clear();
+        self.bfs_expected.extend(
+            ctx.neighbors()
+                .iter()
+                .copied()
+                .filter(|&v| Some(v) != parent),
+        );
         let n = ctx.network_size();
-        let targets: Vec<NodeId> = self.bfs_expected.iter().copied().collect();
-        for v in targets {
+        for &v in &self.bfs_expected {
             ctx.send(
                 v,
                 MdstMsg::Bfs {
@@ -454,13 +455,13 @@ impl MdstNode {
                         n,
                     },
                 );
-                self.bfs_expected.remove(&sender);
+                remove_sorted(&mut self.bfs_expected, sender);
                 self.maybe_complete_bfs(ctx);
             }
             std::cmp::Ordering::Equal => {
                 // Internal (same-fragment) non-tree edge: nothing to report,
                 // the crossing wave is the answer on both sides.
-                self.bfs_expected.remove(&sender);
+                remove_sorted(&mut self.bfs_expected, sender);
                 self.maybe_complete_bfs(ctx);
             }
             std::cmp::Ordering::Greater => {
@@ -493,7 +494,7 @@ impl MdstNode {
                 self.best_via_child = None;
             }
         }
-        self.bfs_expected.remove(&from);
+        remove_sorted(&mut self.bfs_expected, from);
         self.maybe_complete_bfs(ctx);
     }
 
@@ -509,12 +510,12 @@ impl MdstNode {
             }
         }
         if self.coordinator {
-            self.choose_pending.remove(&from);
+            remove_sorted(&mut self.choose_pending, from);
             if self.choose_pending.is_empty() {
                 self.choose(ctx);
             }
         } else {
-            self.bfs_expected.remove(&from);
+            remove_sorted(&mut self.bfs_expected, from);
             self.maybe_complete_bfs(ctx);
         }
     }
@@ -629,10 +630,16 @@ impl MdstNode {
         }
         self.done = true;
         let n = ctx.network_size();
-        let targets: Vec<NodeId> = self.children.iter().copied().collect();
-        for c in targets {
+        for &c in &self.children {
             ctx.send(c, MdstMsg::Stop { n });
         }
+    }
+}
+
+/// Removes `x` from a sorted vector, if present.
+fn remove_sorted(set: &mut Vec<NodeId>, x: NodeId) {
+    if let Ok(i) = set.binary_search(&x) {
+        set.remove(i);
     }
 }
 

@@ -221,6 +221,14 @@ impl Graph {
         self.offsets[u.index()] as usize..self.offsets[u.index() + 1] as usize
     }
 
+    /// Offset of `u`'s first incidence in the CSR arrays: the directed link
+    /// `u → neighbor_slice(u)[slot]` has the dense index `row_start(u) + slot`
+    /// in `0..2·|E|`, which executors use to index per-link tables.
+    #[inline]
+    pub fn row_start(&self, u: NodeId) -> usize {
+        self.offsets[u.index()] as usize
+    }
+
     /// Sorted neighbours of `u` as a borrowable slice. This is the zero-copy
     /// view the executor backends hand to protocol factories: it lives as
     /// long as the graph, so a shared `Arc<Graph>` serves every run without

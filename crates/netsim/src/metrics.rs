@@ -55,25 +55,18 @@ impl Metrics {
         }
     }
 
-    /// Records the delivery of one message.
+    /// Records the delivery of one message. Its kind is counted separately,
+    /// in a per-kind table the executor folds into
+    /// [`Metrics::messages_by_kind`] before handing the metrics out.
     pub fn record_delivery(
         &mut self,
         from: usize,
         to: usize,
-        kind: &str,
         bits: usize,
         causal_depth: u64,
         delivery_time: u64,
     ) {
         self.messages_total += 1;
-        // Allocate the kind's key only on first sight — the borrowed lookup
-        // keeps the per-message hot path free of `String` allocations (a
-        // protocol has a handful of kinds but sends millions of messages).
-        if let Some(count) = self.messages_by_kind.get_mut(kind) {
-            *count += 1;
-        } else {
-            self.messages_by_kind.insert(kind.to_string(), 1);
-        }
         self.bits_total += bits as u64;
         self.bits_max = self.bits_max.max(bits as u64);
         self.causal_time = self.causal_time.max(causal_depth);
@@ -87,21 +80,13 @@ impl Metrics {
     }
 
     /// Records one delivered message of a batch whose endpoint columns are
-    /// counted separately: everything [`Metrics::record_delivery`] does
-    /// *except* the total and the per-node send/receive counts — those come
-    /// from [`Metrics::record_sent_batch`] / [`Metrics::record_received_batch`],
-    /// once per scheduling quantum instead of once per message. The split
-    /// keeps the batched pool's per-message hot path down to the columns
-    /// that genuinely vary per message (kind, bits, causal depth). The
-    /// causal depth doubles as the delivery clock, exactly as the pool
-    /// passes it to [`Metrics::record_delivery`] — the pool has no
-    /// simulated clock of its own.
-    pub fn record_payload(&mut self, kind: &str, bits: usize, causal_depth: u64) {
-        if let Some(count) = self.messages_by_kind.get_mut(kind) {
-            *count += 1;
-        } else {
-            self.messages_by_kind.insert(kind.to_string(), 1);
-        }
+    /// counted separately: the bits and the causal depth only. The total
+    /// and the per-node send/receive counts come from
+    /// [`Metrics::record_sent_batch`] / [`Metrics::record_received_batch`],
+    /// once per scheduling quantum instead of once per message, and the kind
+    /// from the executor's per-kind table. The causal depth doubles as the
+    /// delivery clock: the pool has no simulated clock of its own.
+    pub fn record_payload(&mut self, bits: usize, causal_depth: u64) {
         self.bits_total += bits as u64;
         self.bits_max = self.bits_max.max(bits as u64);
         self.causal_time = self.causal_time.max(causal_depth);
@@ -195,6 +180,61 @@ impl Metrics {
     }
 }
 
+/// Per-kind delivery counters held by an executor while it runs.
+///
+/// Message kinds are `&'static str` constants ([`NetMessage::kind`]), a
+/// dozen per protocol, so a short vector of `(kind, count)` pairs keyed by
+/// the string's *address* finds the slot in a few pointer comparisons per
+/// message: no hashing, no string comparison, no allocation. A kind whose
+/// text is already present at another address (the same literal emitted
+/// twice by the compiler) is matched by text before a new entry is
+/// inserted, so each kind has exactly one counter. The executor folds the
+/// table into [`Metrics::messages_by_kind`] with [`KindCounts::fold_into`]
+/// whenever it hands its metrics out.
+///
+/// [`NetMessage::kind`]: crate::message::NetMessage::kind
+#[derive(Default)]
+pub(crate) struct KindCounts {
+    entries: Vec<(&'static str, u64)>,
+}
+
+impl KindCounts {
+    /// Counts one delivered message of `kind`.
+    #[inline]
+    pub(crate) fn bump(&mut self, kind: &'static str) {
+        if let Some(entry) = self.entries.iter_mut().find(|e| std::ptr::eq(e.0, kind)) {
+            entry.1 += 1;
+        } else {
+            self.bump_slow(kind);
+        }
+    }
+
+    #[cold]
+    fn bump_slow(&mut self, kind: &'static str) {
+        match self.entries.iter_mut().find(|e| e.0 == kind) {
+            Some(entry) => entry.1 += 1,
+            None => self.entries.push((kind, 1)),
+        }
+    }
+
+    /// Adds every pending count to `metrics.messages_by_kind` and zeroes the
+    /// table (its kinds stay, so later messages still hit by address).
+    pub(crate) fn fold_into(&mut self, metrics: &mut Metrics) {
+        for (kind, count) in &mut self.entries {
+            if *count == 0 {
+                continue;
+            }
+            match metrics.messages_by_kind.get_mut(*kind) {
+                Some(total) => *total += *count,
+                None => {
+                    metrics.messages_by_kind.insert((*kind).to_string(), *count);
+                }
+            }
+            *count = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,9 +242,16 @@ mod tests {
     #[test]
     fn record_delivery_accumulates_all_dimensions() {
         let mut m = Metrics::new(3);
-        m.record_delivery(0, 1, "BFS", 20, 1, 1);
-        m.record_delivery(1, 2, "BFS", 24, 2, 2);
-        m.record_delivery(2, 0, "BFSBack", 16, 3, 5);
+        let mut kinds = KindCounts::default();
+        for (from, to, kind, bits, depth, time) in [
+            (0, 1, "BFS", 20, 1, 1),
+            (1, 2, "BFS", 24, 2, 2),
+            (2, 0, "BFSBack", 16, 3, 5),
+        ] {
+            kinds.bump(kind);
+            m.record_delivery(from, to, bits, depth, time);
+        }
+        kinds.fold_into(&mut m);
         assert_eq!(m.messages_total, 3);
         assert_eq!(m.count_of("BFS"), 2);
         assert_eq!(m.count_of("BFSBack"), 1);
@@ -231,27 +278,35 @@ mod tests {
     #[test]
     fn max_received_prefers_lowest_index_on_ties() {
         let mut m = Metrics::new(3);
-        m.record_delivery(0, 1, "X", 1, 1, 1);
-        m.record_delivery(0, 2, "X", 1, 1, 1);
+        m.record_delivery(0, 1, 1, 1, 1);
+        m.record_delivery(0, 2, 1, 1, 1);
         assert_eq!(m.max_received(), Some((1, 1)));
     }
 
     #[test]
     fn merge_adds_counts_and_maxes() {
+        let mut kinds = KindCounts::default();
         let mut a = Metrics::new(2);
-        a.record_delivery(0, 1, "X", 10, 2, 3);
+        kinds.bump("X");
+        a.record_delivery(0, 1, 10, 2, 3);
+        kinds.fold_into(&mut a);
         a.record_drop();
         let mut b = Metrics::new(2);
-        b.record_delivery(1, 0, "Y", 30, 5, 4);
+        kinds.bump("Y");
+        kinds.bump("X");
+        b.record_delivery(1, 0, 30, 5, 4);
+        b.record_delivery(1, 0, 8, 1, 1);
+        kinds.fold_into(&mut b);
         b.record_drop();
         b.record_crash();
         a.merge(&b);
-        assert_eq!(a.messages_total, 2);
+        assert_eq!(a.messages_total, 3);
+        assert_eq!(a.count_of("X"), 2);
         assert_eq!(a.count_of("Y"), 1);
         assert_eq!(a.bits_max, 30);
         assert_eq!(a.causal_time, 5);
         assert_eq!(a.quiescence_time, 4);
-        assert_eq!(a.sent_per_node, vec![1, 1]);
+        assert_eq!(a.sent_per_node, vec![1, 2]);
         assert_eq!(a.dropped_messages, 2);
         assert_eq!(a.crashed_nodes, 1);
     }
@@ -259,11 +314,43 @@ mod tests {
     #[test]
     fn activity_advances_the_quiescence_clock_without_a_delivery() {
         let mut m = Metrics::new(2);
-        m.record_delivery(0, 1, "X", 8, 1, 4);
+        m.record_delivery(0, 1, 8, 1, 4);
         m.record_activity(9);
         assert_eq!(m.quiescence_time, 9);
         m.record_activity(2);
         assert_eq!(m.quiescence_time, 9, "activity never rewinds the clock");
         assert_eq!(m.messages_total, 1);
+    }
+
+    #[test]
+    fn record_payload_skips_the_endpoint_columns() {
+        let mut m = Metrics::new(2);
+        m.record_payload(12, 3);
+        m.record_payload(7, 5);
+        assert_eq!(m.messages_total, 0, "totals come from the batch calls");
+        assert_eq!(m.sent_per_node, vec![0, 0]);
+        assert_eq!((m.bits_total, m.bits_max), (19, 12));
+        assert_eq!((m.causal_time, m.quiescence_time), (5, 5));
+    }
+
+    #[test]
+    fn kind_counts_match_equal_text_at_another_address_and_fold_once() {
+        let mut kinds = KindCounts::default();
+        // The same text behind a different address (a leaked heap copy)
+        // must share the counter of the literal, not open a second one.
+        let copy: &'static str = Box::leak(String::from("Bfs").into_boxed_str());
+        kinds.bump("Bfs");
+        kinds.bump(copy);
+        kinds.bump("Stop");
+        assert_eq!(kinds.entries.len(), 2);
+        let mut m = Metrics::new(1);
+        m.messages_by_kind.insert("Stop".to_string(), 4);
+        kinds.fold_into(&mut m);
+        assert_eq!(m.count_of("Bfs"), 2);
+        assert_eq!(m.count_of("Stop"), 5);
+        // Folding empties the counts, so a second fold adds nothing.
+        kinds.fold_into(&mut m);
+        assert_eq!(m.count_of("Bfs"), 2);
+        assert_eq!(m.messages_by_kind.len(), 2);
     }
 }

@@ -60,7 +60,7 @@
 use crate::cancel::CancelToken;
 use crate::exec::ExecStatus;
 use crate::message::NetMessage;
-use crate::metrics::Metrics;
+use crate::metrics::{KindCounts, Metrics};
 use crate::protocol::{Context, Protocol};
 use crate::sim::{SimError, StartModel};
 use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
@@ -659,6 +659,9 @@ struct Scratch<P: Protocol, T: TraceMode> {
     /// Recycled mailbox buffers, bucketed by capacity class (see
     /// [`MailboxPool`]).
     mailboxes: MailboxPool<Envelope<P::Message, T>>,
+    /// This worker's deliveries per message kind, folded into its metrics
+    /// when the worker exits (before the per-worker merge).
+    kinds: KindCounts,
 }
 
 impl<P: Protocol, T: TraceMode> Scratch<P, T> {
@@ -669,6 +672,7 @@ impl<P: Protocol, T: TraceMode> Scratch<P, T> {
             in_flight_debt: 0,
             processed_local: 0,
             mailboxes: MailboxPool::new(),
+            kinds: KindCounts::default(),
         }
     }
 }
@@ -737,6 +741,7 @@ fn worker_loop<P: Protocol, T: TraceMode>(
             }
         }
     }
+    scratch.kinds.fold_into(&mut metrics);
     (metrics, events)
 }
 
@@ -831,11 +836,8 @@ fn process_node<P: Protocol, T: TraceMode>(
         // after the drain, `record_sent_batch` at the flush); the per-message
         // loop only records what varies per message.
         for envelope in mailbox.drain(..take) {
-            metrics.record_payload(
-                envelope.msg.kind(),
-                envelope.msg.encoded_bits(),
-                envelope.causal_depth,
-            );
+            scratch.kinds.bump(envelope.msg.kind());
+            metrics.record_payload(envelope.msg.encoded_bits(), envelope.causal_depth);
             if T::ENABLED {
                 if let Some(tracing) = &shared.trace {
                     // The deliver stamp is drawn after the mailbox drain, which

@@ -17,14 +17,15 @@ use crate::cancel::CancelToken;
 use crate::delay::{DelayModel, DelaySampler};
 use crate::fault::FaultPlan;
 use crate::message::NetMessage;
-use crate::metrics::Metrics;
+use crate::metrics::{KindCounts, Metrics};
 use crate::protocol::{Context, Protocol};
 use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use mdst_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -128,29 +129,67 @@ enum EventKind<M> {
     Crash,
 }
 
+/// The payload of one scheduled event, parked in the simulator's slab while
+/// its [`EventKey`] moves through the heap.
 #[derive(Debug, Clone)]
 struct Event<M> {
-    time: u64,
-    seq: u64,
     to: NodeId,
     kind: EventKind<M>,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// Heap entry of one scheduled event: 24 bytes, ordered by `(time, seq)`.
+/// `seq` is unique per run, so `slot` (the payload's index in the slab) never
+/// decides the order. The heap is a max-heap of `Reverse<EventKey>`, so the
+/// earliest `(time, seq)` pops first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
+    time: u64,
+    seq: u64,
+    slot: usize,
 }
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// The pending-event queue: a heap of small keys over a payload slab whose
+/// freed slots are reused, so a sift moves 24 bytes instead of the whole
+/// message and steady-state scheduling allocates nothing.
+struct EventQueue<M> {
+    heap: BinaryHeap<Reverse<EventKey>>,
+    slab: Vec<Option<Event<M>>>,
+    free: Vec<usize>,
 }
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, time: u64, seq: u64, event: Event<M>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(Reverse(EventKey { time, seq, slot }));
+    }
+
+    /// The earliest event and its scheduled time.
+    fn pop(&mut self) -> Option<(u64, Event<M>)> {
+        let Reverse(key) = self.heap.pop()?;
+        self.free.push(key.slot);
+        // A slot is emptied only here, once per key, so it is always filled.
+        self.slab[key.slot].take().map(|event| (key.time, event))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -160,7 +199,9 @@ struct SimCtx<'a, M> {
     id: NodeId,
     neighbors: &'a [NodeId],
     network_size: usize,
-    outbox: Vec<(NodeId, M)>,
+    /// `(target, neighbour slot, message)` per send, in send order; the slot
+    /// indexes the per-link tables without a second search.
+    outbox: &'a mut Vec<(NodeId, usize, M)>,
 }
 
 impl<M: NetMessage> Context<M> for SimCtx<'_, M> {
@@ -171,14 +212,17 @@ impl<M: NetMessage> Context<M> for SimCtx<'_, M> {
         self.neighbors
     }
     fn send(&mut self, to: NodeId, msg: M) {
+        // The neighbourship check also yields the link's slot in the row.
+        let slot = self.neighbors.binary_search(&to);
         assert!(
-            self.neighbors.binary_search(&to).is_ok(),
+            slot.is_ok(),
             "protocol bug: {} tried to send {:?} to non-neighbour {}",
             self.id,
             msg,
             to
         );
-        self.outbox.push((to, msg));
+        // The assert above makes the fallback unreachable.
+        self.outbox.push((to, slot.unwrap_or(0), msg));
     }
     fn network_size(&self) -> usize {
         self.network_size
@@ -192,7 +236,7 @@ pub struct Simulator<P: Protocol> {
     /// of the graph's CSR rows — the simulator materialises no adjacency of
     /// its own, so thousands of runs can share one `Arc<Graph>`.
     graph: Arc<Graph>,
-    queue: BinaryHeap<Event<P::Message>>,
+    queue: EventQueue<P::Message>,
     seq: u64,
     clock: u64,
     processed_events: u64,
@@ -204,18 +248,30 @@ pub struct Simulator<P: Protocol> {
     /// Loss coin stream, present only when the fault plan has `loss > 0`
     /// (so benign runs draw no extra randomness at all).
     loss_rng: Option<SmallRng>,
-    /// Cut time per directed link (both directions of every scheduled cut).
-    cut_at: HashMap<(usize, usize), u64>,
+    /// The per-link tables below are indexed by directed link: the link
+    /// `u → v` is `graph.row_start(u) + slot`, where `slot` is `v`'s position
+    /// in `u`'s sorted neighbour row.
+    ///
+    /// Cut time per directed link (both directions of every scheduled cut;
+    /// `u64::MAX` = never cut). Empty unless the fault plan has cuts.
+    cut_at: Vec<u64>,
     /// Last scheduled delivery time per directed link, used to keep links FIFO
     /// even under non-monotone random delays.
-    link_last_delivery: HashMap<(usize, usize), u64>,
+    link_last_delivery: Vec<u64>,
     /// Next run-unique message id (ids start at 1; 0 is the "no message"
     /// sentinel on crash trace events). Only advanced while tracing.
     next_msg_id: u64,
-    /// Next per-directed-link send sequence number. Only maintained while
-    /// tracing (the FIFO order itself is enforced by `link_last_delivery`).
-    link_seq: HashMap<(usize, usize), u64>,
+    /// Next per-directed-link send sequence number. Empty unless tracing
+    /// (the FIFO order itself is enforced by `link_last_delivery`).
+    link_seq: Vec<u64>,
+    /// Sends buffered by the handler of the event being processed; reused
+    /// across events, so scheduling allocates nothing in the steady state.
+    outbox: Vec<(NodeId, usize, P::Message)>,
     metrics: Metrics,
+    /// Deliveries per message kind not yet folded into `metrics` (folded at
+    /// every public boundary: [`Simulator::step`], [`Simulator::run`] and
+    /// [`Simulator::into_parts`]).
+    kinds: KindCounts,
     trace: TraceRecorder,
     config: SimConfig,
     /// Cooperative cancellation flag, polled between events in [`Simulator::run`]
@@ -241,6 +297,7 @@ impl<P: Protocol> Simulator<P> {
     ) -> Result<Self, SimError> {
         Self::validate_config(graph, &config)?;
         let n = graph.node_count();
+        let links = graph.degree_sum();
         let nodes: Vec<P> = (0..n)
             .map(|u| factory(NodeId::new(u), graph.neighbor_slice(NodeId::new(u))))
             .collect();
@@ -255,18 +312,28 @@ impl<P: Protocol> Simulator<P> {
         } else {
             None
         };
-        let mut cut_at = HashMap::new();
-        for cut in &config.faults.cuts {
-            let (a, b) = (cut.a.index(), cut.b.index());
-            for key in [(a, b), (b, a)] {
-                let entry = cut_at.entry(key).or_insert(cut.at);
-                *entry = (*entry).min(cut.at);
+        let mut cut_at = Vec::new();
+        if !config.faults.cuts.is_empty() {
+            cut_at = vec![u64::MAX; links];
+            for cut in &config.faults.cuts {
+                for (a, b) in [(cut.a, cut.b), (cut.b, cut.a)] {
+                    // Validation guarantees the cut is an edge of the graph.
+                    if let Ok(slot) = graph.neighbor_slice(a).binary_search(&b) {
+                        let link = &mut cut_at[graph.row_start(a) + slot];
+                        *link = (*link).min(cut.at);
+                    }
+                }
             }
         }
+        let link_seq = if config.record_trace {
+            vec![0; links]
+        } else {
+            Vec::new()
+        };
         let mut sim = Simulator {
             nodes,
             graph: Arc::clone(graph),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             seq: 0,
             clock: 0,
             processed_events: 0,
@@ -275,10 +342,12 @@ impl<P: Protocol> Simulator<P> {
             sampler,
             loss_rng,
             cut_at,
-            link_last_delivery: HashMap::new(),
+            link_last_delivery: vec![0; links],
             next_msg_id: 1,
-            link_seq: HashMap::new(),
+            link_seq,
+            outbox: Vec::new(),
             metrics: Metrics::new(n),
+            kinds: KindCounts::default(),
             trace,
             config,
             cancel: None,
@@ -320,12 +389,14 @@ impl<P: Protocol> Simulator<P> {
         let crashes = self.config.faults.crashes.clone();
         for crash in crashes {
             let seq = self.next_seq();
-            self.queue.push(Event {
-                time: crash.at,
+            self.queue.push(
+                crash.at,
                 seq,
-                to: crash.node,
-                kind: EventKind::Crash,
-            });
+                Event {
+                    to: crash.node,
+                    kind: EventKind::Crash,
+                },
+            );
         }
     }
 
@@ -343,12 +414,14 @@ impl<P: Protocol> Simulator<P> {
         };
         for (node, time) in starts {
             let seq = self.next_seq();
-            self.queue.push(Event {
+            self.queue.push(
                 time,
                 seq,
-                to: node,
-                kind: EventKind::Start,
-            });
+                Event {
+                    to: node,
+                    kind: EventKind::Start,
+                },
+            );
         }
     }
 
@@ -395,17 +468,26 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Consumes the simulator, returning the node states and the metrics.
-    pub fn into_parts(self) -> (Vec<P>, Metrics, TraceRecorder) {
+    pub fn into_parts(mut self) -> (Vec<P>, Metrics, TraceRecorder) {
+        self.kinds.fold_into(&mut self.metrics);
         (self.nodes, self.metrics, self.trace)
     }
 
     /// Processes a single event. Returns `false` when the queue is empty
     /// (quiescence reached).
     pub fn step(&mut self) -> bool {
-        let Some(event) = self.queue.pop() else {
+        let more = self.process_event();
+        self.kinds.fold_into(&mut self.metrics);
+        more
+    }
+
+    /// [`Simulator::step`] without folding the per-kind counters into the
+    /// metrics; [`Simulator::run`] folds once when it returns.
+    fn process_event(&mut self) -> bool {
+        let Some((time, event)) = self.queue.pop() else {
             return false;
         };
-        self.clock = self.clock.max(event.time);
+        self.clock = self.clock.max(time);
         self.processed_events += 1;
         let to = event.to;
         // Crash events flip the crash flag and nothing else; they do not count
@@ -416,7 +498,7 @@ impl<P: Protocol> Simulator<P> {
                 self.metrics.record_crash();
                 if self.trace.is_enabled() {
                     self.trace.record(TraceEvent {
-                        time: event.time,
+                        time,
                         kind: TraceEventKind::Crash,
                         from: to,
                         to,
@@ -441,11 +523,11 @@ impl<P: Protocol> Simulator<P> {
                 // The network carried the message until now, so the delivery
                 // attempt still advances the quiescence clock; a start event
                 // of a corpse is a pure no-op and does not.
-                self.metrics.record_activity(event.time);
+                self.metrics.record_activity(time);
                 self.metrics.record_drop();
                 if self.trace.is_enabled() {
                     self.trace.record(TraceEvent {
-                        time: event.time,
+                        time,
                         kind: TraceEventKind::Drop,
                         from: *from,
                         to,
@@ -460,142 +542,156 @@ impl<P: Protocol> Simulator<P> {
         // Starts and deliveries are protocol activity: the quiescence clock
         // follows every one of them, so staggered-start and message-free runs
         // report the true final clock (not just the last delivery time).
-        self.metrics.record_activity(event.time);
-        let (causal_depth, sends) = {
-            // Split borrows: the node is taken from `nodes`, the neighbour
-            // slice straight from the shared graph; both are disjoint fields.
-            let mut ctx = SimCtx {
-                id: to,
-                neighbors: self.graph.neighbor_slice(to),
-                network_size: self.nodes.len(),
-                outbox: Vec::new(),
-            };
-            let node = &mut self.nodes[to.index()];
-            let depth = match event.kind {
-                EventKind::Start => {
-                    if self.started[to.index()] {
-                        // A node never starts twice.
-                        return true;
-                    }
+        self.metrics.record_activity(time);
+        // Split borrows: the node is taken from `nodes`, the neighbour slice
+        // straight from the shared graph and the outbox from its own field;
+        // all three are disjoint.
+        let mut ctx = SimCtx {
+            id: to,
+            neighbors: self.graph.neighbor_slice(to),
+            network_size: self.nodes.len(),
+            outbox: &mut self.outbox,
+        };
+        let node = &mut self.nodes[to.index()];
+        let causal_depth = match event.kind {
+            EventKind::Start => {
+                if self.started[to.index()] {
+                    // A node never starts twice.
+                    return true;
+                }
+                self.started[to.index()] = true;
+                node.on_start(&mut ctx);
+                0
+            }
+            EventKind::Message {
+                from,
+                msg,
+                causal_depth,
+                msg_id,
+                link_seq,
+            } => {
+                // A message wakes up a node that has not spontaneously
+                // started yet (the standard convention for asynchronous
+                // wake-up): deliver the start first.
+                if !self.started[to.index()] {
                     self.started[to.index()] = true;
                     node.on_start(&mut ctx);
-                    0
                 }
-                EventKind::Message {
-                    from,
-                    msg,
+                self.kinds.bump(msg.kind());
+                self.metrics.record_delivery(
+                    from.index(),
+                    to.index(),
+                    msg.encoded_bits(),
                     causal_depth,
-                    msg_id,
-                    link_seq,
-                } => {
-                    // A message wakes up a node that has not spontaneously
-                    // started yet (the standard convention for asynchronous
-                    // wake-up): deliver the start first.
-                    if !self.started[to.index()] {
-                        self.started[to.index()] = true;
-                        node.on_start(&mut ctx);
-                    }
-                    self.metrics.record_delivery(
-                        from.index(),
-                        to.index(),
-                        msg.kind(),
-                        msg.encoded_bits(),
-                        causal_depth,
-                        event.time,
-                    );
-                    if self.trace.is_enabled() {
-                        self.trace.record(TraceEvent {
-                            time: event.time,
-                            kind: TraceEventKind::Deliver,
-                            from,
-                            to,
-                            message_kind: msg.kind().into(),
-                            msg_id,
-                            seq: link_seq,
-                        });
-                    }
-                    node.on_message(from, msg, &mut ctx);
-                    causal_depth
+                    time,
+                );
+                if self.trace.is_enabled() {
+                    self.trace.record(TraceEvent {
+                        time,
+                        kind: TraceEventKind::Deliver,
+                        from,
+                        to,
+                        message_kind: msg.kind().into(),
+                        msg_id,
+                        seq: link_seq,
+                    });
                 }
-                EventKind::Crash => unreachable!("crash events return before the handler"),
-            };
-            (depth, ctx.outbox)
+                node.on_message(from, msg, &mut ctx);
+                causal_depth
+            }
+            EventKind::Crash => unreachable!("crash events return before the handler"),
         };
         // Schedule the buffered sends, dropping the ones fault injection eats.
-        let now = event.time;
-        for (target, msg) in sends {
-            let key = (to.index(), target.index());
-            // Message identities only exist for auditable traces: a benign
-            // untraced run allocates nothing and the ids stay at the sentinel.
-            let (msg_id, link_seq) = if self.trace.is_enabled() {
-                let id = self.next_msg_id;
-                self.next_msg_id += 1;
-                let seq_slot = self.link_seq.entry(key).or_insert(0);
-                let seq = *seq_slot;
-                *seq_slot += 1;
-                (id, seq)
-            } else {
-                (0, 0)
-            };
+        let row = self.graph.row_start(to);
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (target, slot, msg) in outbox.drain(..) {
+            self.schedule_send(time, to, target, row + slot, causal_depth, msg);
+        }
+        self.outbox = outbox;
+        true
+    }
+
+    /// Schedules one send `from → target` made at time `now` down the
+    /// directed link `link` (see the per-link tables), or drops it if a cut
+    /// or the loss coin eats it.
+    fn schedule_send(
+        &mut self,
+        now: u64,
+        from: NodeId,
+        target: NodeId,
+        link: usize,
+        causal_depth: u64,
+        msg: P::Message,
+    ) {
+        // Message identities only exist for auditable traces: a benign
+        // untraced run allocates nothing and the ids stay at the sentinel.
+        let (msg_id, link_seq) = if self.trace.is_enabled() {
+            let id = self.next_msg_id;
+            self.next_msg_id += 1;
+            let seq = self.link_seq[link];
+            self.link_seq[link] += 1;
+            (id, seq)
+        } else {
+            (0, 0)
+        };
+        if self.trace.is_enabled() {
+            self.trace.record(TraceEvent {
+                time: now,
+                kind: TraceEventKind::Send,
+                from,
+                to: target,
+                message_kind: msg.kind().into(),
+                msg_id,
+                seq: link_seq,
+            });
+        }
+        // A cut link eats every send at or after the cut time (messages
+        // already in flight are still delivered).
+        let cut = self
+            .cut_at
+            .get(link)
+            .is_some_and(|&cut_time| now >= cut_time);
+        // Then the loss coin (a cut send burns no coin). Dropped sends
+        // consume neither a delay sample nor a FIFO slot, so the
+        // surviving traffic keeps its per-link FIFO ordering.
+        let lost = cut
+            || self
+                .loss_rng
+                .as_mut()
+                .is_some_and(|rng| rng.gen_bool(self.config.faults.loss));
+        if lost {
+            self.metrics.record_drop();
             if self.trace.is_enabled() {
                 self.trace.record(TraceEvent {
                     time: now,
-                    kind: TraceEventKind::Send,
-                    from: to,
+                    kind: TraceEventKind::Drop,
+                    from,
                     to: target,
                     message_kind: msg.kind().into(),
                     msg_id,
                     seq: link_seq,
                 });
             }
-            // A cut link eats every send at or after the cut time (messages
-            // already in flight are still delivered).
-            let cut = self
-                .cut_at
-                .get(&key)
-                .is_some_and(|&cut_time| now >= cut_time);
-            // Then the loss coin (a cut send burns no coin). Dropped sends
-            // consume neither a delay sample nor a FIFO slot, so the
-            // surviving traffic keeps its per-link FIFO ordering.
-            let lost = cut
-                || self
-                    .loss_rng
-                    .as_mut()
-                    .is_some_and(|rng| rng.gen_bool(self.config.faults.loss));
-            if lost {
-                self.metrics.record_drop();
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEvent {
-                        time: now,
-                        kind: TraceEventKind::Drop,
-                        from: to,
-                        to: target,
-                        message_kind: msg.kind().into(),
-                        msg_id,
-                        seq: link_seq,
-                    });
-                }
-                continue;
-            }
-            let delay = self.sampler.sample(to, target);
-            let earliest_fifo = self.link_last_delivery.get(&key).copied().unwrap_or(0);
-            let delivery = (now + delay.max(1)).max(earliest_fifo);
-            self.link_last_delivery.insert(key, delivery);
-            let seq = self.next_seq();
-            self.queue.push(Event {
-                time: delivery,
-                seq,
+            return;
+        }
+        let delay = self.sampler.sample(from, target);
+        let delivery = (now + delay.max(1)).max(self.link_last_delivery[link]);
+        self.link_last_delivery[link] = delivery;
+        let seq = self.next_seq();
+        self.queue.push(
+            delivery,
+            seq,
+            Event {
                 to: target,
                 kind: EventKind::Message {
-                    from: to,
+                    from,
                     msg,
                     causal_depth: causal_depth + 1,
                     msg_id,
                     link_seq,
                 },
-            });
-        }
-        true
+            },
+        );
     }
 
     /// Installs a cooperative cancellation token: [`Simulator::run`] polls it
@@ -612,6 +708,12 @@ impl<P: Protocol> Simulator<P> {
 
     /// Runs the simulation to quiescence (empty event queue).
     pub fn run(&mut self) -> Result<(), SimError> {
+        let result = self.run_events();
+        self.kinds.fold_into(&mut self.metrics);
+        result
+    }
+
+    fn run_events(&mut self) -> Result<(), SimError> {
         while self.processed_events < self.config.max_events {
             if self
                 .processed_events
@@ -620,7 +722,7 @@ impl<P: Protocol> Simulator<P> {
             {
                 return Err(SimError::Cancelled);
             }
-            if !self.step() {
+            if !self.process_event() {
                 return Ok(());
             }
         }
@@ -673,7 +775,12 @@ mod tests {
 
     impl NetMessage for Token {
         fn kind(&self) -> &'static str {
-            "Token"
+            // Two kinds, so the per-kind counters hold more than one entry.
+            if self.hops % 2 == 1 {
+                "OddToken"
+            } else {
+                "EvenToken"
+            }
         }
         fn encoded_bits(&self) -> usize {
             message_bits(self.n, 1)
@@ -794,6 +901,48 @@ mod tests {
         b.run().unwrap();
         assert_eq!(a.metrics(), b.metrics());
         assert!(a.all_terminated());
+    }
+
+    #[test]
+    fn public_steps_fold_the_kind_counters_exactly_like_run() {
+        let g = Arc::new(generators::gnp_connected(24, 0.25, 6).unwrap());
+        let cfg = SimConfig {
+            delay: DelayModel::UniformRandom {
+                min: 1,
+                max: 6,
+                seed: 8,
+            },
+            ..Default::default()
+        };
+        let mut ran = flood_sim(&g, cfg.clone());
+        ran.run().unwrap();
+        let mut stepped = flood_sim(&g, cfg.clone());
+        while stepped.step() {}
+        assert_eq!(stepped.metrics(), ran.metrics());
+        let by_kind = &ran.metrics().messages_by_kind;
+        assert_eq!(by_kind.len(), 2, "{by_kind:?}");
+        assert_eq!(by_kind.values().sum::<u64>(), ran.metrics().messages_total);
+        let (_, parts_metrics, _) = stepped.into_parts();
+        assert_eq!(&parts_metrics, ran.metrics());
+
+        // Read mid-run, the metrics after k public steps equal those of a
+        // fresh run that `run` stopped at the same event (its cap).
+        let events = ran.processed_events;
+        for k in [10, 30, events / 2, events - 1] {
+            let mut partial = flood_sim(&g, cfg.clone());
+            for _ in 0..k {
+                assert!(partial.step());
+            }
+            let mut capped = flood_sim(
+                &g,
+                SimConfig {
+                    max_events: k,
+                    ..cfg.clone()
+                },
+            );
+            assert_eq!(capped.run(), Err(SimError::EventLimitExceeded { limit: k }));
+            assert_eq!(partial.metrics(), capped.metrics(), "k = {k}");
+        }
     }
 
     #[test]

@@ -439,6 +439,45 @@ mod tests {
         assert_eq!(second.campaign, big);
     }
 
+    /// The claim order the `serve_end_to_end` integration test relies on,
+    /// pinned without sockets or timing: a blocker campaign holds the only
+    /// worker while a large and then a small campaign queue up; once the
+    /// blocker is cancelled, the first claim goes to the small campaign.
+    #[test]
+    fn a_small_campaign_queued_behind_a_large_one_is_claimed_first() {
+        let sched = Scheduler::new();
+        let model = CostModel::new();
+        let (blocker, _) = sched
+            .submit(&matrix("blocker", 256, "[1, 2]"), &model)
+            .unwrap();
+        let running = sched.claim(|s| model.predict(s)).unwrap();
+        assert_eq!(running.campaign, blocker);
+        let large = ScenarioMatrix::from_toml_str(
+            r#"
+            [campaign]
+            name = "large"
+
+            [[scenario]]
+            name = "big-star"
+            graph = { family = "star_with_leaf_edges", n = 64 }
+            initial = ["greedy_hub", "bfs"]
+            seeds = [1, 2]
+            "#,
+        )
+        .unwrap();
+        let (large, large_runs) = sched.submit(&large, &model).unwrap();
+        assert_eq!(large_runs, 4);
+        let (small, _) = sched.submit(&matrix("small", 8, "[1]"), &model).unwrap();
+        let (_, skipped) = sched.cancel(blocker).unwrap();
+        assert_eq!(skipped.len(), 1, "the blocker's pending run is skipped");
+        assert!(running.token.is_cancelled());
+        sched.complete(blocker, running.run, aborted_record(&running.spec));
+        let first = sched.claim(|s| model.predict(s)).unwrap();
+        assert_eq!(first.campaign, small);
+        let second = sched.claim(|s| model.predict(s)).unwrap();
+        assert_eq!(second.campaign, large);
+    }
+
     #[test]
     fn completion_of_the_last_run_aggregates_a_report() {
         let sched = Scheduler::new();

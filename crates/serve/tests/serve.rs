@@ -7,7 +7,9 @@ use mdst_scenario::prelude::ScenarioMatrix;
 use mdst_scenario::{run_campaign, RunnerConfig};
 use mdst_serve::proto::{Event, Response, MAX_REQUEST_BYTES};
 use mdst_serve::{client, serve, ServeConfig, SpecFormat};
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// A socket path unique to this test (parallel tests in one process get
@@ -42,6 +44,28 @@ fn parse_events(raw: &[u8]) -> Vec<Event> {
         .collect()
 }
 
+/// A watch sink that forwards every complete JSONL line over a channel, so a
+/// test can react to events while the watch is still streaming.
+struct LineSink {
+    pending: Vec<u8>,
+    lines: mpsc::Sender<String>,
+}
+
+impl Write for LineSink {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.pending.extend_from_slice(bytes);
+        while let Some(end) = self.pending.iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = self.pending.drain(..=end).collect();
+            // The receiver may have stopped listening; the watch goes on.
+            let _ = self.lines.send(String::from_utf8_lossy(&line).into_owned());
+        }
+        Ok(bytes.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 fn campaign_finished_seq(events: &[Event]) -> u64 {
     events
         .iter()
@@ -74,21 +98,25 @@ initial = "bfs"
 seeds = [1]
 "#;
 
+/// Runs long enough (seconds even in release) that a run of it is still in
+/// flight when the test cancels the campaign a few milliseconds after the
+/// run started.
 const SLOW_SPEC: &str = r#"
 [campaign]
 name = "slow"
 
 [[scenario]]
 name = "big-star-sweep"
-graph = { family = "star_with_leaf_edges", n = 300 }
+graph = { family = "star_with_leaf_edges", n = 2000 }
 initial = "greedy_hub"
 seeds = [1, 2, 3, 4]
 "#;
 
-/// The headline lifecycle: two campaigns multiplexed over one worker, the
-/// cheap one finishing first under cost-aware scheduling; every streamed
-/// line parsing as JSONL; a third campaign cancelled mid-flight; graceful
-/// shutdown draining the service.
+/// The headline lifecycle: a blocker campaign holds the only worker while
+/// two more are queued behind it and is then cancelled mid-flight; the two
+/// queued campaigns are multiplexed over the freed worker, the cheap one
+/// finishing first under cost-aware scheduling; every streamed line parses
+/// as JSONL; graceful shutdown drains the service.
 #[test]
 fn serve_end_to_end() {
     let socket = test_socket("e2e");
@@ -104,6 +132,33 @@ fn serve_end_to_end() {
     let server = std::thread::spawn(move || serve(&config));
     wait_for_server(&socket);
 
+    // Occupy the only worker with a run of the slow campaign, so that the
+    // large and small campaigns below are both queued before either can be
+    // claimed, however fast their runs are.
+    let (slow_id, slow_runs) =
+        client::submit(&socket, SLOW_SPEC.to_string(), SpecFormat::Toml).expect("submit slow");
+    assert_eq!(slow_runs, 4);
+    let (lines, slow_lines) = mpsc::channel();
+    let slow_socket = socket.clone();
+    let slow_watch = std::thread::spawn(move || {
+        let mut sink = LineSink {
+            pending: Vec::new(),
+            lines,
+        };
+        client::watch(&slow_socket, slow_id, 0, &mut sink)
+    });
+    loop {
+        let line = slow_lines
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the slow campaign starts a run");
+        if matches!(
+            parse_events(line.as_bytes())[..],
+            [Event::RunStarted { .. }]
+        ) {
+            break;
+        }
+    }
+
     // Submit the expensive campaign first, the cheap one second. With one
     // worker and shortest-predicted-cost-first + deficit fairness, the
     // small campaign must still finish before the large one.
@@ -114,6 +169,24 @@ fn serve_end_to_end() {
     assert_eq!(large_runs, 4);
     assert_eq!(small_runs, 1);
     assert_ne!(large_id, small_id);
+
+    // Cancel the blocker mid-flight: its running run must be killed
+    // cooperatively and its three pending runs skipped, all graded
+    // `aborted`. That frees the worker for the two queued campaigns.
+    let skipped = client::cancel(&socket, slow_id).expect("cancel slow");
+    assert_eq!(skipped, 3, "pending runs skipped");
+    let slow_report = slow_watch
+        .join()
+        .expect("watch thread")
+        .expect("watch cancelled");
+    assert_eq!(slow_report.runs.len(), 4);
+    assert!(
+        slow_report
+            .runs
+            .iter()
+            .all(|run| run.outcome.label() == "aborted"),
+        "every run of a cancelled campaign is aborted"
+    );
 
     // Watch both to completion. The event log is retained after a campaign
     // finishes, so sequential watches still see the full history.
@@ -165,26 +238,6 @@ fn serve_end_to_end() {
         tail_events.len(),
         1,
         "only the final event is at or past its own seq"
-    );
-
-    // Cancel mid-flight: one expensive run is claimed immediately, the rest
-    // are pending; cancellation must kill the in-flight run cooperatively
-    // and skip the pending ones, all graded `aborted`.
-    let (slow_id, slow_runs) =
-        client::submit(&socket, SLOW_SPEC.to_string(), SpecFormat::Toml).expect("submit slow");
-    assert_eq!(slow_runs, 4);
-    std::thread::sleep(Duration::from_millis(100)); // let the worker claim run 1
-    let skipped = client::cancel(&socket, slow_id).expect("cancel slow");
-    assert!(skipped >= 3, "pending runs skipped, got {skipped}");
-    let mut slow_raw = Vec::new();
-    let slow_report = client::watch(&socket, slow_id, 0, &mut slow_raw).expect("watch cancelled");
-    assert_eq!(slow_report.runs.len(), 4);
-    assert!(
-        slow_report
-            .runs
-            .iter()
-            .all(|run| run.outcome.label() == "aborted"),
-        "every run of a cancelled campaign is aborted"
     );
 
     // Cancelling an unknown campaign is an error, not a crash.

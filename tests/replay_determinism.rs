@@ -7,6 +7,10 @@
 //! * A model-checking run is deterministic end to end: same sweep, same
 //!   stats, same outcomes, and a recorded counterexample replays through
 //!   JSON to the same violation.
+//! * The simulator's event order is pinned: traced MDST runs under every
+//!   delay model, a staggered start and a mixed fault plan reproduce
+//!   recorded digests of their full trace and metrics, so a rewrite of the
+//!   event queue or the link tables cannot silently reorder deliveries.
 
 use mdst::prelude::*;
 use serde::{Serialize, Value};
@@ -117,4 +121,148 @@ fn a_counterexample_round_trips_and_replays_to_the_same_violation() {
     assert_eq!(parsed, cex);
     assert_eq!(parsed.to_json(), json, "serialization is a fixpoint");
     assert_eq!(parsed.replay(&NoTraffic).unwrap().rule, "bogus-no-traffic");
+}
+
+/// 64-bit FNV-1a, fed field by field.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+}
+
+/// `(trace events, trace digest, metrics digest)` of one traced MDST run on
+/// the simulator, plus its metrics. The trace digest covers every field of
+/// every event in order; the metrics digest covers the serialized `Metrics`.
+fn traced_digest(graph: &Arc<Graph>, config: SimConfig) -> ((usize, u64, u64), Metrics) {
+    let initial = algorithms::greedy_high_degree_tree(graph, NodeId(0)).unwrap();
+    let nodes = MdstNode::from_tree(&initial);
+    let mut sim = Simulator::new(
+        graph,
+        SimConfig {
+            record_trace: true,
+            ..config
+        },
+        |id, _| nodes[id.index()].clone(),
+    )
+    .unwrap();
+    sim.run().unwrap();
+    let mut trace = Fnv::new();
+    for e in sim.trace().events() {
+        trace.u64(e.time);
+        trace.bytes(&[e.kind as u8]);
+        trace.u64(e.from.index() as u64);
+        trace.u64(e.to.index() as u64);
+        trace.bytes(e.message_kind.as_str().as_bytes());
+        trace.bytes(&[0xff]);
+        trace.u64(e.msg_id);
+        trace.u64(e.seq);
+    }
+    let mut metrics = Fnv::new();
+    metrics.bytes(sim.metrics().to_value().to_json().as_bytes());
+    let digest = (sim.trace().events().len(), trace.0, metrics.0);
+    (digest, sim.metrics().clone())
+}
+
+/// Digests recorded before the simulator's event heap and per-link tables
+/// were rewritten; they pin the exact delivery order of every case.
+#[test]
+fn simulator_event_order_matches_the_recorded_digests() {
+    let graph = Arc::new(generators::gnp_connected(40, 0.15, 7).unwrap());
+    // Cut the root's link to its first tree child at time zero, so the very
+    // first SearchInit wave loses a branch; crash a node early in the wave.
+    let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
+    let first_child = initial.children(NodeId(0))[0];
+    let crashed = NodeId(5);
+    assert_ne!(first_child, crashed);
+    let cases: Vec<(&str, SimConfig, (usize, u64, u64))> = vec![
+        (
+            "unit",
+            SimConfig::default(),
+            (21900, 3266186272984516126, 2986840855307824500),
+        ),
+        (
+            "uniform-random",
+            SimConfig {
+                delay: DelayModel::UniformRandom {
+                    min: 1,
+                    max: 9,
+                    seed: 21,
+                },
+                ..SimConfig::default()
+            },
+            (21900, 15820064634659524247, 13176036744478793331),
+        ),
+        (
+            "per-link-fixed",
+            SimConfig {
+                delay: DelayModel::PerLinkFixed {
+                    min: 1,
+                    max: 13,
+                    seed: 4,
+                },
+                ..SimConfig::default()
+            },
+            (21900, 147794449991175021, 14733442177838953539),
+        ),
+        (
+            "staggered",
+            SimConfig {
+                start: StartModel::Staggered {
+                    max_offset: 40,
+                    seed: 9,
+                },
+                ..SimConfig::default()
+            },
+            (21900, 8638502307616719122, 1778740695341483531),
+        ),
+        (
+            "loss-crash-cut",
+            SimConfig {
+                delay: DelayModel::UniformRandom {
+                    min: 1,
+                    max: 5,
+                    seed: 3,
+                },
+                faults: FaultPlan {
+                    loss: 0.1,
+                    seed: 17,
+                    crashes: vec![CrashAt {
+                        node: crashed,
+                        at: 4,
+                    }],
+                    cuts: vec![CutAt {
+                        a: NodeId(0),
+                        b: first_child,
+                        at: 0,
+                    }],
+                },
+                ..SimConfig::default()
+            },
+            (65, 9290835337281682478, 13432159770040474040),
+        ),
+    ];
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (name, config, recorded) in cases {
+        let faulty = !config.faults.is_benign();
+        let (digest, metrics) = traced_digest(&graph, config);
+        if faulty {
+            assert_eq!(metrics.crashed_nodes, 1, "{name}: the crash fired");
+            assert!(metrics.dropped_messages >= 2, "{name}: cut and loss drop");
+        }
+        got.push((name, digest));
+        want.push((name, recorded));
+    }
+    assert_eq!(got, want, "the simulator's event order or metrics moved");
 }
