@@ -1,4 +1,4 @@
-//! Experiment harness: regenerates every table of EXPERIMENTS.md.
+//! Experiment harness: prints the tables of README § "Experiment tables".
 //!
 //! ```text
 //! cargo run -p mdst-bench --release --bin harness -- all

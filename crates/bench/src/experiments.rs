@@ -1,12 +1,11 @@
-//! The experiments of DESIGN.md §6, one function per table.
+//! The experiments of README § "Experiment tables", one function per table.
 //!
 //! Every function is deterministic (fixed seeds) and returns a [`Table`] so
-//! the harness binary, the tests and EXPERIMENTS.md all see the same numbers.
+//! the harness binary and the tests see the same numbers.
 
 use crate::table::Table;
 use mdst::prelude::*;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn fmt_f(x: f64) -> String {
     format!("{x:.2}")
@@ -561,89 +560,6 @@ pub fn f2_figure2() -> Table {
     table
 }
 
-/// E9 — the CSR graph substrate against the former nested-vector adjacency,
-/// timed on the operations a campaign pays per run: building the topology,
-/// sweeping every neighbour list, and preparing a run's topology view (the
-/// `Arc::clone` that replaced the per-run adjacency re-materialisation).
-/// The criterion sibling lives in `benches/graph_substrate.rs`; this table
-/// records the same comparison in the harness output.
-pub fn e9_graph_substrate() -> Table {
-    use crate::substrate;
-    let mut table = Table::new(
-        "E9: CSR substrate vs Vec<Vec> adjacency baseline (random_connected(5000, 15000))",
-        &["operation", "csr (µs)", "baseline (µs)", "speedup"],
-    );
-    let (n, edges) = substrate::e9_workload_edges();
-    let build_baseline = || substrate::build_baseline_adjacency(n, &edges);
-    let build_csr = || substrate::build_csr(n, &edges);
-    const REPS: u32 = 5;
-    let time_us = |f: &dyn Fn()| {
-        let start = Instant::now();
-        for _ in 0..REPS {
-            f();
-        }
-        start.elapsed().as_secs_f64() * 1e6 / REPS as f64
-    };
-
-    let csr_build = time_us(&|| {
-        std::hint::black_box(build_csr());
-    });
-    let base_build = time_us(&|| {
-        std::hint::black_box(build_baseline());
-    });
-    table.add_row(vec![
-        "construction".into(),
-        fmt_f(csr_build),
-        fmt_f(base_build),
-        fmt_f(base_build / csr_build),
-    ]);
-
-    let graph = build_csr();
-    let baseline = build_baseline();
-    let csr_sweep = time_us(&|| {
-        let mut acc = 0usize;
-        for u in graph.nodes() {
-            for &v in graph.neighbor_slice(u) {
-                acc = acc.wrapping_add(v.index());
-            }
-        }
-        std::hint::black_box(acc);
-    });
-    let base_sweep = time_us(&|| {
-        let mut acc = 0usize;
-        for row in &baseline {
-            for &(v, _) in row {
-                acc = acc.wrapping_add(v.index());
-            }
-        }
-        std::hint::black_box(acc);
-    });
-    table.add_row(vec![
-        "full neighbour sweep".into(),
-        fmt_f(csr_sweep),
-        fmt_f(base_sweep),
-        fmt_f(base_sweep / csr_sweep),
-    ]);
-
-    let shared = Arc::new(graph);
-    let arc_view = time_us(&|| {
-        std::hint::black_box(Arc::clone(&shared));
-    });
-    let remat = time_us(&|| {
-        let neighbors: Vec<Vec<NodeId>> = (0..n)
-            .map(|u| shared.neighbors(NodeId::new(u)).collect())
-            .collect();
-        std::hint::black_box(neighbors);
-    });
-    table.add_row(vec![
-        "per-run topology view".into(),
-        fmt_f(arc_view),
-        fmt_f(remat),
-        fmt_f(remat / arc_view.max(1e-3)),
-    ]);
-    table
-}
-
 /// E10 — throughput of the pool's batched message fabric on the
 /// deterministic echo-flood workload at two scales. The flood's message
 /// count is schedule-independent (see [`crate::fabric`]), so every run moves
@@ -654,7 +570,7 @@ pub fn e9_graph_substrate() -> Table {
 /// Besides the table, the experiment writes `BENCH_fabric.json` (machine
 /// readable, one record per workload) to the working directory so CI can
 /// archive the numbers. `BENCH_SMOKE=1` shrinks the workloads to CI-smoke
-/// size; the criterion sibling lives in `benches/message_fabric.rs`.
+/// size.
 pub fn e10_message_fabric() -> Table {
     use crate::fabric;
     let mut table = Table::new(
@@ -815,7 +731,7 @@ pub fn e11_graph_ingest() -> Table {
 /// An experiment: a nullary function producing its table.
 pub type ExperimentFn = fn() -> Table;
 
-/// All experiments in DESIGN.md order.
+/// All experiments, in the order of README § "Experiment tables".
 pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
     vec![
         ("f1", f1_figure1 as ExperimentFn),
@@ -827,7 +743,6 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("e5", e5_approximation_quality),
         ("e6", e6_kmz_comparison),
         ("e7", e7_initial_tree_sensitivity),
-        ("e9", e9_graph_substrate),
         ("e10", e10_message_fabric),
         ("e11", e11_graph_ingest),
         ("a1", a1_algorithm_comparison),
@@ -862,7 +777,7 @@ mod tests {
     #[test]
     fn experiment_registry_is_complete_and_unique() {
         let all = all_experiments();
-        assert_eq!(all.len(), 15);
+        assert_eq!(all.len(), 14);
         let ids: std::collections::BTreeSet<&str> = all.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids.len(), all.len());
     }

@@ -1,7 +1,6 @@
-//! Shared fixtures of experiment E10: throughput of the pool's batched
-//! message fabric. Both the criterion bench (`benches/message_fabric.rs`)
-//! and the harness table ([`crate::experiments::e10_message_fabric`]) drive
-//! *these* workloads, so the two reports can never drift apart.
+//! Fixtures of experiment E10: throughput of the pool's batched message
+//! fabric, driven by the harness table
+//! ([`crate::experiments::e10_message_fabric`]).
 //!
 //! The workload is a hop-bounded **echo flood**: node 0 emits a token with a
 //! TTL, and every delivery with TTL > 0 re-broadcasts a decremented copy to

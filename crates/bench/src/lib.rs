@@ -3,12 +3,10 @@
 //! Experiment harness of the reproduction. The paper contains no measured
 //! tables (it is a theory paper), so each experiment here turns one of its
 //! analytical claims or illustrative figures into a measurable series; the
-//! mapping is documented in DESIGN.md §6 and the recorded results in
-//! EXPERIMENTS.md.
+//! mapping is listed in README § "Experiment tables".
 //!
 //! The `harness` binary prints the tables (`cargo run -p mdst-bench --release
-//! --bin harness -- all`); the Criterion benches under `benches/` measure the
-//! wall-clock cost of representative configurations of the same experiments.
+//! --bin harness -- all`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,7 +14,6 @@
 pub mod experiments;
 pub mod fabric;
 pub mod ingest;
-pub mod substrate;
 pub mod table;
 
 pub use experiments::*;

@@ -31,12 +31,12 @@
 //! maximum-degree node has no admissible outgoing edge, i.e. the tree is a
 //! Locally Optimal Tree in the sense of Fürer & Raghavachari's Theorem 1.
 //!
-//! Departures from the paper's prose (documented in DESIGN.md §4): rounds are
-//! serialised — each round improves the single maximum-degree node of minimum
-//! identity rather than all maximum-degree nodes concurrently (§3.2.6); the
-//! final degree is identical, only the round count differs. Messages carry an
-//! explicit round number so late messages from a finished round are discarded
-//! rather than misinterpreted.
+//! Departures from the paper's prose (README § "Deviations from the paper"):
+//! rounds are serialised — each round improves the single maximum-degree node
+//! of minimum identity rather than all maximum-degree nodes concurrently
+//! (§3.2.6), so the round count, and with it the message count, grows with
+//! n. Messages carry an explicit round number so late messages from a
+//! finished round are discarded rather than misinterpreted.
 
 mod messages;
 mod node;

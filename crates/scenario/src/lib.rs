@@ -13,7 +13,8 @@
 //! | [`spec`] | `ScenarioMatrix` / `ScenarioSpec` / `RunSpec`: the declarative spec language and its cartesian expansion |
 //! | [`io`] | edge-list, DIMACS, METIS and MatrixMarket readers/writers with transparent gzip — external graph files (and whole benchmark suites) as first-class pipeline inputs |
 //! | [`toml`] | self-contained TOML subset parser feeding [`spec`] (the registry `toml` crate is unavailable offline) |
-//! | [`runner`] | the parallel batch runner: scoped thread pool, campaign-wide [`runner::TopologyCache`] (one shared `Arc<Graph>` per distinct source), per-run records, per-scenario and campaign aggregates |
+//! | [`runner`] | the campaign runner: the one run entry (`execute_run_controlled`), campaign-wide [`runner::TopologyCache`] (one shared `Arc<Graph>` per distinct source), per-run records, per-scenario and campaign aggregates; `run_campaign` drives scoped workers through a private [`scheduler::Scheduler`] session |
+//! | [`scheduler`] | the one campaign executor: cheapest-claim-first within a campaign, deficit fairness across campaigns, cancellation and drain-on-shutdown — `scenario run` and `scenario serve` share it |
 //! | [`report`] | JSON / CSV sinks and the human-readable summary |
 //! | [`diff`] | report-vs-report comparison behind `scenario diff` (regression gate for CI): outcome/bound/degree/error regressions, opt-in wall-time thresholds, text or markdown rendering |
 //!
@@ -33,7 +34,8 @@
 //! `--jobs N` (alias `--threads`) caps runner parallelism; without it the
 //! spec's `campaign.parallelism` key, then one thread per CPU, applies.
 //! `--shuffle [SEED]` claims runs in a seeded random order so long runs
-//! start early; the seed lands in the report and the records stay in
+//! start early (each run's rank in the permutation is its claim cost in the
+//! shared scheduler); the seed lands in the report and the records stay in
 //! expansion order. `--progress` attaches a streaming `mdst_core::Observer`
 //! to every run and prints one line per finished run without touching the
 //! records.
@@ -182,6 +184,7 @@ pub mod diff;
 pub mod io;
 pub mod report;
 pub mod runner;
+pub mod scheduler;
 pub mod spec;
 pub mod toml;
 
@@ -189,9 +192,10 @@ pub use diff::{diff_reports, diff_reports_with, DiffFinding, DiffOptions, Report
 pub use io::{load_graph, save_graph, GraphFormat, IoError};
 pub use report::{campaign_to_csv, campaign_to_json};
 pub use runner::{
-    aggregate_records, execute_run, execute_run_controlled, run_campaign, CampaignReport,
-    PredictedMs, RunControls, RunOutcome, RunRecord, RunnerConfig, TopologyCache,
+    aggregate_records, execute_run_controlled, run_campaign, CampaignReport, PredictedMs,
+    RunControls, RunOutcome, RunRecord, RunnerConfig, TopologyCache,
 };
+pub use scheduler::{CampaignStatus, Claim, Completion, Scheduler};
 pub use spec::{FaultSpec, RunSpec, ScenarioMatrix, ScenarioSpec, SpecError};
 
 /// Everything a campaign driver typically needs in scope.
@@ -200,9 +204,8 @@ pub mod prelude {
     pub use crate::io::{load_graph, parse_graph, render_graph, save_graph, GraphFormat, IoError};
     pub use crate::report::{campaign_to_csv, campaign_to_json, summarize, write_csv, write_json};
     pub use crate::runner::{
-        aggregate_records, execute_run, execute_run_cached, execute_run_controlled, execute_runs,
-        run_campaign, CampaignReport, PredictedMs, RunControls, RunOutcome, RunRecord,
-        RunnerConfig, ScenarioStats, TopologyCache,
+        aggregate_records, execute_run_controlled, run_campaign, CampaignReport, PredictedMs,
+        RunControls, RunOutcome, RunRecord, RunnerConfig, ScenarioStats, TopologyCache,
     };
     pub use crate::spec::{
         parse_initial_kind, FaultSpec, GraphSpec, ResolvedGraph, RunSpec, ScenarioMatrix,

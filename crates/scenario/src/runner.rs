@@ -1,13 +1,15 @@
 //! Parallel campaign execution.
 //!
 //! [`run_campaign`] expands a [`ScenarioMatrix`] into its flat run list and
-//! executes the runs across a scoped thread pool (work is claimed from a
-//! shared atomic counter, so long runs never block short ones). Each run
+//! executes the runs across scoped worker threads that claim them through a
+//! private [`Scheduler`] session — the same claim path `scenario serve` runs
+//! its resident campaigns on — so long runs never block short ones. Each run
 //! drives the full `mdst_core` pipeline — initial-tree construction followed
 //! by the distributed improvement protocol — and is checked against the
 //! paper's `O(Δ* + log n)` degree bound from [`mdst_core::bounds`]. Results
 //! aggregate into per-scenario and campaign-wide statistics.
 
+use crate::scheduler::Scheduler;
 use crate::spec::{ResolvedGraph, RunSpec, ScenarioMatrix, SpecError};
 use mdst_core::bounds;
 use mdst_core::{Observer, Outcome, Pipeline, RunReport};
@@ -19,7 +21,6 @@ use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -229,11 +230,17 @@ impl Observer for ProgressLine {
 /// file is the same topology whatever the run seed), so a thousand-seed sweep
 /// over one benchmark file parses it once.
 pub struct TopologyCache {
-    map: Mutex<BTreeMap<TopologyKey, TopologySlot>>,
+    state: Mutex<CacheState>,
+}
+
+/// Everything behind the cache's one lock.
+#[derive(Default)]
+struct CacheState {
+    map: BTreeMap<TopologyKey, TopologySlot>,
     /// Lookups that found the topology already built.
-    hits: AtomicU64,
+    hits: u64,
     /// Lookups that had to build (or re-report the build error).
-    misses: AtomicU64,
+    misses: u64,
 }
 
 /// Cache key: graph label plus the effective generation seed.
@@ -245,9 +252,7 @@ impl TopologyCache {
     /// An empty cache.
     pub fn new() -> Self {
         TopologyCache {
-            map: Mutex::new(BTreeMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            state: Mutex::new(CacheState::default()),
         }
     }
 
@@ -261,27 +266,33 @@ impl TopologyCache {
         (graph.label(), seed)
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
+        self.state.lock().expect("cache poisoned")
+    }
+
     /// The shared graph for `(graph, seed)`, building (or re-reporting the
     /// build error) on first use. Concurrent callers may race to build the
     /// same topology; the first insert wins so every run of a campaign
     /// observes pointer-identical topology.
     pub fn get(&self, graph: &ResolvedGraph, seed: u64) -> Result<Arc<Graph>, String> {
         let key = Self::key(graph, seed);
-        if let Some(hit) = self.map.lock().expect("cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
+        {
+            let mut state = self.lock();
+            if let Some(hit) = state.map.get(&key).cloned() {
+                state.hits += 1;
+                return hit;
+            }
+            state.misses += 1;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         // Build outside the lock so a slow parse (a big gzipped benchmark
         // file) does not serialise unrelated builds.
         let built = graph.build(seed).map(Arc::new).map_err(|e| e.to_string());
-        let mut map = self.map.lock().expect("cache poisoned");
-        map.entry(key).or_insert(built).clone()
+        self.lock().map.entry(key).or_insert(built).clone()
     }
 
     /// Number of distinct topologies built so far.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache poisoned").len()
+        self.lock().map.len()
     }
 
     /// Whether nothing has been built yet.
@@ -294,10 +305,8 @@ impl TopologyCache {
     /// error). Surfaced by `scenario status` when one cache is shared across
     /// concurrently scheduled campaigns.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        let state = self.lock();
+        (state.hits, state.misses)
     }
 }
 
@@ -586,25 +595,6 @@ pub struct CampaignReport {
     pub runs: Vec<RunRecord>,
 }
 
-/// Executes a single run (sequentially, on the calling thread), building its
-/// topology privately. Campaign execution goes through
-/// [`execute_run_cached`] instead so runs share one [`Arc<Graph>`] per
-/// distinct source.
-pub fn execute_run(spec: &RunSpec) -> RunRecord {
-    execute_run_cached(spec, &TopologyCache::new())
-}
-
-/// Executes a single run against a shared topology cache.
-///
-/// Every run — fault-free or not — goes through the one unified
-/// [`Pipeline`] session, so the outcome taxonomy is uniform. A fault-free
-/// run that does not end in [`RunOutcome::QuiescedCorrect`] is also recorded
-/// as an error, preserving the pre-fault contract that campaigns fail loudly
-/// when the protocol misbehaves on a reliable network.
-pub fn execute_run_cached(spec: &RunSpec, topologies: &TopologyCache) -> RunRecord {
-    execute_run_inner(spec, topologies, false)
-}
-
 /// Per-run controls of [`execute_run_controlled`] — everything a scheduler
 /// (or the plain campaign runner) can attach to one run beyond its spec.
 #[derive(Default)]
@@ -622,21 +612,17 @@ pub struct RunControls<'a> {
     pub observer: Option<&'a mut dyn Observer>,
 }
 
-fn execute_run_inner(spec: &RunSpec, topologies: &TopologyCache, progress: bool) -> RunRecord {
-    execute_run_controlled(
-        spec,
-        topologies,
-        RunControls {
-            progress,
-            ..Default::default()
-        },
-    )
-}
-
 /// Executes a single run against a shared topology cache under explicit
-/// [`RunControls`] — the entry the `scenario serve` scheduler drives, with a
-/// cancellation token, a cost prediction to record, and a streaming observer
-/// per run. [`execute_run_cached`] is this with all controls inert.
+/// [`RunControls`] — the one run entry of both campaign front ends: a
+/// `scenario run` worker sets only `progress`, a `scenario serve` worker adds
+/// a cancellation token, a cost prediction to record and a streaming
+/// observer.
+///
+/// Every run — fault-free or not — goes through the one unified
+/// [`Pipeline`] session, so the outcome taxonomy is uniform. A fault-free
+/// run that does not end in [`RunOutcome::QuiescedCorrect`] is also recorded
+/// as an error, preserving the pre-fault contract that campaigns fail loudly
+/// when the protocol misbehaves on a reliable network.
 pub fn execute_run_controlled(
     spec: &RunSpec,
     topologies: &TopologyCache,
@@ -763,17 +749,72 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 
 /// Expands `matrix` and executes every run in parallel. A non-zero
 /// `config.threads` wins over the spec's `campaign.parallelism` default.
+///
+/// The campaign is a private [`Scheduler`] session: the runs are submitted
+/// with their claim ranks as costs, the scheduler is shut down at once so
+/// its workers exit when the queue drains, and `threads` scoped workers
+/// claim, execute and complete runs until then.
 pub fn run_campaign(
     matrix: &ScenarioMatrix,
     config: &RunnerConfig,
 ) -> Result<CampaignReport, SpecError> {
     let runs = matrix.expand()?;
-    let mut config = config.clone();
-    if config.threads == 0 {
-        config.threads = matrix.parallelism.unwrap_or(0);
+    let requested = match config.threads {
+        0 => matrix.parallelism.unwrap_or(0),
+        t => t,
+    };
+    let threads = effective_threads(requested, runs.len());
+    let ranks = claim_ranks(runs.len(), config.shuffle);
+    let scheduler = Scheduler::new();
+    let (id, _) = scheduler
+        .submit(matrix, runs.into_iter().zip(ranks).collect())
+        .map_err(SpecError)?;
+    scheduler.shutdown();
+    // One topology per distinct (source, seed) for the whole campaign: every
+    // worker resolves its runs through this shared cache, so repeated sweeps
+    // over the same graph borrow one CSR structure instead of re-building
+    // (or re-parsing) it per run.
+    let topologies = TopologyCache::new();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                while let Some(claim) = scheduler.claim(|_| 0.0) {
+                    let controls = RunControls {
+                        progress: config.progress,
+                        ..Default::default()
+                    };
+                    let record = execute_run_controlled(&claim.spec, &topologies, controls);
+                    scheduler.complete(claim.campaign, claim.run, record);
+                }
+            });
+        }
+    });
+    let report = scheduler
+        .report(id)
+        .expect("a drained campaign has its report");
+    Ok(CampaignReport {
+        threads,
+        shuffle_seed: config.shuffle,
+        ..report
+    })
+}
+
+/// Claim cost of every run: its rank in expansion order, or in a seeded
+/// Fisher–Yates permutation of it under `--shuffle`. Records land in
+/// expansion order either way, so the report is identical up to wall times.
+fn claim_ranks(runs: usize, shuffle: Option<u64>) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..runs).collect();
+    if let Some(seed) = shuffle {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
     }
-    let report = execute_runs(&matrix.name, &matrix.scenario_order(), runs, &config);
-    Ok(report)
+    let mut ranks = vec![0.0; runs];
+    for (rank, &run) in order.iter().enumerate() {
+        ranks[run] = rank as f64;
+    }
+    ranks
 }
 
 impl ScenarioMatrix {
@@ -783,80 +824,10 @@ impl ScenarioMatrix {
     }
 }
 
-/// Executes an explicit run list in parallel (the engine under
-/// [`run_campaign`], exposed so callers can post-process the expansion).
-pub fn execute_runs(
-    name: &str,
-    scenario_order: &[String],
-    runs: Vec<RunSpec>,
-    config: &RunnerConfig,
-) -> CampaignReport {
-    let started = Instant::now();
-    let threads = effective_threads(config.threads, runs.len());
-    // Claim order: expansion order, or a seeded Fisher–Yates permutation of
-    // it. Records land in expansion-order slots either way, so the report is
-    // identical up to wall times.
-    let order: Vec<usize> = {
-        let mut order: Vec<usize> = (0..runs.len()).collect();
-        if let Some(seed) = config.shuffle {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
-        }
-        order
-    };
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunRecord>>> = runs.iter().map(|_| Mutex::new(None)).collect();
-    // One topology per distinct (source, seed) for the whole campaign: every
-    // worker thread resolves its runs through this shared cache, so repeated
-    // sweeps over the same graph borrow one CSR structure instead of
-    // re-building (or re-parsing) it per run.
-    let topologies = TopologyCache::new();
-
-    if threads <= 1 {
-        for &idx in &order {
-            *slots[idx].lock().expect("slot poisoned") =
-                Some(execute_run_inner(&runs[idx], &topologies, config.progress));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let claim = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&idx) = order.get(claim) else {
-                        break;
-                    };
-                    let record = execute_run_inner(&runs[idx], &topologies, config.progress);
-                    *slots[idx].lock().expect("slot poisoned") = Some(record);
-                });
-            }
-        });
-    }
-
-    let records: Vec<RunRecord> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot poisoned")
-                .expect("every run executed")
-        })
-        .collect();
-
-    aggregate_records(
-        name,
-        scenario_order,
-        records,
-        threads,
-        config.shuffle,
-        started.elapsed().as_secs_f64() * 1e3,
-    )
-}
-
 /// Folds finished run records into a [`CampaignReport`] — the aggregation
-/// tail of [`execute_runs`], exposed so external schedulers (the `scenario
-/// serve` campaign service) can produce byte-identical reports from records
-/// they executed themselves.
+/// tail of every campaign, run by the [`Scheduler`] when a campaign's last
+/// run completes and exposed so callers that execute runs themselves produce
+/// byte-identical reports.
 pub fn aggregate_records(
     name: &str,
     scenario_order: &[String],
@@ -866,7 +837,7 @@ pub fn aggregate_records(
     wall_ms: f64,
 ) -> CampaignReport {
     // Per-scenario aggregates in spec order, plus any unknown names appended
-    // (defensive: execute_runs accepts arbitrary run lists).
+    // (defensive: callers may pass arbitrary record lists).
     let mut order: Vec<String> = scenario_order.to_vec();
     for r in &records {
         if !order.contains(&r.scenario) {
@@ -1083,6 +1054,20 @@ mod tests {
         assert_eq!(report.total.runs, 1);
         assert_eq!(report.total.failures, 1);
         assert!(report.runs[0].error.as_deref().unwrap().contains("root"));
+    }
+
+    /// Both campaign front ends admit runs through the scheduler, so they
+    /// share one rule for an empty expansion: `scenario serve` answers
+    /// "spec expands to zero runs", and so does `run_campaign`.
+    #[test]
+    fn an_empty_expansion_is_the_schedulers_zero_runs_error() {
+        let matrix = ScenarioMatrix {
+            name: "empty".to_string(),
+            parallelism: None,
+            scenarios: Vec::new(),
+        };
+        let err = run_campaign(&matrix, &RunnerConfig::default()).unwrap_err();
+        assert_eq!(err.0, "spec expands to zero runs");
     }
 
     #[test]

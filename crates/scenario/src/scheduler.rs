@@ -1,15 +1,20 @@
-//! Cost-aware, campaign-fair run scheduler.
+//! Cost-aware, campaign-fair run scheduler: the one campaign executor.
 //!
-//! All resident campaigns multiplex over one shared worker budget. Two
-//! forces shape the claim order:
+//! Both campaign front ends claim their runs here. `scenario serve` keeps
+//! one `Scheduler` resident and multiplexes every submitted campaign over
+//! its worker pool; [`crate::run_campaign`] (`scenario run`) is a private
+//! single-campaign session that submits, shuts down at once and lets its
+//! workers drain the queue. Two forces shape the claim order:
 //!
-//! * **Shortest predicted cost first** *within* a campaign: cheap runs
-//!   complete early, so watchers see progress and the queue drains at
-//!   maximum run-completion rate.
+//! * **Cheapest claim cost first** *within* a campaign. The submitter picks
+//!   the costs: serve passes its cost model's prediction, so cheap runs
+//!   complete early and watchers see progress; `scenario run` passes each
+//!   run's rank (expansion order, or the `--shuffle` permutation), so runs
+//!   are claimed in exactly that order. Ties break by expansion index.
 //! * **Deficit fairness** *across* campaigns: every campaign accumulates
-//!   `served_cost` (the sum of predictions of runs already claimed for it),
-//!   and workers always claim for the campaign with the least served cost.
-//!   A huge campaign therefore cannot starve a small one submitted later —
+//!   `served_cost` (the sum of costs of runs already claimed for it), and
+//!   workers always claim for the campaign with the least served cost. A
+//!   huge campaign therefore cannot starve a small one submitted later —
 //!   the small one's total cost is low, so it keeps winning claims until it
 //!   completes.
 //!
@@ -20,21 +25,13 @@
 //! cancel / status entry points. Every decision is deterministic given the
 //! claim interleaving, which keeps the unit tests honest.
 
-use crate::cost::CostModel;
+use crate::runner::{aggregate_records, CampaignReport, RunOutcome, RunRecord};
+use crate::spec::{RunSpec, ScenarioMatrix};
 use mdst_netsim::CancelToken;
-use mdst_scenario::prelude::{RunSpec, ScenarioMatrix};
-use mdst_scenario::{aggregate_records, CampaignReport, RunOutcome, RunRecord};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
-
-/// Scheduling state of one expanded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunState {
-    Pending,
-    Running,
-    Done,
-}
 
 /// One resident campaign.
 struct Campaign {
@@ -42,11 +39,20 @@ struct Campaign {
     name: String,
     scenario_order: Vec<String>,
     specs: Vec<RunSpec>,
-    states: Vec<RunState>,
+    /// One slot per run, filled when the run completes.
     records: Vec<Option<RunRecord>>,
-    /// Scheduling cost per run, frozen at submit time so the claim order is
-    /// stable (the model keeps learning for *later* campaigns).
+    /// Claim cost per run, frozen at submit time so the claim order is
+    /// stable (serve's cost model keeps learning for *later* campaigns).
     costs: Vec<f64>,
+    /// Run indices in claim order, by (cost, index). The costs are frozen,
+    /// so the order is fixed at submit and a claim is O(1) however large
+    /// the campaign.
+    queue: Vec<usize>,
+    /// How many runs of `queue` have left it (claimed, or skipped by a
+    /// cancel); the rest are pending.
+    claimed: usize,
+    /// Runs whose record is in.
+    done: usize,
     /// Sum of costs of runs already claimed — the fairness deficit counter.
     served_cost: f64,
     cancelled: bool,
@@ -55,22 +61,18 @@ struct Campaign {
 }
 
 impl Campaign {
-    fn pending_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == RunState::Pending)
-            .map(|(i, _)| i)
+    /// Pending runs, cheapest first.
+    fn pending(&self) -> &[usize] {
+        &self.queue[self.claimed..]
     }
 
     /// The cheapest pending run, by (cost, index).
     fn cheapest_pending(&self) -> Option<usize> {
-        self.pending_indices()
-            .min_by(|&a, &b| self.costs[a].total_cmp(&self.costs[b]).then(a.cmp(&b)))
+        self.pending().first().copied()
     }
 
     fn finished(&self) -> bool {
-        self.states.iter().all(|s| *s == RunState::Done)
+        self.done == self.specs.len()
     }
 }
 
@@ -97,19 +99,41 @@ pub struct Claim {
     pub run: usize,
     /// The spec to execute.
     pub spec: RunSpec,
-    /// Cost-model prediction in milliseconds (0 = unseeded, no claim).
+    /// Predicted milliseconds from the claim's `predict` closure (0 = no
+    /// prediction).
     pub predicted_ms: f64,
     /// Cancel token the watchdog / a cancel request may raise mid-run.
     pub token: CancelToken,
 }
 
-/// What [`Scheduler::complete`] tells the server about campaign progress.
+/// What [`Scheduler::complete`] tells the worker about campaign progress.
 pub struct Completion {
     /// The just-finished run's record (already stored), cloned for event
     /// emission.
     pub record: RunRecord,
     /// When this run was the campaign's last: the aggregated report.
     pub campaign_report: Option<CampaignReport>,
+}
+
+/// One campaign's scheduling state, as `scenario status` reports it (part
+/// of the service's wire format).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CampaignStatus {
+    /// Campaign id.
+    pub id: u64,
+    /// Campaign name from the spec.
+    pub name: String,
+    /// `"running"`, `"done"` or `"cancelled"`.
+    pub state: String,
+    /// Total expanded runs.
+    pub total_runs: u64,
+    /// Runs finished (including aborted ones).
+    pub finished_runs: u64,
+    /// Runs that ended aborted (cancelled or watchdog-killed).
+    pub aborted_runs: u64,
+    /// Predicted milliseconds of work still pending (0 when the cost model
+    /// has no prediction for the remaining runs).
+    pub predicted_remaining_ms: f64,
 }
 
 /// See the [module docs](self).
@@ -136,16 +160,15 @@ impl Scheduler {
         }
     }
 
-    /// Admits a campaign: expands the matrix, freezes per-run scheduling
-    /// costs from the current model fit, and wakes the workers. Returns
-    /// `(campaign id, run count)`.
+    /// Admits a campaign: its expanded runs, each paired with the claim cost
+    /// that orders it (see the [module docs](self)), and wakes the workers.
+    /// Returns `(campaign id, run count)`.
     pub fn submit(
         &self,
         matrix: &ScenarioMatrix,
-        model: &CostModel,
+        runs: Vec<(RunSpec, f64)>,
     ) -> Result<(u64, usize), String> {
-        let specs = matrix.expand().map_err(|e| e.to_string())?;
-        if specs.is_empty() {
+        if runs.is_empty() {
             return Err("spec expands to zero runs".to_string());
         }
         let mut state = lock(&self.state);
@@ -154,9 +177,10 @@ impl Scheduler {
         }
         let id = state.next_id;
         state.next_id += 1;
-        let costs = specs.iter().map(|s| model.scheduling_cost(s)).collect();
+        let (specs, costs): (Vec<RunSpec>, Vec<f64>) = runs.into_iter().unzip();
         let count = specs.len();
-        let states = vec![RunState::Pending; count];
+        let mut queue: Vec<usize> = (0..count).collect();
+        queue.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]).then(a.cmp(&b)));
         let records = vec![None; count];
         state.campaigns.insert(
             id,
@@ -165,9 +189,11 @@ impl Scheduler {
                 name: matrix.name.clone(),
                 scenario_order: matrix.scenario_order(),
                 specs,
-                states,
                 records,
                 costs,
+                queue,
+                claimed: 0,
+                done: 0,
                 served_cost: 0.0,
                 cancelled: false,
                 submitted: Instant::now(),
@@ -186,9 +212,9 @@ impl Scheduler {
     ///
     /// `predict` is consulted once per successful claim for the *live*
     /// cost-model estimate (the frozen ordering costs may be stale); it is
-    /// a closure rather than a `&CostModel` so callers can keep the model
-    /// behind its own lock without holding it across this call's blocking
-    /// wait.
+    /// a closure so callers can keep their model behind its own lock without
+    /// holding it across this call's blocking wait. Callers without a model
+    /// pass `|_| 0.0`.
     pub fn claim(&self, predict: impl Fn(&RunSpec) -> f64) -> Option<Claim> {
         let mut state = lock(&self.state);
         loop {
@@ -209,7 +235,7 @@ impl Scheduler {
                     .campaigns
                     .get_mut(&campaign_id)
                     .expect("chosen campaign exists");
-                campaign.states[run_idx] = RunState::Running;
+                campaign.claimed += 1;
                 campaign.served_cost += campaign.costs[run_idx];
                 let spec = campaign.specs[run_idx].clone();
                 // The prediction is re-read from the *live* model (not the
@@ -252,8 +278,8 @@ impl Scheduler {
             .campaigns
             .get_mut(&campaign_id)
             .expect("completing a known campaign");
-        campaign.states[run_idx] = RunState::Done;
         campaign.records[run_idx] = Some(record.clone());
+        campaign.done += 1;
         let campaign_report = campaign.finished().then(|| {
             let records: Vec<RunRecord> = campaign
                 .records
@@ -288,7 +314,8 @@ impl Scheduler {
         let mut state = lock(&self.state);
         let campaign = state.campaigns.get_mut(&campaign_id)?;
         campaign.cancelled = true;
-        let skipped: Vec<usize> = campaign.pending_indices().collect();
+        let skipped: Vec<usize> = campaign.pending().to_vec();
+        campaign.claimed = campaign.queue.len();
         let specs: Vec<RunSpec> = skipped.iter().map(|&i| campaign.specs[i].clone()).collect();
         for (token_key, run) in state.running.iter() {
             if token_key.0 == campaign_id {
@@ -352,21 +379,20 @@ impl Scheduler {
     }
 
     /// Status snapshot of every campaign, oldest first.
-    pub fn campaign_statuses(&self) -> Vec<crate::proto::CampaignStatus> {
+    pub fn campaign_statuses(&self) -> Vec<CampaignStatus> {
         let state = lock(&self.state);
         state
             .campaigns
             .values()
             .map(|c| {
-                let finished = c.states.iter().filter(|s| **s == RunState::Done).count();
                 let aborted = c
                     .records
                     .iter()
                     .flatten()
                     .filter(|r| r.outcome == RunOutcome::Aborted)
                     .count();
-                let predicted_remaining_ms: f64 = c.pending_indices().map(|i| c.costs[i]).sum();
-                crate::proto::CampaignStatus {
+                let predicted_remaining_ms: f64 = c.pending().iter().map(|&i| c.costs[i]).sum();
+                CampaignStatus {
                     id: c.id,
                     name: c.name.clone(),
                     state: if c.cancelled {
@@ -377,7 +403,7 @@ impl Scheduler {
                         "running".to_string()
                     },
                     total_runs: c.specs.len() as u64,
-                    finished_runs: finished as u64,
+                    finished_runs: c.done as u64,
                     aborted_runs: aborted as u64,
                     predicted_remaining_ms,
                 }
@@ -420,22 +446,38 @@ mod tests {
         .unwrap()
     }
 
+    /// Submits `matrix` with the costs an unseeded serve cost model assigns:
+    /// work-proportional, three units per declared node.
+    fn submit_by_work(sched: &Scheduler, matrix: &ScenarioMatrix) -> Result<(u64, usize), String> {
+        let runs = matrix
+            .expand()
+            .unwrap()
+            .into_iter()
+            .map(|spec| {
+                let work = spec.graph.n_hint().unwrap_or(0) as f64 * 3.0;
+                (spec, work)
+            })
+            .collect();
+        sched.submit(matrix, runs)
+    }
+
+    fn unpredicted(_: &RunSpec) -> f64 {
+        0.0
+    }
+
     #[test]
     fn deficit_fairness_interleaves_a_small_campaign_into_a_big_one() {
         let sched = Scheduler::new();
-        let model = CostModel::new();
         // Big campaign first (4 runs of n=64), then a small one (1 run of
         // n=8). Work-proportional costs: big runs cost 192 each, small 24.
-        let (big, _) = sched
-            .submit(&matrix("big", 64, "[1, 2, 3, 4]"), &model)
-            .unwrap();
-        let (small, _) = sched.submit(&matrix("small", 8, "[1]"), &model).unwrap();
+        let (big, _) = submit_by_work(&sched, &matrix("big", 64, "[1, 2, 3, 4]")).unwrap();
+        let (small, _) = submit_by_work(&sched, &matrix("small", 8, "[1]")).unwrap();
         // First claim: both campaigns have served 0; tie breaks to the
         // cheaper pending run, which is the small campaign's.
-        let first = sched.claim(|s| model.predict(s)).unwrap();
+        let first = sched.claim(unpredicted).unwrap();
         assert_eq!(first.campaign, small);
         // After the small campaign served 24, the big one (served 0) wins.
-        let second = sched.claim(|s| model.predict(s)).unwrap();
+        let second = sched.claim(unpredicted).unwrap();
         assert_eq!(second.campaign, big);
     }
 
@@ -446,11 +488,8 @@ mod tests {
     #[test]
     fn a_small_campaign_queued_behind_a_large_one_is_claimed_first() {
         let sched = Scheduler::new();
-        let model = CostModel::new();
-        let (blocker, _) = sched
-            .submit(&matrix("blocker", 256, "[1, 2]"), &model)
-            .unwrap();
-        let running = sched.claim(|s| model.predict(s)).unwrap();
+        let (blocker, _) = submit_by_work(&sched, &matrix("blocker", 256, "[1, 2]")).unwrap();
+        let running = sched.claim(unpredicted).unwrap();
         assert_eq!(running.campaign, blocker);
         let large = ScenarioMatrix::from_toml_str(
             r#"
@@ -465,26 +504,25 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (large, large_runs) = sched.submit(&large, &model).unwrap();
+        let (large, large_runs) = submit_by_work(&sched, &large).unwrap();
         assert_eq!(large_runs, 4);
-        let (small, _) = sched.submit(&matrix("small", 8, "[1]"), &model).unwrap();
+        let (small, _) = submit_by_work(&sched, &matrix("small", 8, "[1]")).unwrap();
         let (_, skipped) = sched.cancel(blocker).unwrap();
         assert_eq!(skipped.len(), 1, "the blocker's pending run is skipped");
         assert!(running.token.is_cancelled());
         sched.complete(blocker, running.run, aborted_record(&running.spec));
-        let first = sched.claim(|s| model.predict(s)).unwrap();
+        let first = sched.claim(unpredicted).unwrap();
         assert_eq!(first.campaign, small);
-        let second = sched.claim(|s| model.predict(s)).unwrap();
+        let second = sched.claim(unpredicted).unwrap();
         assert_eq!(second.campaign, large);
     }
 
     #[test]
     fn completion_of_the_last_run_aggregates_a_report() {
         let sched = Scheduler::new();
-        let model = CostModel::new();
-        let (id, runs) = sched.submit(&matrix("one", 8, "[1]"), &model).unwrap();
+        let (id, runs) = submit_by_work(&sched, &matrix("one", 8, "[1]")).unwrap();
         assert_eq!(runs, 1);
-        let claim = sched.claim(|s| model.predict(s)).unwrap();
+        let claim = sched.claim(unpredicted).unwrap();
         let done = sched.complete(id, claim.run, aborted_record(&claim.spec));
         let report = done.campaign_report.expect("last run closes the campaign");
         assert_eq!(report.runs.len(), 1);
@@ -496,9 +534,8 @@ mod tests {
     #[test]
     fn cancel_skips_pending_runs_and_raises_running_tokens() {
         let sched = Scheduler::new();
-        let model = CostModel::new();
-        let (id, _) = sched.submit(&matrix("c", 8, "[1, 2, 3]"), &model).unwrap();
-        let claim = sched.claim(|s| model.predict(s)).unwrap();
+        let (id, _) = submit_by_work(&sched, &matrix("c", 8, "[1, 2, 3]")).unwrap();
+        let claim = sched.claim(unpredicted).unwrap();
         assert!(!claim.token.is_cancelled());
         let (_, completions) = sched.cancel(id).unwrap();
         // The two never-claimed runs were synthesized as aborted…
@@ -518,40 +555,54 @@ mod tests {
     #[test]
     fn shutdown_drains_claims_then_releases_workers() {
         let sched = Scheduler::new();
-        let model = CostModel::new();
-        let (id, _) = sched.submit(&matrix("d", 8, "[1]"), &model).unwrap();
+        let (id, _) = submit_by_work(&sched, &matrix("d", 8, "[1]")).unwrap();
         sched.shutdown();
-        assert!(sched.submit(&matrix("late", 8, "[1]"), &model).is_err());
+        assert!(submit_by_work(&sched, &matrix("late", 8, "[1]")).is_err());
         // The already-queued run still gets claimed (drain semantics)…
-        let claim = sched
-            .claim(|s| model.predict(s))
-            .expect("queued work drains");
+        let claim = sched.claim(unpredicted).expect("queued work drains");
         sched.complete(id, claim.run, aborted_record(&claim.spec));
         // …and with nothing left, claim returns None so workers exit.
-        assert!(sched.claim(|s| model.predict(s)).is_none());
+        assert!(sched.claim(unpredicted).is_none());
     }
 
     #[test]
     fn watchdog_only_flags_predicted_runs_past_their_budget() {
         let sched = Scheduler::new();
-        let mut model = CostModel::new();
-        let (_, _) = sched.submit(&matrix("w", 8, "[1]"), &model).unwrap();
-        let _claim = sched.claim(|s| model.predict(s)).unwrap();
-        // Unseeded model → predicted 0 → never overdue, even at budget 0.
+        let (_, _) = submit_by_work(&sched, &matrix("w", 8, "[1]")).unwrap();
+        let _claim = sched.claim(unpredicted).unwrap();
+        // Unpredicted run → predicted 0 → never overdue, even at budget 0.
         assert!(sched.overdue_tokens(0.0, 0.0).is_empty());
-        // Seed the model, claim a predicted run, and shrink the budget to
-        // zero: the elapsed time (however small) now exceeds it.
-        let m = matrix("w2", 8, "[1]");
-        let report =
-            mdst_scenario::run_campaign(&m, &mdst_scenario::RunnerConfig::default()).unwrap();
-        model.seed_from_report(&report);
-        let (_, _) = sched.submit(&m, &model).unwrap();
-        let claim = sched.claim(|s| model.predict(s)).unwrap();
-        assert!(claim.predicted_ms > 0.0);
+        // Claim a predicted run and shrink the budget to zero: the elapsed
+        // time (however small) now exceeds it.
+        let (_, _) = submit_by_work(&sched, &matrix("w2", 8, "[1]")).unwrap();
+        let claim = sched.claim(|_| 1.5).unwrap();
+        assert_eq!(claim.predicted_ms, 1.5);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let overdue = sched.overdue_tokens(0.0, 0.0);
         assert_eq!(overdue.len(), 1);
         overdue[0].cancel();
         assert!(claim.token.is_cancelled());
+    }
+
+    /// `scenario run --shuffle` submits each run's rank in the seeded
+    /// permutation as its claim cost: the claims must follow the ranks
+    /// exactly, whatever the expansion order.
+    #[test]
+    fn rank_costs_are_claimed_in_rank_order() {
+        let sched = Scheduler::new();
+        let m = matrix("ranked", 8, "[1, 2, 3, 4, 5, 6]");
+        let ranks = [3.0, 0.0, 5.0, 1.0, 4.0, 2.0];
+        let runs = m.expand().unwrap().into_iter().zip(ranks).collect();
+        let (id, count) = sched.submit(&m, runs).unwrap();
+        assert_eq!(count, 6);
+        sched.shutdown();
+        let mut order = Vec::new();
+        while let Some(claim) = sched.claim(unpredicted) {
+            assert_eq!(claim.campaign, id);
+            order.push(claim.run);
+            sched.complete(id, claim.run, aborted_record(&claim.spec));
+        }
+        assert_eq!(order, vec![1, 3, 5, 0, 4, 2]);
+        assert!(sched.drained());
     }
 }

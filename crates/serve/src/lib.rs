@@ -18,10 +18,11 @@
 //! * [`proto`] — the line-delimited JSON wire protocol (requests,
 //!   responses, the JSONL event stream).
 //! * [`cost`] — the per-`(executor, batch)` online cost model.
-//! * [`scheduler`] — shortest-predicted-cost-first claims with per-campaign
-//!   deficit fairness, cooperative cancellation, drain-on-shutdown.
 //! * [`server`] — the resident server: accept loop, workers, watchdog,
-//!   per-campaign event logs.
+//!   per-campaign event logs. Workers claim through
+//!   [`mdst_scenario::Scheduler`], the same executor `scenario run` uses:
+//!   shortest-predicted-cost-first claims with per-campaign deficit
+//!   fairness, cooperative cancellation, drain-on-shutdown.
 //! * [`client`] — one-connection-per-command client calls backing the
 //!   `scenario submit|watch|status|cancel|shutdown` subcommands.
 
@@ -31,10 +32,8 @@
 pub mod client;
 pub mod cost;
 pub mod proto;
-pub mod scheduler;
 pub mod server;
 
 pub use cost::CostModel;
 pub use proto::{default_socket, Event, Request, Response, ServeStatus, SpecFormat};
-pub use scheduler::Scheduler;
 pub use server::{serve, ServeConfig};

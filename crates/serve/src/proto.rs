@@ -12,6 +12,7 @@
 //! `nc -U <socket>`.
 
 use mdst_scenario::CampaignReport;
+pub use mdst_scenario::CampaignStatus;
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, Read, Write};
 
@@ -116,26 +117,6 @@ pub struct ServeStatus {
     pub campaigns: Vec<CampaignStatus>,
     /// Fitted cost-model buckets, one per (executor, batch) pair.
     pub cost_buckets: Vec<CostBucketStatus>,
-}
-
-/// One campaign's scheduling state inside [`ServeStatus`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignStatus {
-    /// Campaign id.
-    pub id: u64,
-    /// Campaign name from the spec.
-    pub name: String,
-    /// `"running"`, `"done"` or `"cancelled"`.
-    pub state: String,
-    /// Total expanded runs.
-    pub total_runs: u64,
-    /// Runs finished (including aborted ones).
-    pub finished_runs: u64,
-    /// Runs that ended aborted (cancelled or watchdog-killed).
-    pub aborted_runs: u64,
-    /// Predicted milliseconds of work still pending (0 when the cost model
-    /// has no prediction for the remaining runs).
-    pub predicted_remaining_ms: f64,
 }
 
 /// One fitted cost-model bucket inside [`ServeStatus`].

@@ -2,7 +2,8 @@
 //!
 //! One process, std-only: a nonblocking `UnixListener` accept loop, N
 //! worker threads multiplexing every resident campaign through the
-//! [`crate::scheduler::Scheduler`], a watchdog thread enforcing the
+//! [`mdst_scenario::Scheduler`] (the executor `scenario run` also claims
+//! through), a watchdog thread enforcing the
 //! cost-model early-abort budget, and one shared
 //! [`mdst_scenario::TopologyCache`] so concurrent campaigns sweeping the
 //! same graphs build each topology exactly once.
@@ -16,10 +17,12 @@
 
 use crate::cost::CostModel;
 use crate::proto::{read_request, write_line, Event, Request, Response, ServeStatus, SpecFormat};
-use crate::scheduler::{Claim, Completion, Scheduler};
 use mdst_core::{ChannelObserver, SessionEvent};
-use mdst_scenario::prelude::ScenarioMatrix;
-use mdst_scenario::{execute_run_controlled, CampaignReport, RunControls, TopologyCache};
+use mdst_scenario::prelude::{RunSpec, ScenarioMatrix};
+use mdst_scenario::{
+    execute_run_controlled, CampaignReport, Claim, Completion, RunControls, Scheduler,
+    TopologyCache,
+};
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -297,17 +300,23 @@ impl Inner {
                     SpecFormat::Toml => ScenarioMatrix::from_toml_str(&spec),
                     SpecFormat::Json => ScenarioMatrix::from_json_str(&spec),
                 };
-                // Snapshot the model before touching the scheduler: claim
-                // takes the scheduler lock first and the cost lock second,
-                // so holding cost across `submit` would invert the order.
-                let model = self
-                    .cost
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone();
+                // Price the runs under the cost lock and release it before
+                // `submit`: claim takes the scheduler lock first and the cost
+                // lock second, so holding cost across `submit` would invert
+                // the order.
+                let price = |runs: Vec<RunSpec>| -> Vec<(RunSpec, f64)> {
+                    let model = self.cost.lock().unwrap_or_else(PoisonError::into_inner);
+                    runs.into_iter()
+                        .map(|spec| {
+                            let cost = model.scheduling_cost(&spec);
+                            (spec, cost)
+                        })
+                        .collect()
+                };
                 let response = match parsed
+                    .and_then(|matrix| matrix.expand().map(|runs| (matrix, runs)))
                     .map_err(|e| e.to_string())
-                    .and_then(|matrix| self.scheduler.submit(&matrix, &model))
+                    .and_then(|(matrix, runs)| self.scheduler.submit(&matrix, price(runs)))
                 {
                     Ok((campaign, runs)) => {
                         let _ = self.log_of(campaign);

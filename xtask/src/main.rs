@@ -23,14 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// The offline stand-in crates under `vendor/`.
-const VENDORED: &[&str] = &[
-    "serde",
-    "serde_derive",
-    "rand",
-    "proptest",
-    "criterion",
-    "flate2",
-];
+const VENDORED: &[&str] = &["serde", "serde_derive", "rand", "proptest", "flate2"];
 
 /// Tokens rule 1 forbids in non-test library code.
 const FORBIDDEN: &[&str] = &["unwrap", "expect", "panic"];
