@@ -465,11 +465,8 @@ pub fn f1_figure1() -> Table {
         "F1: Figure 1 (single exchange on the figure's 6-node instance)",
         &["quantity", "value"],
     );
-    let mut builder = GraphBuilder::new(6);
-    for (u, v) in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (3, 5)] {
-        builder.add_edge(NodeId(u), NodeId(v)).unwrap();
-    }
-    let graph = Arc::new(builder.build());
+    let edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (3, 5)];
+    let graph = Arc::new(graph_from_edges(6, &edges).unwrap());
     let parents = vec![
         None,
         Some(NodeId(0)),
@@ -512,7 +509,6 @@ pub fn f2_figure2() -> Table {
         "F2: Figure 2 (BFS wave and cousin-edge discovery on a 10-node instance)",
         &["quantity", "value"],
     );
-    let mut builder = GraphBuilder::new(10);
     let tree_edges = [
         (0, 1),
         (0, 2),
@@ -524,16 +520,12 @@ pub fn f2_figure2() -> Table {
         (3, 6),
         (6, 9),
     ];
-    for (u, v) in tree_edges {
-        builder.add_edge(NodeId(u), NodeId(v)).unwrap();
-    }
-    builder.add_edge(NodeId(7), NodeId(8)).unwrap();
-    builder.add_edge(NodeId(8), NodeId(9)).unwrap();
-    let graph = Arc::new(builder.build());
+    let cousin_edges = [(7, 8), (8, 9)];
+    let graph = Arc::new(graph_from_edges(10, &[&tree_edges[..], &cousin_edges].concat()).unwrap());
     let initial = RootedTree::from_edges(
         10,
         NodeId(0),
-        &tree_edges.map(|(u, v)| (NodeId(u), NodeId(v))),
+        &tree_edges.map(|(u, v)| (NodeId::new(u), NodeId::new(v))),
     )
     .unwrap();
     let run = improve(&graph, &initial);

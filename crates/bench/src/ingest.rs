@@ -7,9 +7,9 @@
 //! ingestion paths read it back:
 //!
 //! * **legacy** — the pre-streaming rhythm: the whole file in one `String`,
-//!   every edge parsed into a `GraphBuilder` (a `BTreeSet` edge set), then
-//!   one CSR assembly at the end. Peak memory carries the text *and* the
-//!   edge set *and* the finished CSR at once.
+//!   every edge parsed into a vector and deduplicated through a `BTreeSet`
+//!   edge set, then one CSR assembly at the end. Peak memory carries the
+//!   text *and* the edge set *and* the finished CSR at once.
 //! * **streaming** — [`mdst_scenario::io::load_graph`]: two passes over the
 //!   file, each line parsed into a pre-sized CSR row by counting sort. No
 //!   intermediate edge vector ever exists.
@@ -29,6 +29,7 @@
 
 use mdst::prelude::*;
 use mdst_scenario::io::{self, GraphFormat, IoError};
+use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -86,9 +87,9 @@ pub fn write_workload(n: usize, dir: &Path) -> std::io::Result<(PathBuf, PathBuf
     Ok((plain, gz, text.len()))
 }
 
-/// The legacy whole-file ingestion: one `String`, one [`GraphBuilder`], one
-/// build. Kept here (the production loader streams now) as the measured
-/// baseline.
+/// The legacy whole-file ingestion: one `String`, one edge vector
+/// deduplicated through a `BTreeSet`, one build. Kept here (the production
+/// loader streams now) as the measured baseline.
 pub fn legacy_ingest(path: &Path) -> Result<(Graph, IngestSample), IoError> {
     let started = Instant::now();
     let text = std::fs::read_to_string(path).map_err(|e| IoError::Io(e.to_string()))?;
@@ -109,17 +110,14 @@ pub fn legacy_ingest(path: &Path) -> Result<(Graph, IngestSample), IoError> {
         max_node = max_node.max(u).max(v);
         edges.push((u, v));
     }
-    let mut b = GraphBuilder::new(max_node + 1);
-    for &(u, v) in &edges {
-        b.add_edge_idempotent(NodeId::new(u), NodeId::new(v))
-            .map_err(io::IoError::Graph)?;
-    }
-    let edge_count = b.edge_count();
-    let graph = b.build();
+    let mut edge_set: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+    edges.retain(|&(u, v)| edge_set.insert((NodeId::new(u.min(v)), NodeId::new(u.max(v)))));
+    let edge_count = edge_set.len();
+    let graph = graph_from_edges(max_node + 1, &edges).map_err(io::IoError::Graph)?;
     let wall = started.elapsed();
-    // Accounted peak: the input text, the parsed edge vector, the builder's
-    // `BTreeSet` (16 payload bytes per edge plus ~50% amortised tree
-    // overhead), and the finished CSR — all live simultaneously at `build`.
+    // Accounted peak: the input text, the parsed edge vector, the
+    // `BTreeSet` edge set (8 payload bytes per edge plus ~50% amortised tree
+    // overhead), and the finished CSR — all live simultaneously at the build.
     let peak_bytes = text.capacity()
         + edges.capacity() * std::mem::size_of::<(usize, usize)>()
         + edge_count * 12

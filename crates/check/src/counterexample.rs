@@ -11,7 +11,8 @@
 
 use crate::invariant::{InvariantSuite, Violation};
 use mdst_core::MdstNode;
-use mdst_graph::{GraphBuilder, NodeId, RootedTree};
+use mdst_graph::graph::graph_from_edges;
+use mdst_graph::{NodeId, RootedTree};
 use mdst_netsim::{ControlledEvent, ControlledNet, StartDiscipline};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -73,19 +74,34 @@ impl Counterexample {
     /// Builds the initial [`ControlledNet`] this recipe starts from.
     pub fn initial_net(&self) -> Result<ControlledNet<MdstNode>, ReplayError> {
         let bad = |e: &dyn fmt::Display| ReplayError::BadRecipe(e.to_string());
-        let mut b = GraphBuilder::new(self.n);
-        for &(u, v) in &self.edges {
-            b.add_edge_idempotent(NodeId::new(u), NodeId::new(v))
-                .map_err(|e| bad(&e))?;
-        }
-        let graph = Arc::new(b.build());
+        // Repeated edges, in either orientation, merge into one link.
+        let mut edges: Vec<(usize, usize)> = self
+            .edges
+            .iter()
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        // The builder checks `n` and every endpoint as `usize`; the root and
+        // parents are checked here, before `NodeId::new` could truncate them.
+        let graph = Arc::new(graph_from_edges(self.n, &edges).map_err(|e| bad(&e))?);
+        let node = |u: usize, what: &str| {
+            if u < self.n {
+                Ok(NodeId::new(u))
+            } else {
+                Err(ReplayError::BadRecipe(format!(
+                    "{what} {u} out of range for n = {}",
+                    self.n
+                )))
+            }
+        };
         let parents = self
             .initial_parents
             .iter()
-            .map(|p| p.map(NodeId::new))
-            .collect::<Vec<_>>();
+            .map(|p| p.map(|p| node(p, "parent")).transpose())
+            .collect::<Result<Vec<_>, _>>()?;
         let tree =
-            RootedTree::from_parents(NodeId::new(self.root), parents).map_err(|e| bad(&e))?;
+            RootedTree::from_parents(node(self.root, "root")?, parents).map_err(|e| bad(&e))?;
         tree.validate_against(&graph).map_err(|e| bad(&e))?;
         let nodes = MdstNode::from_tree(&tree);
         let discipline = if self.lazy_starts {
@@ -288,6 +304,35 @@ mod tests {
             min.replay(&NoDegreeThree).unwrap().rule,
             "bogus-degree-three"
         );
+    }
+
+    #[test]
+    fn out_of_range_recipe_values_are_bad_recipes() {
+        // 4294967297 truncates to node 1 as a `u32`; it must be rejected,
+        // not replayed as the edge (1, 0).
+        let far = u32::MAX as usize + 2;
+        let mut cex = star4_counterexample(vec![]);
+        cex.n = 3;
+        cex.edges = vec![(far, 0), (0, 2)];
+        cex.initial_parents = vec![None, Some(0), Some(0)];
+        assert!(matches!(cex.initial_net(), Err(ReplayError::BadRecipe(_))));
+        let mut cex = star4_counterexample(vec![]);
+        cex.root = far;
+        assert!(matches!(cex.initial_net(), Err(ReplayError::BadRecipe(_))));
+        let mut cex = star4_counterexample(vec![]);
+        cex.initial_parents[3] = Some(far);
+        assert!(matches!(cex.initial_net(), Err(ReplayError::BadRecipe(_))));
+        let mut cex = star4_counterexample(vec![]);
+        cex.n = far;
+        assert!(matches!(cex.initial_net(), Err(ReplayError::BadRecipe(_))));
+    }
+
+    #[test]
+    fn repeated_recipe_edges_merge_into_one_link() {
+        let mut cex = star4_counterexample(vec![]);
+        cex.edges = vec![(0, 1), (1, 0), (0, 2), (0, 3), (0, 1)];
+        let net = cex.initial_net().unwrap();
+        assert_eq!(net.graph().edge_count(), 3);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! used elsewhere in the experiments (cycles, stars, wheels, complete
 //! graphs, …).
 
-use mdst_graph::{generators, Graph, GraphBuilder, NodeId};
+use mdst_graph::graph::graph_from_edges;
+use mdst_graph::{generators, Graph};
 
 /// All `C(n, 2)` vertex pairs in lexicographic order — the bit positions of
 /// the edge-mask encoding.
@@ -134,14 +135,13 @@ pub fn connected_graphs(n: usize) -> Vec<Graph> {
     canon
         .into_iter()
         .map(|mask| {
-            let mut b = GraphBuilder::new(n);
-            for (bit, &(u, v)) in slots.iter().enumerate() {
-                if mask & (1 << bit) != 0 {
-                    b.add_edge(NodeId::new(u), NodeId::new(v))
-                        .expect("enumerated edge is simple");
-                }
-            }
-            b.build()
+            let edges: Vec<(usize, usize)> = slots
+                .iter()
+                .enumerate()
+                .filter(|&(bit, _)| mask & (1 << bit) != 0)
+                .map(|(_, &edge)| edge)
+                .collect();
+            graph_from_edges(n, &edges).expect("enumerated edges are simple")
         })
         .collect()
 }

@@ -8,7 +8,7 @@
 //! snapshot of the final tree; they are used by the integration tests, the
 //! property tests and the experiment harness.
 
-use mdst_graph::{Graph, GraphBuilder, GraphError, NodeId, RootedTree};
+use mdst_graph::{Graph, GraphError, NodeId, RootedTree};
 use serde::Serialize;
 use std::collections::BTreeSet;
 
@@ -328,20 +328,12 @@ impl SurvivorReport {
     /// sorted-id order), for computing degree bounds on what is left of the
     /// network.
     pub fn component_subgraph(&self, graph: &Graph) -> Graph {
-        let mut index_of = vec![usize::MAX; graph.node_count()];
-        for (i, node) in self.component.iter().enumerate() {
-            index_of[node.index()] = i;
+        if self.component.is_empty() {
+            return Graph::empty(1);
         }
-        let mut builder = GraphBuilder::new(self.component.len().max(1));
-        for (u, v) in graph.edges() {
-            let (iu, iv) = (index_of[u.index()], index_of[v.index()]);
-            if iu != usize::MAX && iv != usize::MAX {
-                builder
-                    .add_edge_idempotent(NodeId::new(iu), NodeId::new(iv))
-                    .expect("renumbered endpoints are in range and distinct");
-            }
-        }
-        builder.build()
+        graph
+            .induced_subgraph(&self.component.iter().copied().collect())
+            .0
     }
 }
 
@@ -563,7 +555,7 @@ mod tests {
     fn survivor_report_on_a_single_node_graph_is_trivially_spanning() {
         // One node, no edges, no parent pointer: the snapshot spans the
         // (singleton) component with zero tree edges and degree zero.
-        let g = mdst_graph::GraphBuilder::new(1).build();
+        let g = Graph::empty(1);
         let report = survivor_report(&g, &[None], &[false]);
         assert_eq!(report.live_nodes, 1);
         assert_eq!(report.component, vec![NodeId(0)]);

@@ -29,7 +29,7 @@ pub enum GraphError {
     InvalidParameter(String),
     /// The graph exceeds what the compact 32-bit CSR layout can address.
     TooLarge {
-        /// What overflowed (`"nodes"`, `"edges"`, `"incidence slots"`).
+        /// What overflowed (`"nodes"` or `"incidence slots"`).
         what: &'static str,
         /// The offending count.
         count: u64,

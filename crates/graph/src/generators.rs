@@ -18,67 +18,51 @@
 //! reproducible run to run.
 
 use crate::error::GraphError;
-use crate::graph::{Graph, GraphBuilder};
-use crate::node::NodeId;
+use crate::graph::{check_node_count, graph_from_edges, Graph};
 use crate::Result;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// The complete graph `K_n`.
 pub fn complete(n: usize) -> Result<Graph> {
     require(n >= 1, "complete graph needs at least one node")?;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_edge(NodeId::new(u), NodeId::new(v))?;
+    build(n, |edges| {
+        for u in 0..n {
+            edges.extend(((u + 1)..n).map(|v| (u, v)));
         }
-    }
-    Ok(b.build())
+    })
 }
 
 /// The path `P_n` (`0 – 1 – … – n−1`).
 pub fn path(n: usize) -> Result<Graph> {
     require(n >= 1, "path needs at least one node")?;
-    let mut b = GraphBuilder::new(n);
-    for u in 1..n {
-        b.add_edge(NodeId::new(u - 1), NodeId::new(u))?;
-    }
-    Ok(b.build())
+    build(n, |edges| edges.extend((1..n).map(|u| (u - 1, u))))
 }
 
 /// The cycle `C_n` (requires `n ≥ 3`).
 pub fn cycle(n: usize) -> Result<Graph> {
     require(n >= 3, "cycle needs at least three nodes")?;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        b.add_edge(NodeId::new(u), NodeId::new((u + 1) % n))?;
-    }
-    Ok(b.build())
+    build(n, |edges| edges.extend((0..n).map(|u| (u, (u + 1) % n))))
 }
 
 /// The star `S_{n−1}`: node 0 linked to every other node.
 pub fn star(n: usize) -> Result<Graph> {
     require(n >= 2, "star needs at least two nodes")?;
-    let mut b = GraphBuilder::new(n);
-    for u in 1..n {
-        b.add_edge(NodeId(0), NodeId::new(u))?;
-    }
-    Ok(b.build())
+    build(n, |edges| edges.extend((1..n).map(|u| (0, u))))
 }
 
 /// The wheel `W_n`: a cycle on nodes `1..n` plus a hub (node 0) linked to all.
 pub fn wheel(n: usize) -> Result<Graph> {
     require(n >= 4, "wheel needs at least four nodes")?;
-    let mut b = GraphBuilder::new(n);
     let rim = n - 1;
-    for i in 0..rim {
-        let u = 1 + i;
-        let v = 1 + (i + 1) % rim;
-        b.add_edge_idempotent(NodeId::new(u), NodeId::new(v))?;
-        b.add_edge(NodeId(0), NodeId::new(u))?;
-    }
-    Ok(b.build())
+    build(n, |edges| {
+        for i in 0..rim {
+            edges.push((1 + i, 1 + (i + 1) % rim));
+            edges.push((0, 1 + i));
+        }
+    })
 }
 
 /// The star on `n` nodes augmented with a cycle through the leaves.
@@ -89,32 +73,28 @@ pub fn wheel(n: usize) -> Result<Graph> {
 /// Hamiltonian-path-like optimum of degree 2.
 pub fn star_with_leaf_edges(n: usize) -> Result<Graph> {
     require(n >= 4, "star with leaf edges needs at least four nodes")?;
-    let mut b = GraphBuilder::new(n);
-    for u in 1..n {
-        b.add_edge(NodeId(0), NodeId::new(u))?;
-    }
-    for u in 1..n - 1 {
-        b.add_edge(NodeId::new(u), NodeId::new(u + 1))?;
-    }
-    Ok(b.build())
+    build(n, |edges| {
+        edges.extend((1..n).map(|u| (0, u)));
+        edges.extend((1..n - 1).map(|u| (u, u + 1)));
+    })
 }
 
 /// The `rows × cols` grid graph.
 pub fn grid(rows: usize, cols: usize) -> Result<Graph> {
     require(rows >= 1 && cols >= 1, "grid needs positive dimensions")?;
-    let idx = |r: usize, c: usize| NodeId::new(r * cols + c);
-    let mut b = GraphBuilder::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                b.add_edge(idx(r, c), idx(r, c + 1))?;
-            }
-            if r + 1 < rows {
-                b.add_edge(idx(r, c), idx(r + 1, c))?;
+    let idx = |r: usize, c: usize| r * cols + c;
+    build(rows.saturating_mul(cols), |edges| {
+        for r in 0..rows {
+            for c in 0..cols {
+                if c + 1 < cols {
+                    edges.push((idx(r, c), idx(r, c + 1)));
+                }
+                if r + 1 < rows {
+                    edges.push((idx(r, c), idx(r + 1, c)));
+                }
             }
         }
-    }
-    Ok(b.build())
+    })
 }
 
 /// The `d`-dimensional hypercube `Q_d` on `2^d` nodes.
@@ -124,112 +104,88 @@ pub fn hypercube(d: usize) -> Result<Graph> {
         "hypercube dimension must be in 1..=20",
     )?;
     let n = 1usize << d;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for bit in 0..d {
-            let v = u ^ (1 << bit);
-            if u < v {
-                b.add_edge(NodeId::new(u), NodeId::new(v))?;
+    build(n, |edges| {
+        for u in 0..n {
+            for bit in 0..d {
+                let v = u ^ (1 << bit);
+                if u < v {
+                    edges.push((u, v));
+                }
             }
         }
-    }
-    Ok(b.build())
+    })
 }
 
 /// The complete bipartite graph `K_{a,b}`.
-pub fn complete_bipartite(a: usize, b_: usize) -> Result<Graph> {
-    require(a >= 1 && b_ >= 1, "both sides of K_{a,b} must be non-empty")?;
-    let mut b = GraphBuilder::new(a + b_);
-    for u in 0..a {
-        for v in 0..b_ {
-            b.add_edge(NodeId::new(u), NodeId::new(a + v))?;
+pub fn complete_bipartite(a: usize, b: usize) -> Result<Graph> {
+    require(a >= 1 && b >= 1, "both sides of K_{a,b} must be non-empty")?;
+    build(a.saturating_add(b), |edges| {
+        for u in 0..a {
+            edges.extend((0..b).map(|v| (u, a + v)));
         }
-    }
-    Ok(b.build())
+    })
 }
 
 /// The Petersen graph (10 nodes, 15 edges, 3-regular).
 pub fn petersen() -> Result<Graph> {
-    let mut b = GraphBuilder::new(10);
-    for u in 0..5 {
-        // Outer pentagon.
-        b.add_edge(NodeId(u), NodeId((u + 1) % 5))?;
-        // Spokes.
-        b.add_edge(NodeId(u), NodeId(u + 5))?;
-        // Inner pentagram.
-        b.add_edge(NodeId(5 + u), NodeId(5 + (u + 2) % 5))?;
-    }
-    Ok(b.build())
+    build(10, |edges| {
+        for u in 0..5 {
+            // Outer pentagon, spoke, inner pentagram.
+            edges.push((u, (u + 1) % 5));
+            edges.push((u, u + 5));
+            edges.push((5 + u, 5 + (u + 2) % 5));
+        }
+    })
 }
 
 /// A complete binary tree on `n` nodes (heap indexing) with `extra` additional
 /// random non-tree edges, seeded.
 pub fn binary_tree_plus(n: usize, extra: usize, seed: u64) -> Result<Graph> {
     require(n >= 1, "binary tree needs at least one node")?;
-    let mut b = GraphBuilder::new(n);
-    for u in 1..n {
-        b.add_edge(NodeId::new(u), NodeId::new((u - 1) / 2))?;
-    }
-    add_random_extra_edges(&mut b, extra, seed)?;
-    Ok(b.build())
+    build_set(n, |edges| {
+        edges.extend((1..n).map(|u| key(u, (u - 1) / 2)));
+        add_random_extra_edges(edges, n, extra, seed);
+    })
 }
 
 /// A caterpillar: a spine path of `spine` nodes, each spine node carrying
 /// `legs` pendant leaves.
 pub fn caterpillar(spine: usize, legs: usize) -> Result<Graph> {
     require(spine >= 1, "caterpillar needs a non-empty spine")?;
-    let n = spine + spine * legs;
-    let mut b = GraphBuilder::new(n);
-    for s in 1..spine {
-        b.add_edge(NodeId::new(s - 1), NodeId::new(s))?;
-    }
-    for s in 0..spine {
-        for l in 0..legs {
-            b.add_edge(NodeId::new(s), NodeId::new(spine + s * legs + l))?;
+    let n = spine.saturating_mul(legs).saturating_add(spine);
+    build(n, |edges| {
+        edges.extend((1..spine).map(|s| (s - 1, s)));
+        for s in 0..spine {
+            edges.extend((0..legs).map(|l| (s, spine + s * legs + l)));
         }
-    }
-    Ok(b.build())
+    })
 }
 
 /// A barbell: two cliques of size `k` joined by a path of `bridge` nodes.
 pub fn barbell(k: usize, bridge: usize) -> Result<Graph> {
     require(k >= 2, "barbell cliques need at least two nodes")?;
-    let n = 2 * k + bridge;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..k {
-        for v in (u + 1)..k {
-            b.add_edge(NodeId::new(u), NodeId::new(v))?;
-            b.add_edge(NodeId::new(k + bridge + u), NodeId::new(k + bridge + v))?;
+    let n = k.saturating_mul(2).saturating_add(bridge);
+    build(n, |edges| {
+        for u in 0..k {
+            for v in (u + 1)..k {
+                edges.push((u, v));
+                edges.push((k + bridge + u, k + bridge + v));
+            }
         }
-    }
-    // Path through the bridge nodes, attached to one node of each clique.
-    let mut prev = NodeId::new(k - 1);
-    for i in 0..bridge {
-        let cur = NodeId::new(k + i);
-        b.add_edge(prev, cur)?;
-        prev = cur;
-    }
-    b.add_edge(prev, NodeId::new(k + bridge))?;
-    Ok(b.build())
+        // Path through the bridge nodes, attached to one node of each clique.
+        edges.extend((k - 1..k + bridge).map(|u| (u, u + 1)));
+    })
 }
 
 /// A lollipop: a clique of size `k` with a path of `tail` nodes hanging off it.
 pub fn lollipop(k: usize, tail: usize) -> Result<Graph> {
     require(k >= 2, "lollipop clique needs at least two nodes")?;
-    let n = k + tail;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..k {
-        for v in (u + 1)..k {
-            b.add_edge(NodeId::new(u), NodeId::new(v))?;
+    build(k.saturating_add(tail), |edges| {
+        for u in 0..k {
+            edges.extend(((u + 1)..k).map(|v| (u, v)));
         }
-    }
-    let mut prev = NodeId::new(k - 1);
-    for i in 0..tail {
-        let cur = NodeId::new(k + i);
-        b.add_edge(prev, cur)?;
-        prev = cur;
-    }
-    Ok(b.build())
+        edges.extend((k - 1..k - 1 + tail).map(|u| (u, u + 1)));
+    })
 }
 
 /// Erdős–Rényi `G(n, p)`: every pair is linked independently with probability
@@ -242,15 +198,15 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Result<Graph> {
         "edge probability must be in [0, 1]",
     )?;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen::<f64>() < p {
-                b.add_edge(NodeId::new(u), NodeId::new(v))?;
+    build(n, |edges| {
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen::<f64>() < p {
+                    edges.push((u, v));
+                }
             }
         }
-    }
-    Ok(b.build())
+    })
 }
 
 /// Erdős–Rényi `G(n, p)` conditioned on connectivity: a uniform random
@@ -263,16 +219,17 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Result<Graph> {
         "edge probability must be in [0, 1]",
     )?;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    insert_random_spanning_tree(&mut b, &mut rng)?;
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if !b.has_edge(NodeId::new(u), NodeId::new(v)) && rng.gen::<f64>() < p {
-                b.add_edge(NodeId::new(u), NodeId::new(v))?;
+    build_set(n, |edges| {
+        insert_random_spanning_tree(edges, n, &mut rng);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                // Tree edges draw no coin: the RNG stream depends on it.
+                if !edges.contains(&(u, v)) && rng.gen::<f64>() < p {
+                    edges.insert((u, v));
+                }
             }
         }
-    }
-    Ok(b.build())
+    })
 }
 
 /// A random geometric graph: `n` points in the unit square, linked when their
@@ -281,25 +238,25 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Result<Graph> {
 pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Result<Graph> {
     require(n >= 1, "geometric graph needs at least one node")?;
     require(radius > 0.0, "radius must be positive")?;
+    // The points are drawn before the build, so `n` is checked before them.
+    check_node_count(n)?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let points: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let dx = points[u].0 - points[v].0;
-            let dy = points[u].1 - points[v].1;
-            if (dx * dx + dy * dy).sqrt() <= radius {
-                b.add_edge(NodeId::new(u), NodeId::new(v))?;
+    build_set(n, |edges| {
+        for u in 0..n {
+            for v in (u + 1)..n {
+                let dx = points[u].0 - points[v].0;
+                let dy = points[u].1 - points[v].1;
+                if (dx * dx + dy * dy).sqrt() <= radius {
+                    edges.insert((u, v));
+                }
             }
         }
-    }
-    // Connect by chaining points in x order (a plausible backbone).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &c| points[a].0.partial_cmp(&points[c].0).unwrap());
-    for w in order.windows(2) {
-        b.add_edge_idempotent(NodeId::new(w[0]), NodeId::new(w[1]))?;
-    }
-    Ok(b.build())
+        // Connect by chaining points in x order (a plausible backbone).
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &c| points[a].0.total_cmp(&points[c].0));
+        edges.extend(order.windows(2).map(|w| key(w[0], w[1])));
+    })
 }
 
 /// A random connected graph: a random spanning tree plus `extra` additional
@@ -308,10 +265,10 @@ pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Result<Gr
 pub fn random_connected(n: usize, extra: usize, seed: u64) -> Result<Graph> {
     require(n >= 1, "random connected graph needs at least one node")?;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    insert_random_spanning_tree(&mut b, &mut rng)?;
-    add_random_extra_edges(&mut b, extra, rng.gen())?;
-    Ok(b.build())
+    build_set(n, |edges| {
+        insert_random_spanning_tree(edges, n, &mut rng);
+        add_random_extra_edges(edges, n, extra, rng.gen());
+    })
 }
 
 /// A random graph whose *every* spanning tree has high degree: a "broom"
@@ -320,16 +277,14 @@ pub fn random_connected(n: usize, extra: usize, seed: u64) -> Result<Graph> {
 pub fn high_optimum(branches: usize, branch_len: usize) -> Result<Graph> {
     require(branches >= 2, "high_optimum needs at least two branches")?;
     require(branch_len >= 1, "branches must be non-empty")?;
-    let n = 1 + branches * branch_len;
-    let mut b = GraphBuilder::new(n);
-    for br in 0..branches {
-        let base = 1 + br * branch_len;
-        b.add_edge(NodeId(0), NodeId::new(base))?;
-        for i in 1..branch_len {
-            b.add_edge(NodeId::new(base + i - 1), NodeId::new(base + i))?;
+    let n = branches.saturating_mul(branch_len).saturating_add(1);
+    build(n, |edges| {
+        for br in 0..branches {
+            let base = 1 + br * branch_len;
+            edges.push((0, base));
+            edges.extend((1..branch_len).map(|i| (base + i - 1, base + i)));
         }
-    }
-    Ok(b.build())
+    })
 }
 
 fn require(cond: bool, msg: &str) -> Result<()> {
@@ -340,51 +295,71 @@ fn require(cond: bool, msg: &str) -> Result<()> {
     }
 }
 
-/// Inserts a uniform-ish random spanning tree into `b`: nodes are shuffled and
-/// each node (after the first) attaches to a uniformly random earlier node.
-fn insert_random_spanning_tree(b: &mut GraphBuilder, rng: &mut SmallRng) -> Result<()> {
-    let n = b.node_count();
+/// Builds the graph on `n` nodes whose distinct edges `emit` pushes. `n` is
+/// checked against the identity space before any edge is generated, so an
+/// oversized request fails at once instead of looping.
+fn build(n: usize, emit: impl FnOnce(&mut Vec<(usize, usize)>)) -> Result<Graph> {
+    check_node_count(n)?;
+    let mut edges = Vec::new();
+    emit(&mut edges);
+    graph_from_edges(n, &edges)
+}
+
+/// [`build`] for the rejection-sampling families, whose RNG draws depend on
+/// whether an edge is already present: `emit` fills a set of `(min, max)`
+/// pairs.
+fn build_set(n: usize, emit: impl FnOnce(&mut BTreeSet<(usize, usize)>)) -> Result<Graph> {
+    check_node_count(n)?;
+    let mut edges = BTreeSet::new();
+    emit(&mut edges);
+    graph_from_edges(n, &edges.into_iter().collect::<Vec<_>>())
+}
+
+/// The set key of the undirected edge `(u, v)`.
+fn key(u: usize, v: usize) -> (usize, usize) {
+    (u.min(v), u.max(v))
+}
+
+/// Inserts a uniform-ish random spanning tree into `edges`: nodes are
+/// shuffled and each node (after the first) attaches to a uniformly random
+/// earlier node.
+fn insert_random_spanning_tree(edges: &mut BTreeSet<(usize, usize)>, n: usize, rng: &mut SmallRng) {
     if n <= 1 {
-        return Ok(());
+        return;
     }
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
     for i in 1..n {
         let j = rng.gen_range(0..i);
-        b.add_edge_idempotent(NodeId::new(order[i]), NodeId::new(order[j]))?;
+        edges.insert(key(order[i], order[j]));
     }
-    Ok(())
 }
 
 /// Adds up to `extra` random non-tree edges (sampling with rejection, bounded
 /// attempts so dense graphs cannot loop forever).
-fn add_random_extra_edges(b: &mut GraphBuilder, extra: usize, seed: u64) -> Result<()> {
-    let n = b.node_count();
+fn add_random_extra_edges(edges: &mut BTreeSet<(usize, usize)>, n: usize, extra: usize, seed: u64) {
     if n < 2 {
-        return Ok(());
+        return;
     }
     let mut rng = SmallRng::seed_from_u64(seed);
     let max_edges = n * (n - 1) / 2;
     let mut added = 0;
     let mut attempts = 0;
-    while added < extra && b.edge_count() < max_edges && attempts < 20 * extra + 100 {
+    while added < extra && edges.len() < max_edges && attempts < 20 * extra + 100 {
         attempts += 1;
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
-        if u == v {
-            continue;
-        }
-        if b.add_edge_idempotent(NodeId::new(u), NodeId::new(v))? {
+        if u != v && edges.insert(key(u, v)) {
             added += 1;
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms;
+    use crate::node::NodeId;
 
     #[test]
     fn complete_graph_counts() {
@@ -555,5 +530,27 @@ mod tests {
         assert!(gnp(0, 0.5, 1).is_err());
         assert!(high_optimum(1, 2).is_err());
         assert!(random_geometric_connected(5, 0.0, 1).is_err());
+    }
+
+    #[test]
+    fn oversized_node_counts_are_rejected_before_any_edge() {
+        // Every count here is above 2³², so the builder's node check fires
+        // before a single edge (or byte of edge storage) is generated.
+        let too_large =
+            |g: Result<Graph>| matches!(g, Err(GraphError::TooLarge { what: "nodes", .. }));
+        let past = u32::MAX as usize + 2;
+        assert!(too_large(path(past)));
+        assert!(too_large(complete(past)));
+        assert!(too_large(gnp(past, 0.5, 1)));
+        assert!(too_large(random_connected(past, 1, 1)));
+        assert!(too_large(random_geometric_connected(past, 0.1, 1)));
+        // Products and sums that overflow `usize` saturate into the same check.
+        assert!(too_large(grid(1 << 33, 1 << 33)));
+        assert!(too_large(grid(usize::MAX, 2)));
+        assert!(too_large(caterpillar(1 << 33, usize::MAX)));
+        assert!(too_large(barbell(usize::MAX / 2 + 1, 1)));
+        assert!(too_large(lollipop(usize::MAX, 1)));
+        assert!(too_large(complete_bipartite(usize::MAX, 1)));
+        assert!(too_large(high_optimum(1 << 33, 1 << 33)));
     }
 }

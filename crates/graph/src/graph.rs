@@ -33,10 +33,11 @@
 //! `&[NodeId]` slices ([`Graph::neighbor_slice`]), so no runtime ever has to
 //! re-materialise per-node neighbour vectors before a run.
 //!
-//! Graphs arrive from two builders with one shared finishing path
-//! ([`GraphBuilder`] for in-memory construction, [`StreamingBuilder`] for
-//! two-pass streaming ingestion of on-disk edge streams); both produce
-//! byte-identical layouts for the same edge set.
+//! Every graph is assembled by one builder, [`StreamingBuilder`]: a two-pass
+//! counting sort of an edge stream into exactly-sized CSR rows. File readers
+//! replay their input for the two passes; in-memory callers (generators,
+//! subgraphs, deserialisation, tests) replay a slice through
+//! [`graph_from_edges`].
 
 use crate::error::GraphError;
 use crate::node::NodeId;
@@ -45,7 +46,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 
 /// Stable identifier of an undirected edge: the lexicographic rank of its
-/// `(min, max)` endpoint pair. Stored as `u32` — the builders reject graphs
+/// `(min, max)` endpoint pair. Stored as `u32` — the builder rejects graphs
 /// whose incidence count would overflow the 32-bit layout with
 /// [`GraphError::TooLarge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -91,11 +92,6 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Most edges a graph may hold: the incidence arrays store `2·|E|`
-    /// entries indexed by `u32`, so `|E|` is capped at `⌊(2³² − 1) / 2⌋`.
-    /// Both builders reject the cap with [`GraphError::TooLarge`].
-    pub const MAX_EDGES: usize = (u32::MAX / 2) as usize;
-
     /// Creates an empty graph with `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
         Graph {
@@ -107,11 +103,10 @@ impl Graph {
     }
 
     /// Assembles a graph from fully placed CSR rows (each row sorted by
-    /// neighbour identity, symmetric, duplicate-free). This is the single
-    /// finishing path shared by [`GraphBuilder::build`] and
-    /// [`StreamingBuilder`]: it derives `first_edge` from the row tails and
-    /// fills `edge_ids` in one ordered sweep, so both builders produce
-    /// byte-identical layouts.
+    /// neighbour identity, symmetric, duplicate-free). This is the finishing
+    /// step of [`StreamingBuilder`]: it derives `first_edge` from the row
+    /// tails and fills `edge_ids` in one ordered sweep, so equal edge sets
+    /// always produce byte-identical layouts.
     ///
     /// The sweep exploits the lexicographic identifier order twice over: row
     /// `u`'s *tail* (neighbours `> u`) lists the edges with minimum endpoint
@@ -321,19 +316,18 @@ impl Graph {
     /// the mapping `new index -> old identity`.
     pub fn induced_subgraph(&self, keep: &BTreeSet<NodeId>) -> (Graph, Vec<NodeId>) {
         let old_of_new: Vec<NodeId> = keep.iter().copied().collect();
-        let mut new_of_old = vec![u32::MAX; self.node_count()];
+        let mut new_of_old = vec![usize::MAX; self.node_count()];
         for (new, &old) in old_of_new.iter().enumerate() {
-            new_of_old[old.index()] = new as u32;
+            new_of_old[old.index()] = new;
         }
-        let mut builder = GraphBuilder::new(old_of_new.len());
-        for (u, v) in self.edges() {
-            if keep.contains(&u) && keep.contains(&v) {
-                builder
-                    .add_edge(NodeId(new_of_old[u.index()]), NodeId(new_of_old[v.index()]))
-                    .expect("induced edges are valid and unique");
-            }
-        }
-        (builder.build(), old_of_new)
+        let edges: Vec<(usize, usize)> = self
+            .edges()
+            .map(|(u, v)| (new_of_old[u.index()], new_of_old[v.index()]))
+            .filter(|&(u, v)| u != usize::MAX && v != usize::MAX)
+            .collect();
+        let sub =
+            graph_from_edges(old_of_new.len(), &edges).expect("induced edges are valid and unique");
+        (sub, old_of_new)
     }
 }
 
@@ -359,144 +353,9 @@ impl Deserialize for Graph {
             .as_object()
             .ok_or_else(|| serde::Error::custom("expected graph object"))?;
         let n: usize = serde::field(obj, "n")?;
-        let edges: Vec<(u32, u32)> = serde::field(obj, "edges")?;
-        let mut b = GraphBuilder::new(n);
-        for (u, v) in edges {
-            b.add_edge(NodeId(u), NodeId(v))
-                .map_err(|e| serde::Error::custom(format!("invalid graph edge: {e}")))?;
-        }
-        Ok(b.build())
-    }
-}
-
-/// Incremental builder for [`Graph`].
-///
-/// The builder enforces the model's structural constraints (no self loops, no
-/// parallel edges, identifiers in range, incidence count within the 32-bit
-/// layout) as edges are added, so [`GraphBuilder::build`] itself cannot fail
-/// and assembles the CSR arrays directly — no intermediate per-node vectors.
-///
-/// Duplicate-edge semantics (shared, by contract and by test, with
-/// [`StreamingBuilder`]): [`GraphBuilder::add_edge`] *rejects* a repeated
-/// undirected edge with [`GraphError::DuplicateEdge`], while
-/// [`GraphBuilder::add_edge_idempotent`] *merges* it — repeated mentions of
-/// `(u, v)` in either orientation collapse to a single edge. The streaming
-/// builder's [`StreamingBuilder::finish`] implements exactly the merge
-/// semantics, and its [`StreamingBuilder::finish_symmetric`] exactly the
-/// reject semantics.
-#[derive(Debug, Clone)]
-pub struct GraphBuilder {
-    n: usize,
-    edges: BTreeSet<(NodeId, NodeId)>,
-}
-
-impl GraphBuilder {
-    /// Starts a builder for a graph on `n` nodes.
-    pub fn new(n: usize) -> Self {
-        debug_assert!(
-            n as u64 <= u32::MAX as u64 + 1,
-            "node count {n} overflows the 32-bit identity space"
-        );
-        GraphBuilder {
-            n,
-            edges: BTreeSet::new(),
-        }
-    }
-
-    /// Number of nodes of the graph being built.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Number of edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the undirected edge `(u, v)` has already been added.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges.contains(&key)
-    }
-
-    /// Adds the undirected edge `(u, v)`.
-    ///
-    /// Errors on out-of-range endpoints, self loops, duplicates, and on the
-    /// [`Graph::MAX_EDGES`] capacity of the 32-bit CSR layout.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<()> {
-        if u.index() >= self.n {
-            return Err(GraphError::NodeOutOfRange {
-                node: u,
-                node_count: self.n,
-            });
-        }
-        if v.index() >= self.n {
-            return Err(GraphError::NodeOutOfRange {
-                node: v,
-                node_count: self.n,
-            });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        if self.edges.len() >= Graph::MAX_EDGES {
-            return Err(GraphError::TooLarge {
-                what: "edges",
-                count: self.edges.len() as u64 + 1,
-                limit: Graph::MAX_EDGES as u64,
-            });
-        }
-        let key = if u < v { (u, v) } else { (v, u) };
-        if !self.edges.insert(key) {
-            return Err(GraphError::DuplicateEdge(key.0, key.1));
-        }
-        Ok(())
-    }
-
-    /// Adds the edge if it is not already present; ignores duplicates but still
-    /// rejects self loops and out-of-range endpoints.
-    pub fn add_edge_idempotent(&mut self, u: NodeId, v: NodeId) -> Result<bool> {
-        if self.has_edge(u, v) {
-            // Still validate endpoints so silent no-ops cannot hide bugs.
-            if u.index() >= self.n || v.index() >= self.n {
-                return Err(GraphError::NodeOutOfRange {
-                    node: if u.index() >= self.n { u } else { v },
-                    node_count: self.n,
-                });
-            }
-            return Ok(false);
-        }
-        self.add_edge(u, v)?;
-        Ok(true)
-    }
-
-    /// Finalises the graph, assembling the CSR arrays in two passes: a degree
-    /// count, then a single placement sweep over the lexicographically sorted
-    /// edge set.
-    ///
-    /// Each row comes out sorted without a per-row sort: for row `w`, the
-    /// neighbours `x < w` arrive from edges `(x, w)` in increasing `x` (every
-    /// such edge precedes any `(w, ·)` edge lexicographically), and the
-    /// neighbours `y > w` arrive from edges `(w, y)` in increasing `y`.
-    pub fn build(self) -> Graph {
-        let n = self.n;
-        let mut offsets = vec![0u32; n + 1];
-        for &(u, v) in &self.edges {
-            offsets[u.index() + 1] += 1;
-            offsets[v.index() + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut targets = vec![NodeId(0); 2 * self.edges.len()];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for (u, v) in self.edges {
-            targets[cursor[u.index()] as usize] = v;
-            cursor[u.index()] += 1;
-            targets[cursor[v.index()] as usize] = u;
-            cursor[v.index()] += 1;
-        }
-        Graph::from_sorted_rows(offsets, targets)
+        let edges: Vec<(usize, usize)> = serde::field(obj, "edges")?;
+        graph_from_edges(n, &edges)
+            .map_err(|e| serde::Error::custom(format!("invalid graph edge: {e}")))
     }
 }
 
@@ -514,12 +373,10 @@ impl GraphBuilder {
 ///    offsets and allocates the target array;
 /// 3. **Pass 2** — replay the *same* stream through
 ///    [`StreamingBuilder::place_edge`] / [`StreamingBuilder::place_arc`];
-/// 4. [`StreamingBuilder::finish`] (undirected streams; duplicate edges are
-///    merged, matching [`GraphBuilder::add_edge_idempotent`]) or
-///    [`StreamingBuilder::finish_symmetric`] (arc streams; duplicates are
-///    rejected like [`GraphBuilder::add_edge`], and asymmetric mentions are
-///    reported) — sorts each row, applies the duplicate policy, and assembles
-///    the same compact layout [`GraphBuilder::build`] produces.
+/// 4. [`StreamingBuilder::finish`] (duplicate edges are merged) or
+///    [`StreamingBuilder::finish_symmetric`] (duplicates are rejected, and
+///    arcs without their reciprocal are reported) — sorts each row, applies
+///    the duplicate policy, and hands the rows to the one CSR finishing step.
 ///
 /// The two passes must replay identical streams: a stream that counts and
 /// places different incidences is reported as
@@ -545,17 +402,11 @@ pub struct StreamingBuilder {
 impl StreamingBuilder {
     /// Starts a streaming build for a graph on `n` nodes.
     ///
-    /// Unlike [`GraphBuilder::new`] this is fallible: streaming inputs carry
-    /// their node count in-band (file headers), so an absurd count must be a
-    /// typed error, not a debug assertion.
+    /// Fallible because node counts arrive from outside (file headers,
+    /// scenario specs): an absurd count is a typed error, raised before any
+    /// allocation.
     pub fn new(n: usize) -> Result<Self> {
-        if n as u64 > u32::MAX as u64 + 1 {
-            return Err(GraphError::TooLarge {
-                what: "nodes",
-                count: n as u64,
-                limit: u32::MAX as u64 + 1,
-            });
-        }
+        check_node_count(n)?;
         Ok(StreamingBuilder {
             n,
             offsets: vec![0; n + 1],
@@ -583,13 +434,7 @@ impl StreamingBuilder {
                 "ensure_nodes called after placement started".to_string(),
             ));
         }
-        if n as u64 > u32::MAX as u64 + 1 {
-            return Err(GraphError::TooLarge {
-                what: "nodes",
-                count: n as u64,
-                limit: u32::MAX as u64 + 1,
-            });
-        }
+        check_node_count(n)?;
         if n > self.n {
             self.n = n;
             self.offsets.resize(n + 1, 0);
@@ -630,9 +475,8 @@ impl StreamingBuilder {
     }
 
     /// Pass 1: counts the undirected edge `(u, v)` (one incidence per
-    /// endpoint). Validates endpoints exactly like [`GraphBuilder::add_edge`];
-    /// duplicates are *not* detected here — they are resolved at
-    /// [`StreamingBuilder::finish`].
+    /// endpoint). Rejects out-of-range endpoints and self loops; duplicates
+    /// are *not* detected here — they are resolved when the build finishes.
     pub fn count_edge(&mut self, u: NodeId, v: NodeId) -> Result<()> {
         if self.placing {
             return Err(GraphError::StreamingMismatch(
@@ -715,21 +559,24 @@ impl StreamingBuilder {
     /// [`StreamingBuilder::count_edge`] / [`StreamingBuilder::place_edge`]).
     ///
     /// Duplicate edges — repeated mentions of the same pair in either
-    /// orientation — are **merged**, the exact semantics of
-    /// [`GraphBuilder::add_edge_idempotent`] (pinned by a shared test). Both
-    /// sides of a duplicate were placed symmetrically, so merging adjacent
-    /// equal targets per sorted row keeps the graph symmetric.
+    /// orientation — are **merged**: the result is the graph of the
+    /// deduplicated `(min, max)` edge set. Both sides of a duplicate were
+    /// placed symmetrically, so merging adjacent equal targets per sorted row
+    /// keeps the graph symmetric.
     pub fn finish(self) -> Result<Graph> {
         self.into_graph(true, false)
     }
 
-    /// Finishes a directed-mention stream (built with
-    /// [`StreamingBuilder::count_arc`] / [`StreamingBuilder::place_arc`]).
+    /// Finishes a stream whose duplicates are errors: a directed-mention
+    /// stream (built with [`StreamingBuilder::count_arc`] /
+    /// [`StreamingBuilder::place_arc`]), or an undirected one whose edges
+    /// must be distinct, as in [`graph_from_edges`].
     ///
     /// Duplicate mentions are **rejected** with
-    /// [`GraphError::DuplicateEdge`], matching [`GraphBuilder::add_edge`],
-    /// and every mention must have its reciprocal — an `u → v` without
-    /// `v → u` is reported as [`GraphError::AsymmetricAdjacency`].
+    /// [`GraphError::DuplicateEdge`], and every mention must have its
+    /// reciprocal — an `u → v` without `v → u` is reported as
+    /// [`GraphError::AsymmetricAdjacency`] (undirected edges are placed in
+    /// both rows, so they always pass).
     pub fn finish_symmetric(self) -> Result<Graph> {
         self.into_graph(false, true)
     }
@@ -800,16 +647,47 @@ impl StreamingBuilder {
     }
 }
 
-/// Builds a graph directly from an edge list over `n` nodes.
-///
-/// Convenience for tests and examples; duplicate edges and self loops are
-/// rejected exactly as by [`GraphBuilder::add_edge`].
-pub fn graph_from_edges(n: usize, edge_list: &[(usize, usize)]) -> Result<Graph> {
-    let mut b = GraphBuilder::new(n);
-    for &(u, v) in edge_list {
-        b.add_edge(NodeId::new(u), NodeId::new(v))?;
+/// Rejects node counts the 32-bit identity space cannot address.
+pub(crate) fn check_node_count(n: usize) -> Result<()> {
+    if n as u64 > u32::MAX as u64 + 1 {
+        return Err(GraphError::TooLarge {
+            what: "nodes",
+            count: n as u64,
+            limit: u32::MAX as u64 + 1,
+        });
     }
-    Ok(b.build())
+    Ok(())
+}
+
+/// Builds a graph from an edge list over `n` nodes by replaying the slice as
+/// the two passes of a [`StreamingBuilder`].
+///
+/// This is the in-memory entry point (generators, subgraphs,
+/// deserialisation, tests). Node counts past the 32-bit identity space,
+/// out-of-range endpoints, self loops and repeated edges (in either
+/// orientation) are typed errors.
+pub fn graph_from_edges(n: usize, edge_list: &[(usize, usize)]) -> Result<Graph> {
+    let mut builder = StreamingBuilder::new(n)?;
+    // Endpoints are range-checked as `usize`, so none is truncated into a
+    // valid identity on its way to a `NodeId`.
+    let node = |u: usize| {
+        if u < n {
+            Ok(NodeId::new(u))
+        } else {
+            Err(GraphError::NodeOutOfRange {
+                node: NodeId(u.min(u32::MAX as usize) as u32),
+                node_count: n,
+            })
+        }
+    };
+    for &(u, v) in edge_list {
+        builder.count_edge(node(u)?, node(v)?)?;
+    }
+    builder.start_placement()?;
+    for &(u, v) in edge_list {
+        builder.place_edge(NodeId::new(u), NodeId::new(v))?;
+    }
+    builder.finish_symmetric()
 }
 
 #[cfg(test)]
@@ -827,38 +705,32 @@ mod tests {
 
     #[test]
     fn builder_rejects_self_loops() {
-        let mut b = GraphBuilder::new(3);
         assert_eq!(
-            b.add_edge(NodeId(1), NodeId(1)),
+            graph_from_edges(3, &[(0, 1), (1, 1)]),
             Err(GraphError::SelfLoop(NodeId(1)))
         );
     }
 
     #[test]
     fn builder_rejects_duplicates_in_both_orientations() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(NodeId(0), NodeId(1)).unwrap();
-        assert!(matches!(
-            b.add_edge(NodeId(1), NodeId(0)),
-            Err(GraphError::DuplicateEdge(_, _))
-        ));
+        assert_eq!(
+            graph_from_edges(3, &[(0, 1), (1, 2), (1, 0)]),
+            Err(GraphError::DuplicateEdge(NodeId(0), NodeId(1)))
+        );
     }
 
     #[test]
     fn builder_rejects_out_of_range() {
-        let mut b = GraphBuilder::new(3);
         assert!(matches!(
-            b.add_edge(NodeId(0), NodeId(3)),
+            graph_from_edges(3, &[(0, 3)]),
             Err(GraphError::NodeOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn idempotent_insert_reports_novelty() {
-        let mut b = GraphBuilder::new(3);
-        assert!(b.add_edge_idempotent(NodeId(0), NodeId(1)).unwrap());
-        assert!(!b.add_edge_idempotent(NodeId(1), NodeId(0)).unwrap());
-        assert_eq!(b.edge_count(), 1);
+        // An endpoint past the 32-bit identity space must not wrap into a
+        // valid node (4294967297 truncates to 1).
+        assert!(matches!(
+            graph_from_edges(3, &[(u32::MAX as usize + 2, 0)]),
+            Err(GraphError::NodeOutOfRange { node_count: 3, .. })
+        ));
     }
 
     #[test]
@@ -983,15 +855,10 @@ mod tests {
     #[test]
     fn streaming_and_idempotent_builder_share_dedupe_semantics() {
         // The pinned contract: a stream with duplicate mentions (in both
-        // orientations) finishes to exactly the graph the in-memory builder
-        // produces under `add_edge_idempotent`.
+        // orientations) finishes to exactly the graph of its deduplicated
+        // `(min, max)` edge set.
         let mentions = [(0usize, 1usize), (1, 0), (0, 1), (2, 1), (1, 2), (3, 0)];
-        let mut b = GraphBuilder::new(4);
-        for &(u, v) in &mentions {
-            b.add_edge_idempotent(NodeId::new(u), NodeId::new(v))
-                .unwrap();
-        }
-        let reference = b.build();
+        let reference = graph_from_edges(4, &[(0, 1), (0, 3), (1, 2)]).unwrap();
         let mut s = StreamingBuilder::new(4).unwrap();
         for &(u, v) in &mentions {
             s.count_edge(NodeId::new(u), NodeId::new(v)).unwrap();
@@ -1089,6 +956,10 @@ mod tests {
     fn streaming_rejects_oversized_node_counts() {
         assert!(matches!(
             StreamingBuilder::new(u32::MAX as usize + 2),
+            Err(GraphError::TooLarge { what: "nodes", .. })
+        ));
+        assert!(matches!(
+            graph_from_edges(u32::MAX as usize + 2, &[]),
             Err(GraphError::TooLarge { what: "nodes", .. })
         ));
     }

@@ -39,7 +39,7 @@ pub mod node;
 pub mod tree;
 
 pub use error::GraphError;
-pub use graph::{EdgeId, Graph, GraphBuilder, StreamingBuilder};
+pub use graph::{EdgeId, Graph, StreamingBuilder};
 pub use node::NodeId;
 pub use tree::RootedTree;
 

@@ -401,12 +401,10 @@ impl RootedTree {
 
     /// Converts the tree into an undirected [`Graph`] on the same node set.
     pub fn to_graph(&self) -> Graph {
-        let mut b = crate::graph::GraphBuilder::new(self.node_count());
-        for (u, v) in self.edges() {
-            b.add_edge(u, v)
-                .expect("tree edges are simple and in range");
-        }
-        b.build()
+        let edges: Vec<(usize, usize)> =
+            self.edges().map(|(u, v)| (u.index(), v.index())).collect();
+        crate::graph::graph_from_edges(self.node_count(), &edges)
+            .expect("tree edges are simple and in range")
     }
 
     /// The fragments obtained by removing node `p` from the tree: one set of

@@ -1,11 +1,12 @@
 //! Property tests pinning the CSR [`Graph`] to the observational semantics of
 //! the original `Vec<Vec<(NodeId, EdgeId)>>` adjacency representation: for
-//! any edge set a [`GraphBuilder`] accepts, the CSR structure must present
+//! any edge set [`graph_from_edges`] accepts, the CSR structure must present
 //! sorted neighbour rows, a symmetric relation, stable lexicographic
 //! [`EdgeId`]s and self-consistent degrees — the exact contract every
 //! executor and protocol was written against.
 
-use mdst_graph::{EdgeId, Graph, GraphBuilder, NodeId};
+use mdst_graph::graph::graph_from_edges;
+use mdst_graph::{EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -37,7 +38,7 @@ fn edge_sets() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
 /// the pre-CSR `Graph` built them.
 fn reference_adjacency(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<(NodeId, EdgeId)>> {
     // Edge ids are the lexicographic rank of the normalised (u, v) pair —
-    // the documented stability contract of `GraphBuilder::build`.
+    // the documented stability contract of `EdgeId`.
     let mut normalised: Vec<(usize, usize)> =
         edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
     normalised.sort_unstable();
@@ -53,13 +54,7 @@ fn reference_adjacency(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<(NodeId, E
 }
 
 fn build(n: usize, edges: &[(usize, usize)]) -> Graph {
-    let mut builder = GraphBuilder::new(n);
-    for &(u, v) in edges {
-        builder
-            .add_edge(NodeId::new(u), NodeId::new(v))
-            .expect("unique simple edge");
-    }
-    builder.build()
+    graph_from_edges(n, edges).expect("unique simple edges")
 }
 
 proptest! {

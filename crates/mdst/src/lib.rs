@@ -115,8 +115,9 @@ pub mod prelude {
         blocked_max_degree_nodes, is_locally_optimal_for, survivor_report, verify_spanning_tree,
         verify_termination_certificate, SurvivorReport,
     };
+    pub use mdst_graph::graph::graph_from_edges;
     pub use mdst_graph::{algorithms, degree::DegreeStats, dot, generators};
-    pub use mdst_graph::{Graph, GraphBuilder, GraphError, NodeId, RootedTree, StreamingBuilder};
+    pub use mdst_graph::{Graph, GraphError, NodeId, RootedTree, StreamingBuilder};
     pub use mdst_netsim::{
         Context, ControlledEvent, ControlledNet, CrashAt, CutAt, DelayModel, ExecConfig, ExecRun,
         ExecStatus, Executor, ExecutorKind, FaultPlan, Metrics, NetMessage, PoolConfig, PoolRun,

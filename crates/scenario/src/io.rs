@@ -29,14 +29,14 @@
 //! inferred from the extension *under* the `.gz`, so `web.mtx.gz` is a
 //! gzipped MatrixMarket file.
 //!
-//! The edge-list, METIS and MatrixMarket readers **stream**: two passes over
-//! the input (count degrees, then place edges into exactly-sized CSR rows)
-//! build the compact layout without ever materialising an intermediate edge
-//! vector — and gzipped inputs inflate chunk by chunk through the
-//! incremental decoder, so a million-edge `.el.gz` costs its finished graph
-//! plus fixed-size buffers, not its inflated text.
+//! All four readers **stream**: two passes over the input (count degrees,
+//! then place edges into exactly-sized CSR rows) build the compact layout
+//! without ever materialising an intermediate edge vector — and gzipped
+//! inputs inflate chunk by chunk through the incremental decoder, so a
+//! million-edge `.el.gz` costs its finished graph plus fixed-size buffers,
+//! not its inflated text.
 
-use mdst_graph::{Graph, GraphBuilder, GraphError, NodeId, StreamingBuilder};
+use mdst_graph::{Graph, GraphError, NodeId, StreamingBuilder};
 use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
@@ -281,99 +281,170 @@ pub fn to_edge_list(graph: &Graph) -> String {
 
 /// Parses a DIMACS graph (`p edge n m`, `e u v` with 1-based endpoints).
 pub fn parse_dimacs(input: &str) -> Result<Graph, IoError> {
-    let mut builder: Option<GraphBuilder> = None;
-    let mut declared_edges = 0usize;
-    let mut seen_edges = 0usize;
-    for (idx, raw) in input.lines().enumerate() {
-        let line_no = idx + 1;
+    stream_dimacs(|| Ok(input.as_bytes()))
+}
+
+/// One event of a DIMACS scan, in file order.
+enum DimacsEvent {
+    /// The problem line was parsed; the graph has `n` nodes.
+    Problem {
+        /// Declared node count.
+        n: usize,
+    },
+    /// An edge line `e u v`, as 0-based endpoints already checked against
+    /// the declared node count.
+    Edge {
+        /// First endpoint.
+        u: usize,
+        /// Second endpoint.
+        v: usize,
+    },
+}
+
+/// What a DIMACS scan learns beyond the edges themselves.
+struct DimacsScan {
+    /// Edge count the problem line declares.
+    m: usize,
+    /// Edge lines in the body.
+    lines: usize,
+}
+
+/// Parses one endpoint of an edge line as a 1-based `usize`, checked against
+/// the declared node count before it can become a `NodeId`.
+fn dimacs_endpoint(token: Option<&str>, n: usize, line_no: usize) -> Result<usize, IoError> {
+    let Some(v) = token.and_then(|t| t.parse::<usize>().ok()) else {
+        return parse_err(line_no, "edge line needs two endpoints");
+    };
+    if v == 0 {
+        return parse_err(line_no, "DIMACS endpoints are 1-based");
+    }
+    if v > n {
+        return parse_err(line_no, format!("endpoint {v} out of range 1..={n}"));
+    }
+    Ok(v - 1)
+}
+
+/// Parses a DIMACS file, driving `f` with the problem line and every edge
+/// line. All per-line validation (line types, problem-line shape, endpoint
+/// ranges, self loops) lives here so the two streaming passes agree exactly
+/// and every parse error carries its line number.
+fn scan_dimacs<R: BufRead>(
+    reader: R,
+    f: &mut dyn FnMut(DimacsEvent) -> Result<(), IoError>,
+) -> Result<DimacsScan, IoError> {
+    // (n, m) once the problem line is parsed.
+    let mut problem: Option<(usize, usize)> = None;
+    let mut lines = 0usize;
+    for_each_line(reader, |line_no, raw| {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('c') {
-            continue;
+            return Ok(());
         }
         let mut parts = line.split_whitespace();
         match parts.next() {
             Some("p") => {
-                if builder.is_some() {
+                if problem.is_some() {
                     return parse_err(line_no, "duplicate problem line");
                 }
                 let format = parts.next().unwrap_or("");
                 if format != "edge" && format != "sp" && format != "graph" {
                     return parse_err(line_no, format!("unsupported problem type `{format}`"));
                 }
-                let n: usize = parts
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or(IoError::Parse {
-                        line: line_no,
-                        message: "problem line needs a node count".to_string(),
-                    })?;
-                let m: usize = parts
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or(IoError::Parse {
-                        line: line_no,
-                        message: "problem line needs an edge count".to_string(),
-                    })?;
+                let mut count = |what: &str| {
+                    parts
+                        .next()
+                        .and_then(|t| t.parse::<usize>().ok())
+                        .ok_or_else(|| IoError::Parse {
+                            line: line_no,
+                            message: format!("problem line needs {what}"),
+                        })
+                };
+                let n = count("a node count")?;
+                let m = count("an edge count")?;
                 if n == 0 {
                     return parse_err(line_no, "DIMACS graph must have at least one node");
                 }
-                builder = Some(GraphBuilder::new(n));
-                declared_edges = m;
+                problem = Some((n, m));
+                f(DimacsEvent::Problem { n })
             }
             Some("e") | Some("a") => {
-                let Some(b) = builder.as_mut() else {
+                let Some((n, _)) = problem else {
                     return parse_err(line_no, "edge before problem line");
                 };
-                let u: usize = parts
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or(IoError::Parse {
-                        line: line_no,
-                        message: "edge line needs two endpoints".to_string(),
-                    })?;
-                let v: usize = parts
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or(IoError::Parse {
-                        line: line_no,
-                        message: "edge line needs two endpoints".to_string(),
-                    })?;
-                if u == 0 || v == 0 {
-                    return parse_err(line_no, "DIMACS endpoints are 1-based");
-                }
+                let u = dimacs_endpoint(parts.next(), n, line_no)?;
+                let v = dimacs_endpoint(parts.next(), n, line_no)?;
                 if u == v {
-                    return parse_err(line_no, format!("self loop `e {u} {v}` is not allowed"));
+                    return parse_err(
+                        line_no,
+                        format!("self loop `e {} {}` is not allowed", u + 1, v + 1),
+                    );
                 }
-                b.add_edge_idempotent(NodeId::new(u - 1), NodeId::new(v - 1))?;
-                seen_edges += 1;
+                lines += 1;
+                f(DimacsEvent::Edge { u, v })
             }
-            Some(other) => {
-                return parse_err(line_no, format!("unknown DIMACS line type `{other}`"));
-            }
+            Some(other) => parse_err(line_no, format!("unknown DIMACS line type `{other}`")),
             None => unreachable!("line is non-empty"),
         }
-    }
-    let Some(builder) = builder else {
+    })?;
+    let Some((_, m)) = problem else {
         // No problem line seen: either the file is empty (or comments only),
         // which gets the dedicated empty-input error, or it is plain invalid.
         return Err(IoError::Empty {
             what: "DIMACS file (no `p edge <n> <m>` problem line)",
         });
     };
+    Ok(DimacsScan { m, lines })
+}
+
+/// Streams a DIMACS file into the compact CSR layout in two passes (count,
+/// place); `open` reopens the input for each pass. Repeated edges, in
+/// either orientation, merge into one.
+pub fn stream_dimacs<R: BufRead>(
+    mut open: impl FnMut() -> Result<R, IoError>,
+) -> Result<Graph, IoError> {
+    let mut started: Option<StreamingBuilder> = None;
+    let info = scan_dimacs(open()?, &mut |event| {
+        match event {
+            DimacsEvent::Problem { n } => started = Some(StreamingBuilder::new(n)?),
+            DimacsEvent::Edge { u, v } => {
+                let Some(b) = started.as_mut() else {
+                    return Err(GraphError::StreamingMismatch(
+                        "edge before the DIMACS problem line".to_string(),
+                    )
+                    .into());
+                };
+                b.count_edge(NodeId::new(u), NodeId::new(v))?;
+            }
+        }
+        Ok(())
+    })?;
+    let Some(mut builder) = started.take() else {
+        return Err(IoError::Empty {
+            what: "DIMACS file (no `p edge <n> <m>` problem line)",
+        });
+    };
+    builder.start_placement()?;
+    scan_dimacs(open()?, &mut |event| {
+        if let DimacsEvent::Edge { u, v } = event {
+            builder.place_edge(NodeId::new(u), NodeId::new(v))?;
+        }
+        Ok(())
+    })?;
+    let graph = builder.finish()?;
     // Published DIMACS files disagree on whether `m` counts undirected edges
     // or edge *lines* (some list both orientations), so either reading is
     // accepted — anything else (truncated file, surplus lines, wrong header)
     // is an error.
-    let unique_edges = builder.edge_count();
-    if declared_edges != unique_edges && declared_edges != seen_edges {
+    let (declared, lines, distinct) = (info.m, info.lines, graph.edge_count());
+    if declared != distinct && declared != lines {
         return Err(IoError::Inconsistent {
             message: format!(
-                "problem line declares {declared_edges} edges but the file has \
-                 {seen_edges} edge lines ({unique_edges} distinct edges)"
+                "problem line declares {declared} edges but the file has \
+                 {lines} edge lines ({distinct} distinct edges)"
             ),
         });
     }
-    Ok(builder.build())
+    Ok(graph)
 }
 
 /// Renders a graph in DIMACS `edge` format.
@@ -815,8 +886,7 @@ fn scan_matrix_market<R: BufRead>(
 
 /// Streams a MatrixMarket coordinate file into the compact CSR layout in two
 /// passes (count, place); `open` reopens the input for each pass. Both
-/// orientations of an entry collapse onto one undirected edge, matching
-/// [`GraphBuilder::add_edge_idempotent`].
+/// orientations of an entry collapse onto one undirected edge.
 pub fn stream_matrix_market<R: BufRead>(
     mut open: impl FnMut() -> Result<R, IoError>,
 ) -> Result<Graph, IoError> {
@@ -920,12 +990,11 @@ fn open_lines(path: &Path) -> Result<Box<dyn BufRead>, IoError> {
 /// Loads a graph from a file, inferring the format from the extension when
 /// none is given and gunzipping transparently (by content magic, not name).
 ///
-/// Edge-list, METIS and MatrixMarket files are **streamed** into the compact
-/// CSR layout in two passes over the file — the file content, inflated or
-/// not, is never held in memory, so peak usage is the finished graph plus
-/// fixed-size decode buffers. Gzipped inputs are decompressed twice (once
-/// per pass), trading CPU for the memory bound. DIMACS still loads through
-/// the buffered parser (its gzip layer streams all the same).
+/// Every format is **streamed** into the compact CSR layout in two passes
+/// over the file — the file content, inflated or not, is never held in
+/// memory, so peak usage is the finished graph plus fixed-size decode
+/// buffers. Gzipped inputs are decompressed twice (once per pass), trading
+/// CPU for the memory bound.
 pub fn load_graph(path: impl AsRef<Path>, format: Option<GraphFormat>) -> Result<Graph, IoError> {
     let path = path.as_ref();
     let format = format.unwrap_or_else(|| GraphFormat::from_path(path));
@@ -933,14 +1002,7 @@ pub fn load_graph(path: impl AsRef<Path>, format: Option<GraphFormat>) -> Result
         GraphFormat::EdgeList => stream_edge_list(|| open_lines(path)),
         GraphFormat::Metis => stream_metis(|| open_lines(path)),
         GraphFormat::MatrixMarket => stream_matrix_market(|| open_lines(path)),
-        GraphFormat::Dimacs => {
-            use std::io::Read;
-            let mut content = String::new();
-            open_lines(path)?
-                .read_to_string(&mut content)
-                .map_err(|e| IoError::Io(format!("{}: {e}", path.display())))?;
-            parse_dimacs(&content)
-        }
+        GraphFormat::Dimacs => stream_dimacs(|| open_lines(path)),
     }
 }
 
@@ -1041,6 +1103,27 @@ mod tests {
                                                                            // count are both errors when neither reading of `m` matches.
         assert!(parse_dimacs("p edge 3 1\ne 1 2\ne 2 3\n").is_err()); // surplus
         assert!(parse_dimacs("p edge 3 3\ne 1 2\ne 2 1\n").is_err()); // 3 ≠ 2 lines, ≠ 1 unique
+    }
+
+    #[test]
+    fn dimacs_range_checks_endpoints_before_they_become_node_ids() {
+        // 4294967298 − 1 would truncate to node 1 as a `u32` and parse as
+        // the edge (1, 0); it is a line-numbered range error instead.
+        let err = parse_dimacs("p edge 3 1\ne 4294967298 1\n").unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 2, .. }), "{err}");
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn dimacs_rejects_oversized_node_counts_before_allocating() {
+        let err = parse_dimacs("p edge 4294967299 0\n").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IoError::Graph(GraphError::TooLarge { what: "nodes", .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -117,6 +117,20 @@ fn malformed_files_produce_line_numbered_errors() {
 }
 
 #[test]
+fn checked_in_samples_load_to_one_graph_in_every_format() {
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
+    let load = |name: &str| {
+        mdst_scenario::io::load_graph(data.join(name), None)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let reference = load("sample.el.gz");
+    assert_eq!((reference.node_count(), reference.edge_count()), (32, 53));
+    for name in ["sample.col.gz", "sample.graph", "sample.mtx.gz"] {
+        assert_eq!(load(name), reference, "{name}");
+    }
+}
+
+#[test]
 fn format_labels_are_stable() {
     assert_eq!(GraphFormat::EdgeList.label(), "edge-list");
     assert_eq!(GraphFormat::Dimacs.label(), "dimacs");

@@ -1,10 +1,11 @@
-//! Property tests pinning the streaming two-pass loader to the legacy
-//! in-memory [`GraphBuilder`] semantics: for generated edge-list, METIS and
-//! MatrixMarket files — plain and gzipped, with comments, blank lines,
-//! isolated nodes, duplicate entries and shuffled edge order — `load_graph`
-//! must produce exactly the graph a `GraphBuilder` fed the same edges would.
+//! Property tests pinning the streaming two-pass loader to an independent
+//! reference model: for generated edge-list, DIMACS, METIS and MatrixMarket
+//! files — plain and gzipped, with comments, blank lines, isolated nodes,
+//! duplicate entries in both orientations and shuffled edge order —
+//! `load_graph` must produce exactly the sorted, deduplicated `(min, max)`
+//! edge set of the generated multiset, on the declared node count.
 
-use mdst_graph::{Graph, GraphBuilder, NodeId};
+use mdst_graph::Graph;
 use mdst_scenario::io::{load_graph, GraphFormat};
 use proptest::prelude::*;
 use std::io::Write;
@@ -53,15 +54,26 @@ fn gen_edges(n: usize, count: usize, seed: u64) -> Vec<(usize, usize)> {
     edges
 }
 
-/// The reference semantics: every edge through
-/// [`GraphBuilder::add_edge_idempotent`] on an `n`-node builder.
-fn reference(n: usize, edges: &[(usize, usize)]) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for &(u, v) in edges {
-        b.add_edge_idempotent(NodeId::new(u), NodeId::new(v))
-            .expect("generated edges are in range and loop-free");
-    }
-    b.build()
+/// The reference model, built without any graph builder: the edge
+/// multiset's `(min, max)` pairs, sorted and deduplicated.
+fn model(edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut set: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// What a loaded graph looks like next to the model: node count, edges in
+/// identifier order, and the degree sum (which catches a row that lost or
+/// gained an incidence without changing the edge iterator).
+fn observed(graph: &Graph) -> (usize, Vec<(usize, usize)>, usize) {
+    let edges = graph.edges().map(|(u, v)| (u.index(), v.index())).collect();
+    (graph.node_count(), edges, graph.degree_sum())
+}
+
+/// The observation the model predicts for an `n`-node graph.
+fn expected(n: usize, model: &[(usize, usize)]) -> (usize, Vec<(usize, usize)>, usize) {
+    (n, model.to_vec(), 2 * model.len())
 }
 
 /// Removes the twin files when the case ends — pass or panic alike.
@@ -114,19 +126,23 @@ fn render_edge_list(edges: &[(usize, usize)], seed: u64) -> String {
     out
 }
 
-/// Renders the reference graph as a METIS file with shuffled neighbour order
-/// inside each adjacency line and `%` comment lines sprinkled between lines
-/// (comments vanish; blank data lines are positional, so isolated nodes show
-/// up as exactly that — empty adjacency lines).
-fn render_metis_shuffled(graph: &Graph, seed: u64) -> String {
+/// Renders the model as an `n`-vertex METIS file with shuffled neighbour
+/// order inside each adjacency line and `%` comment lines sprinkled between
+/// lines (comments vanish; blank data lines are positional, so isolated
+/// nodes show up as exactly that — empty adjacency lines).
+fn render_metis_shuffled(n: usize, model: &[(usize, usize)], seed: u64) -> String {
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(u, v) in model {
+        rows[u].push(v + 1);
+        rows[v].push(u + 1);
+    }
     let mut state = seed;
     let mut out = String::from("% generated workload\n");
-    out.push_str(&format!("{} {}\n", graph.node_count(), graph.edge_count()));
-    for u in graph.nodes() {
+    out.push_str(&format!("{n} {}\n", model.len()));
+    for mut row in rows {
         if splitmix64(&mut state).is_multiple_of(4) {
             out.push_str("% between vertex lines\n");
         }
-        let mut row: Vec<usize> = graph.neighbors(u).map(|v| v.index() + 1).collect();
         shuffle(&mut row, splitmix64(&mut state));
         let row: Vec<String> = row.iter().map(usize::to_string).collect();
         out.push_str(&row.join(" "));
@@ -135,10 +151,47 @@ fn render_metis_shuffled(graph: &Graph, seed: u64) -> String {
     out
 }
 
+/// Renders the edge multiset as a DIMACS file: shuffled edge order, random
+/// orientation per line, some edges repeated in the opposite orientation,
+/// `c` comment lines and blank lines. The problem line's `m` counts either
+/// the edge lines or the distinct edges (the seed picks), since published
+/// files use both readings.
+fn render_dimacs(n: usize, edges: &[(usize, usize)], seed: u64) -> String {
+    let mut order: Vec<(usize, usize)> = edges.to_vec();
+    shuffle(&mut order, seed);
+    let mut state = seed ^ 0xd1ac5;
+    let mut body = String::new();
+    let mut lines = 0usize;
+    for (u, v) in order {
+        match splitmix64(&mut state) % 6 {
+            0 => body.push_str("c interleaved comment\n"),
+            1 => body.push('\n'),
+            _ => {}
+        }
+        let (a, b) = if splitmix64(&mut state).is_multiple_of(2) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        body.push_str(&format!("e {} {}\n", a + 1, b + 1));
+        lines += 1;
+        if splitmix64(&mut state).is_multiple_of(4) {
+            body.push_str(&format!("e {} {}\n", b + 1, a + 1));
+            lines += 1;
+        }
+    }
+    let m = if seed.is_multiple_of(2) {
+        lines
+    } else {
+        model(edges).len()
+    };
+    format!("c generated workload\np edge {n} {m}\n{body}")
+}
+
 /// Renders the edge multiset as a MatrixMarket coordinate file: shuffled
 /// entry order, random orientation per entry, duplicate entries kept (the
 /// declared `nnz` counts data lines, and duplicates collapse onto one
-/// undirected edge exactly like `add_edge_idempotent`), `%` comments and
+/// undirected edge), `%` comments and
 /// blank lines.
 fn render_matrix_market(n: usize, edges: &[(usize, usize)], seed: u64) -> String {
     let mut order: Vec<(usize, usize)> = edges.to_vec();
@@ -166,42 +219,55 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn streaming_edge_list_matches_graph_builder((n, count, seed) in workload()) {
+    fn streaming_edge_list_matches_the_reference_model((n, count, seed) in workload()) {
         let edges = gen_edges(n, count, seed);
         // An edge list cannot declare trailing isolated nodes: the loader
-        // discovers `max(endpoint) + 1`, so the reference builder must too.
+        // discovers `max(endpoint) + 1`, so the model must too.
         let top = edges.iter().map(|&(u, v)| u.max(v)).max().unwrap();
-        let expected = reference(top + 1, &edges);
+        let want = expected(top + 1, &model(&edges));
         let text = render_edge_list(&edges, seed);
         let (plain, gz, _guard) = write_twins(&text, "el");
         let streamed = load_graph(&plain, Some(GraphFormat::EdgeList)).expect("plain file loads");
-        prop_assert_eq!(&streamed, &expected);
+        prop_assert_eq!(observed(&streamed), want.clone());
         let inflated = load_graph(&gz, Some(GraphFormat::EdgeList)).expect("gzip twin loads");
-        prop_assert_eq!(&inflated, &expected);
+        prop_assert_eq!(observed(&inflated), want);
     }
 
     #[test]
-    fn streaming_metis_matches_graph_builder((n, count, seed) in workload()) {
+    fn streaming_dimacs_matches_the_reference_model((n, count, seed) in workload()) {
         let edges = gen_edges(n, count, seed);
-        let expected = reference(n, &edges);
-        let text = render_metis_shuffled(&expected, seed);
+        let want = expected(n, &model(&edges));
+        let text = render_dimacs(n, &edges, seed);
+        let (plain, gz, _guard) = write_twins(&text, "col");
+        let streamed = load_graph(&plain, Some(GraphFormat::Dimacs)).expect("plain file loads");
+        prop_assert_eq!(observed(&streamed), want.clone());
+        let inflated = load_graph(&gz, Some(GraphFormat::Dimacs)).expect("gzip twin loads");
+        prop_assert_eq!(observed(&inflated), want);
+    }
+
+    #[test]
+    fn streaming_metis_matches_the_reference_model((n, count, seed) in workload()) {
+        let edges = gen_edges(n, count, seed);
+        let model = model(&edges);
+        let want = expected(n, &model);
+        let text = render_metis_shuffled(n, &model, seed);
         let (plain, gz, _guard) = write_twins(&text, "graph");
         let streamed = load_graph(&plain, Some(GraphFormat::Metis)).expect("plain file loads");
-        prop_assert_eq!(&streamed, &expected);
+        prop_assert_eq!(observed(&streamed), want.clone());
         let inflated = load_graph(&gz, Some(GraphFormat::Metis)).expect("gzip twin loads");
-        prop_assert_eq!(&inflated, &expected);
+        prop_assert_eq!(observed(&inflated), want);
     }
 
     #[test]
-    fn streaming_matrix_market_matches_graph_builder((n, count, seed) in workload()) {
+    fn streaming_matrix_market_matches_the_reference_model((n, count, seed) in workload()) {
         let edges = gen_edges(n, count, seed);
-        let expected = reference(n, &edges);
+        let want = expected(n, &model(&edges));
         let text = render_matrix_market(n, &edges, seed);
         let (plain, gz, _guard) = write_twins(&text, "mtx");
         let streamed =
             load_graph(&plain, Some(GraphFormat::MatrixMarket)).expect("plain file loads");
-        prop_assert_eq!(&streamed, &expected);
+        prop_assert_eq!(observed(&streamed), want.clone());
         let inflated = load_graph(&gz, Some(GraphFormat::MatrixMarket)).expect("gzip twin loads");
-        prop_assert_eq!(&inflated, &expected);
+        prop_assert_eq!(observed(&inflated), want);
     }
 }

@@ -14,11 +14,8 @@ fn main() {
     // of its fragments are joined by a spare edge between two low-degree
     // nodes. Nodes: p = 0; fragment roots x = 1, C = 3, D = 4; E = 5 hangs
     // below x; the outgoing edge is (C, E) = (3, 5).
-    let mut builder = GraphBuilder::new(6);
-    for (u, v) in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (3, 5)] {
-        builder.add_edge(NodeId(u), NodeId(v)).unwrap();
-    }
-    let graph = Arc::new(builder.build());
+    let edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (3, 5)];
+    let graph = Arc::new(graph_from_edges(6, &edges).unwrap());
 
     // Initial spanning tree: the star around p plus node 5 under node 1.
     let parents = vec![

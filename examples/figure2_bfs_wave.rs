@@ -13,7 +13,6 @@ use mdst::prelude::*;
 fn main() {
     // Hub of degree 3 whose three branches are paths, with two spare edges
     // joining different branches deep down — the situation Figure 2 sketches.
-    let mut builder = GraphBuilder::new(10);
     let tree_edges = [
         (0, 1),
         (0, 2),
@@ -25,18 +24,14 @@ fn main() {
         (3, 6),
         (6, 9),
     ];
-    for (u, v) in tree_edges {
-        builder.add_edge(NodeId(u), NodeId(v)).unwrap();
-    }
     // Outgoing (cousin) edges between branches.
-    builder.add_edge(NodeId(7), NodeId(8)).unwrap();
-    builder.add_edge(NodeId(8), NodeId(9)).unwrap();
-    let graph = Arc::new(builder.build());
+    let cousin_edges = [(7, 8), (8, 9)];
+    let graph = Arc::new(graph_from_edges(10, &[&tree_edges[..], &cousin_edges].concat()).unwrap());
 
     let initial = RootedTree::from_edges(
         10,
         NodeId(0),
-        &tree_edges.map(|(u, v)| (NodeId(u), NodeId(v))),
+        &tree_edges.map(|(u, v)| (NodeId::new(u), NodeId::new(v))),
     )
     .unwrap();
     println!("initial tree (degree {}):", initial.max_degree());
