@@ -1127,6 +1127,45 @@ mod tests {
     }
 
     #[test]
+    fn headers_without_edges_load_as_isolated_nodes() {
+        let banner = "%%MatrixMarket matrix coordinate pattern general\n";
+        for (what, graph) in [
+            ("dimacs", parse_dimacs("p edge 3 0\n")),
+            ("metis", parse_metis("3 0\n\n\n\n")),
+            ("mm", parse_matrix_market(&format!("{banner}3 3 0\n"))),
+            (
+                "mm diagonal",
+                parse_matrix_market(&format!("{banner}3 3 1\n2 2\n")),
+            ),
+        ] {
+            let g = graph.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!((g.node_count(), g.edge_count()), (3, 0), "{what}");
+        }
+    }
+
+    #[test]
+    fn edge_list_of_comments_only_is_empty() {
+        let err = parse_edge_list("# a\n% b\n\n   # c\n").unwrap_err();
+        assert!(matches!(err, IoError::Empty { what: "edge list" }), "{err}");
+    }
+
+    #[test]
+    fn edge_list_endpoints_past_the_node_limit_are_too_large() {
+        // Both counts lie above 2³², so the check fires before any row is
+        // allocated; the second one overflows `max + 1` itself.
+        for line in ["4294967296 0\n", "0 18446744073709551615\n"] {
+            let err = parse_edge_list(line).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    IoError::Graph(GraphError::TooLarge { what: "nodes", .. })
+                ),
+                "{line:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn dimacs_accepts_both_orientations() {
         let g = parse_dimacs("c demo\np edge 3 3\ne 1 2\ne 2 1\ne 2 3\n").unwrap();
         assert_eq!(g.edge_count(), 2);
