@@ -169,7 +169,7 @@ pub fn streaming_gz_ingest(path: &Path) -> Result<(Graph, IngestSample), IoError
     use std::cell::Cell;
     let high_water = Cell::new(0usize);
     let started = Instant::now();
-    let graph = io::stream_edge_list(|| {
+    let graph = io::stream_graph(GraphFormat::EdgeList, || {
         let file = std::fs::File::open(path).map_err(|e| IoError::Io(e.to_string()))?;
         let probe = HighWaterProbe {
             inner: flate2::read::GzDecoder::new(BufReader::new(file)),

@@ -29,12 +29,15 @@
 //! inferred from the extension *under* the `.gz`, so `web.mtx.gz` is a
 //! gzipped MatrixMarket file.
 //!
-//! All four readers **stream**: two passes over the input (count degrees,
-//! then place edges into exactly-sized CSR rows) build the compact layout
-//! without ever materialising an intermediate edge vector — and gzipped
-//! inputs inflate chunk by chunk through the incremental decoder, so a
-//! million-edge `.el.gz` costs its finished graph plus fixed-size buffers,
-//! not its inflated text.
+//! All four readers **stream** through one two-pass driver,
+//! [`stream_graph`]: two passes over the input (count degrees, then place
+//! edges into exactly-sized CSR rows) build the compact layout without ever
+//! materialising an intermediate edge vector — and gzipped inputs inflate
+//! chunk by chunk through the incremental decoder, so a million-edge
+//! `.el.gz` costs its finished graph plus fixed-size buffers, not its
+//! inflated text. Each format is one scanner that validates its lines and
+//! feeds the driver a header and pairs, so a new format is one scanner and
+//! one arm of [`stream_graph`].
 
 use mdst_graph::{Graph, GraphError, NodeId, StreamingBuilder};
 use std::fmt;
@@ -187,6 +190,89 @@ fn for_each_line<R: BufRead>(
 }
 
 // ---------------------------------------------------------------------------
+// The two-pass driver
+// ---------------------------------------------------------------------------
+
+/// What every scanner feeds, in file order: the header's node count (where
+/// the format has one) and each pair. The same scan runs once per pass: in
+/// pass 1 the sink counts degrees, in pass 2 it places the pairs into rows.
+struct Sink {
+    /// The CSR assembler both passes feed.
+    builder: StreamingBuilder,
+    /// `false` in pass 1 (counting), `true` in pass 2 (placing).
+    placing: bool,
+    /// Pairs fed in pass 1 (edge lines, neighbour mentions or entries).
+    pairs: u64,
+}
+
+impl Sink {
+    /// A header declared `n` nodes. Pairs call it too, with `max(u, v) + 1`:
+    /// that is how a headerless edge list learns `n`. It only ever grows the
+    /// count, so it is a no-op in pass 2 and for pairs that a headered
+    /// format's scanner has range-checked.
+    fn header(&mut self, n: usize) -> Result<(), IoError> {
+        if n > self.builder.node_count() {
+            self.builder.ensure_nodes(n)?;
+        }
+        Ok(())
+    }
+
+    /// The undirected pair `(u, v)`, 0-based.
+    #[inline]
+    fn edge(&mut self, u: usize, v: usize) -> Result<(), IoError> {
+        let (u, v) = self.endpoints(u, v)?;
+        if self.placing {
+            return Ok(self.builder.place_edge(u, v)?);
+        }
+        Ok(self.builder.count_edge(u, v)?)
+    }
+
+    /// The directed mention `u → v`, 0-based (adjacency formats, whose
+    /// build finishes with [`StreamingBuilder::finish_symmetric`]).
+    #[inline]
+    fn arc(&mut self, u: usize, v: usize) -> Result<(), IoError> {
+        let (u, v) = self.endpoints(u, v)?;
+        if self.placing {
+            return Ok(self.builder.place_arc(u, v)?);
+        }
+        Ok(self.builder.count_arc(u, v)?)
+    }
+
+    /// Turns a pair into node ids; in pass 1 it first grows the node count
+    /// to cover the pair and counts it. The sum saturates, and the
+    /// node-count check rejects `usize::MAX` before any row is allocated.
+    #[inline]
+    fn endpoints(&mut self, u: usize, v: usize) -> Result<(NodeId, NodeId), IoError> {
+        if !self.placing {
+            self.header(u.max(v).saturating_add(1))?;
+            self.pairs += 1;
+        }
+        Ok((NodeId::new(u), NodeId::new(v)))
+    }
+}
+
+/// Runs `scan` over the input twice, counting degrees and then placing
+/// edges into exactly-sized CSR rows; `open` reopens the input for each
+/// pass. No intermediate edge vector is ever materialised, so peak memory is
+/// the finished graph plus one line buffer. Returns the builder, ready to
+/// finish, with what the first scan returned and the pairs it fed.
+fn stream_two_pass<R: BufRead, T>(
+    mut open: impl FnMut() -> Result<R, IoError>,
+    scan: impl Fn(R, &mut Sink) -> Result<T, IoError>,
+) -> Result<(StreamingBuilder, T, u64), IoError> {
+    let mut sink = Sink {
+        builder: StreamingBuilder::new(0)?,
+        placing: false,
+        pairs: 0,
+    };
+    let declared = scan(open()?, &mut sink)?;
+    sink.builder.start_placement()?;
+    sink.placing = true;
+    scan(open()?, &mut sink)?;
+    Ok((sink.builder, declared, sink.pairs))
+}
+
+// ---------------------------------------------------------------------------
 // Edge list
 // ---------------------------------------------------------------------------
 
@@ -220,45 +306,24 @@ fn edge_list_line(line_no: usize, raw: &str) -> Result<Option<(usize, usize)>, I
     Ok(Some((u, v)))
 }
 
-/// Streams an edge list straight into the compact CSR layout: pass 1 counts
-/// degrees (discovering the node count as `max(endpoint) + 1`), pass 2 places
-/// edges into exactly-sized rows. No intermediate edge vector is ever
-/// materialised, so peak memory is the finished graph plus one line buffer.
-/// `open` reopens the input for each pass.
-pub fn stream_edge_list<R: BufRead>(
-    mut open: impl FnMut() -> Result<R, IoError>,
-) -> Result<Graph, IoError> {
-    let mut builder = StreamingBuilder::new(0)?;
-    let mut edges = 0u64;
-    for_each_line(open()?, |line_no, raw| {
+/// Scans an edge list, feeding every pair to the sink as an edge. There is
+/// no header: the sink discovers the node count as `max(endpoint) + 1`.
+fn scan_edge_list<R: BufRead>(reader: R, sink: &mut Sink) -> Result<(), IoError> {
+    let mut any = false;
+    for_each_line(reader, |line_no, raw| {
         if let Some((u, v)) = edge_list_line(line_no, raw)? {
-            let n = u.max(v).checked_add(1).ok_or(GraphError::TooLarge {
-                what: "nodes",
-                count: u64::MAX,
-                limit: u32::MAX as u64 + 1,
-            })?;
-            builder.ensure_nodes(n)?;
-            builder.count_edge(NodeId::new(u), NodeId::new(v))?;
-            edges += 1;
+            any = true;
+            sink.edge(u, v)?;
         }
         Ok(())
     })?;
-    if edges == 0 {
-        return Err(IoError::Empty { what: "edge list" });
-    }
-    builder.start_placement()?;
-    for_each_line(open()?, |line_no, raw| {
-        if let Some((u, v)) = edge_list_line(line_no, raw)? {
-            builder.place_edge(NodeId::new(u), NodeId::new(v))?;
-        }
-        Ok(())
-    })?;
-    Ok(builder.finish()?)
+    any.then_some(())
+        .ok_or(IoError::Empty { what: "edge list" })
 }
 
 /// Parses an edge list (`u v` per line, 0-based).
 pub fn parse_edge_list(input: &str) -> Result<Graph, IoError> {
-    stream_edge_list(|| Ok(input.as_bytes()))
+    parse_graph(input, GraphFormat::EdgeList)
 }
 
 /// Renders a graph as a canonical edge list.
@@ -281,32 +346,7 @@ pub fn to_edge_list(graph: &Graph) -> String {
 
 /// Parses a DIMACS graph (`p edge n m`, `e u v` with 1-based endpoints).
 pub fn parse_dimacs(input: &str) -> Result<Graph, IoError> {
-    stream_dimacs(|| Ok(input.as_bytes()))
-}
-
-/// One event of a DIMACS scan, in file order.
-enum DimacsEvent {
-    /// The problem line was parsed; the graph has `n` nodes.
-    Problem {
-        /// Declared node count.
-        n: usize,
-    },
-    /// An edge line `e u v`, as 0-based endpoints already checked against
-    /// the declared node count.
-    Edge {
-        /// First endpoint.
-        u: usize,
-        /// Second endpoint.
-        v: usize,
-    },
-}
-
-/// What a DIMACS scan learns beyond the edges themselves.
-struct DimacsScan {
-    /// Edge count the problem line declares.
-    m: usize,
-    /// Edge lines in the body.
-    lines: usize,
+    parse_graph(input, GraphFormat::Dimacs)
 }
 
 /// Parses one endpoint of an edge line as a 1-based `usize`, checked against
@@ -324,17 +364,14 @@ fn dimacs_endpoint(token: Option<&str>, n: usize, line_no: usize) -> Result<usiz
     Ok(v - 1)
 }
 
-/// Parses a DIMACS file, driving `f` with the problem line and every edge
-/// line. All per-line validation (line types, problem-line shape, endpoint
-/// ranges, self loops) lives here so the two streaming passes agree exactly
-/// and every parse error carries its line number.
-fn scan_dimacs<R: BufRead>(
-    reader: R,
-    f: &mut dyn FnMut(DimacsEvent) -> Result<(), IoError>,
-) -> Result<DimacsScan, IoError> {
+/// Scans a DIMACS file, feeding the sink the problem line and every edge
+/// line, and returns the edge count the problem line declares. All per-line
+/// validation (line types, problem-line shape, endpoint ranges, self loops)
+/// lives here so the two streaming passes agree exactly and every parse
+/// error carries its line number.
+fn scan_dimacs<R: BufRead>(reader: R, sink: &mut Sink) -> Result<usize, IoError> {
     // (n, m) once the problem line is parsed.
     let mut problem: Option<(usize, usize)> = None;
-    let mut lines = 0usize;
     for_each_line(reader, |line_no, raw| {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('c') {
@@ -365,7 +402,7 @@ fn scan_dimacs<R: BufRead>(
                     return parse_err(line_no, "DIMACS graph must have at least one node");
                 }
                 problem = Some((n, m));
-                f(DimacsEvent::Problem { n })
+                sink.header(n)
             }
             Some("e") | Some("a") => {
                 let Some((n, _)) = problem else {
@@ -379,8 +416,7 @@ fn scan_dimacs<R: BufRead>(
                         format!("self loop `e {} {}` is not allowed", u + 1, v + 1),
                     );
                 }
-                lines += 1;
-                f(DimacsEvent::Edge { u, v })
+                sink.edge(u, v)
             }
             Some(other) => parse_err(line_no, format!("unknown DIMACS line type `{other}`")),
             None => unreachable!("line is non-empty"),
@@ -393,58 +429,7 @@ fn scan_dimacs<R: BufRead>(
             what: "DIMACS file (no `p edge <n> <m>` problem line)",
         });
     };
-    Ok(DimacsScan { m, lines })
-}
-
-/// Streams a DIMACS file into the compact CSR layout in two passes (count,
-/// place); `open` reopens the input for each pass. Repeated edges, in
-/// either orientation, merge into one.
-pub fn stream_dimacs<R: BufRead>(
-    mut open: impl FnMut() -> Result<R, IoError>,
-) -> Result<Graph, IoError> {
-    let mut started: Option<StreamingBuilder> = None;
-    let info = scan_dimacs(open()?, &mut |event| {
-        match event {
-            DimacsEvent::Problem { n } => started = Some(StreamingBuilder::new(n)?),
-            DimacsEvent::Edge { u, v } => {
-                let Some(b) = started.as_mut() else {
-                    return Err(GraphError::StreamingMismatch(
-                        "edge before the DIMACS problem line".to_string(),
-                    )
-                    .into());
-                };
-                b.count_edge(NodeId::new(u), NodeId::new(v))?;
-            }
-        }
-        Ok(())
-    })?;
-    let Some(mut builder) = started.take() else {
-        return Err(IoError::Empty {
-            what: "DIMACS file (no `p edge <n> <m>` problem line)",
-        });
-    };
-    builder.start_placement()?;
-    scan_dimacs(open()?, &mut |event| {
-        if let DimacsEvent::Edge { u, v } = event {
-            builder.place_edge(NodeId::new(u), NodeId::new(v))?;
-        }
-        Ok(())
-    })?;
-    let graph = builder.finish()?;
-    // Published DIMACS files disagree on whether `m` counts undirected edges
-    // or edge *lines* (some list both orientations), so either reading is
-    // accepted — anything else (truncated file, surplus lines, wrong header)
-    // is an error.
-    let (declared, lines, distinct) = (info.m, info.lines, graph.edge_count());
-    if declared != distinct && declared != lines {
-        return Err(IoError::Inconsistent {
-            message: format!(
-                "problem line declares {declared} edges but the file has \
-                 {lines} edge lines ({distinct} distinct edges)"
-            ),
-        });
-    }
-    Ok(graph)
+    Ok(m)
 }
 
 /// Renders a graph in DIMACS `edge` format.
@@ -477,31 +462,7 @@ pub fn to_dimacs(graph: &Graph) -> String {
 /// structure, not an edge list), which the parser enforces by requiring
 /// exactly `2·m` neighbour entries and `m` distinct edges.
 pub fn parse_metis(input: &str) -> Result<Graph, IoError> {
-    stream_metis(|| Ok(input.as_bytes()))
-}
-
-/// One event of a METIS scan, in file order.
-enum MetisEvent {
-    /// The header line was parsed; `n` vertex lines follow.
-    Header {
-        /// Declared vertex count.
-        n: usize,
-    },
-    /// Vertex `u` lists neighbour `v` (both 0-based).
-    Mention {
-        /// The vertex whose adjacency line this is.
-        u: usize,
-        /// The listed neighbour.
-        v: usize,
-    },
-}
-
-/// What a METIS scan learns beyond the mentions themselves.
-struct MetisScan {
-    /// Undirected edge count the header declares.
-    m: usize,
-    /// Total directed neighbour mentions across all data lines.
-    mentions: u64,
+    parse_graph(input, GraphFormat::Metis)
 }
 
 fn skip_metis_number(
@@ -520,21 +481,18 @@ fn skip_metis_number(
     Ok(())
 }
 
-/// Parses a METIS file, driving `f` with the header and every directed
-/// neighbour mention. All per-line validation (header shape, weights,
+/// Scans a METIS file, feeding the sink the header and every directed
+/// neighbour mention as an arc, and returns the undirected edge count the
+/// header declares. All per-line validation (header shape, weights,
 /// ranges, self loops, duplicated mentions, vertex-line count) lives here so
 /// the two streaming passes agree exactly and every parse error carries its
 /// line number. Duplicate mentions are detectable per line because a mention
 /// `(u, v)` can only ever appear on `u`'s own adjacency line.
-fn scan_metis<R: BufRead>(
-    reader: R,
-    f: &mut dyn FnMut(MetisEvent) -> Result<(), IoError>,
-) -> Result<MetisScan, IoError> {
+fn scan_metis<R: BufRead>(reader: R, sink: &mut Sink) -> Result<usize, IoError> {
     // Header fields once parsed: (n, m, edge weights?, vertex weights?,
     // vertex sizes?, ncon).
     let mut header: Option<(usize, usize, bool, bool, bool, usize)> = None;
     let mut vertex = 0usize;
-    let mut mentions = 0u64;
     let mut line_neighbors: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
     for_each_line(reader, |line_no, raw| {
         // Comments vanish; empty lines are *kept* for the data section,
@@ -587,7 +545,7 @@ fn scan_metis<R: BufRead>(
                 fmt_bits & 0b100 != 0,
                 ncon,
             ));
-            return f(MetisEvent::Header { n });
+            return sink.header(n);
         };
         if vertex >= n {
             if line.is_empty() {
@@ -622,8 +580,7 @@ fn scan_metis<R: BufRead>(
                     format!("vertex {} lists neighbour {v} twice", u + 1),
                 );
             }
-            mentions += 1;
-            f(MetisEvent::Mention { u, v: v - 1 })?;
+            sink.arc(u, v - 1)?;
             if has_edge_weights {
                 skip_metis_number(&mut tokens, line_no, "edge weight")?;
             }
@@ -640,70 +597,7 @@ fn scan_metis<R: BufRead>(
             message: format!("header declares {n} vertices but the file has {vertex} data lines"),
         });
     }
-    Ok(MetisScan { m, mentions })
-}
-
-/// Streams a METIS file into the compact CSR layout in two passes (count,
-/// place); `open` reopens the input for each pass. Global adjacency symmetry
-/// — every mention must have its reciprocal on the other endpoint's line —
-/// is enforced by [`StreamingBuilder::finish_symmetric`] without any
-/// per-mention bookkeeping.
-pub fn stream_metis<R: BufRead>(
-    mut open: impl FnMut() -> Result<R, IoError>,
-) -> Result<Graph, IoError> {
-    let mut started: Option<StreamingBuilder> = None;
-    let info = scan_metis(open()?, &mut |event| {
-        match event {
-            MetisEvent::Header { n } => started = Some(StreamingBuilder::new(n)?),
-            MetisEvent::Mention { u, v } => {
-                let Some(b) = started.as_mut() else {
-                    return Err(GraphError::StreamingMismatch(
-                        "mention before the METIS header".to_string(),
-                    )
-                    .into());
-                };
-                b.count_arc(NodeId::new(u), NodeId::new(v))?;
-            }
-        }
-        Ok(())
-    })?;
-    let Some(mut builder) = started.take() else {
-        return Err(IoError::Empty {
-            what: "METIS file (no header line)",
-        });
-    };
-    builder.start_placement()?;
-    scan_metis(open()?, &mut |event| {
-        if let MetisEvent::Mention { u, v } = event {
-            builder.place_arc(NodeId::new(u), NodeId::new(v))?;
-        }
-        Ok(())
-    })?;
-    let graph = builder.finish_symmetric().map_err(|e| match e {
-        // Which line is missing a mention is a file-level question, so these
-        // surface as inconsistencies, not line-numbered parse errors.
-        GraphError::AsymmetricAdjacency(..) | GraphError::DuplicateEdge(..) => {
-            IoError::Inconsistent {
-                message: e.to_string(),
-            }
-        }
-        other => IoError::Graph(other),
-    })?;
-    // With symmetry established, `2·m` mentions over `m` distinct edges
-    // pigeonholes to exactly both orientations of every edge.
-    if graph.edge_count() != info.m || info.mentions != 2 * info.m as u64 {
-        return Err(IoError::Inconsistent {
-            message: format!(
-                "header declares {} edges but the adjacency lists carry {} \
-                 neighbour entries ({} distinct edges); every edge must appear in \
-                 both endpoint lists",
-                info.m,
-                info.mentions,
-                graph.edge_count()
-            ),
-        });
-    }
-    Ok(graph)
+    Ok(m)
 }
 
 /// Renders a graph as a canonical METIS adjacency file.
@@ -737,34 +631,15 @@ pub fn to_metis(graph: &Graph) -> String {
 /// when sparse-matrix benchmarks are read as graphs, and both orientations
 /// of an off-diagonal entry collapse onto one undirected edge.
 pub fn parse_matrix_market(input: &str) -> Result<Graph, IoError> {
-    stream_matrix_market(|| Ok(input.as_bytes()))
+    parse_graph(input, GraphFormat::MatrixMarket)
 }
 
-/// One event of a MatrixMarket scan, in file order.
-enum MmEvent {
-    /// The size line was parsed; the matrix is `rows × rows`.
-    Size {
-        /// Matrix dimension (= node count).
-        rows: usize,
-    },
-    /// An off-diagonal entry at 0-based `(i, j)` (diagonals are dropped
-    /// before the events fire).
-    Entry {
-        /// Row index.
-        i: usize,
-        /// Column index.
-        j: usize,
-    },
-}
-
-/// Parses a MatrixMarket coordinate file, driving `f` with the size line and
-/// every off-diagonal entry. Banner, size-line and entry validation (and the
-/// entry-count-vs-`nnz` check) all live here so the two streaming passes
-/// agree exactly and every parse error carries its line number.
-fn scan_matrix_market<R: BufRead>(
-    reader: R,
-    f: &mut dyn FnMut(MmEvent) -> Result<(), IoError>,
-) -> Result<(), IoError> {
+/// Scans a MatrixMarket coordinate file, feeding the sink the size line and
+/// every off-diagonal entry as an edge (diagonal entries are dropped).
+/// Banner, size-line and entry validation (and the entry-count-vs-`nnz`
+/// check) all live here so the two streaming passes agree exactly and every
+/// parse error carries its line number.
+fn scan_matrix_market<R: BufRead>(reader: R, sink: &mut Sink) -> Result<(), IoError> {
     let mut banner_seen = false;
     let mut size: Option<usize> = None;
     let mut nnz = 0usize;
@@ -840,7 +715,7 @@ fn scan_matrix_market<R: BufRead>(
                 return parse_err(line_no, "matrix must have at least one row");
             }
             size = Some(rows);
-            return f(MmEvent::Size { rows });
+            return sink.header(rows);
         };
         let mut fields = line.split_whitespace();
         let (Some(a), Some(b)) = (fields.next(), fields.next()) else {
@@ -862,7 +737,7 @@ fn scan_matrix_market<R: BufRead>(
         }
         entries += 1;
         if i != j {
-            return f(MmEvent::Entry { i: i - 1, j: j - 1 });
+            return sink.edge(i - 1, j - 1);
         }
         Ok(())
     })?;
@@ -882,43 +757,6 @@ fn scan_matrix_market<R: BufRead>(
         });
     }
     Ok(())
-}
-
-/// Streams a MatrixMarket coordinate file into the compact CSR layout in two
-/// passes (count, place); `open` reopens the input for each pass. Both
-/// orientations of an entry collapse onto one undirected edge.
-pub fn stream_matrix_market<R: BufRead>(
-    mut open: impl FnMut() -> Result<R, IoError>,
-) -> Result<Graph, IoError> {
-    let mut started: Option<StreamingBuilder> = None;
-    scan_matrix_market(open()?, &mut |event| {
-        match event {
-            MmEvent::Size { rows } => started = Some(StreamingBuilder::new(rows)?),
-            MmEvent::Entry { i, j } => {
-                let Some(b) = started.as_mut() else {
-                    return Err(GraphError::StreamingMismatch(
-                        "entry before the MatrixMarket size line".to_string(),
-                    )
-                    .into());
-                };
-                b.count_edge(NodeId::new(i), NodeId::new(j))?;
-            }
-        }
-        Ok(())
-    })?;
-    let Some(mut builder) = started.take() else {
-        return Err(IoError::Empty {
-            what: "MatrixMarket file (banner but no size line)",
-        });
-    };
-    builder.start_placement()?;
-    scan_matrix_market(open()?, &mut |event| {
-        if let MmEvent::Entry { i, j } = event {
-            builder.place_edge(NodeId::new(i), NodeId::new(j))?;
-        }
-        Ok(())
-    })?;
-    Ok(builder.finish()?)
 }
 
 /// Renders a graph as a canonical MatrixMarket file (`pattern symmetric`,
@@ -943,14 +781,80 @@ pub fn to_matrix_market(graph: &Graph) -> String {
 // File-level helpers
 // ---------------------------------------------------------------------------
 
+/// Streams a graph in the given format into the compact CSR layout through
+/// the two-pass driver; `open` reopens the input for each pass. This is the
+/// one reader behind [`parse_graph`] and [`load_graph`]: the scanners check
+/// every line, and the per-format checks that need the finished graph live
+/// here.
+pub fn stream_graph<R: BufRead>(
+    format: GraphFormat,
+    open: impl FnMut() -> Result<R, IoError>,
+) -> Result<Graph, IoError> {
+    match format {
+        GraphFormat::EdgeList => {
+            let (builder, (), _) = stream_two_pass(open, scan_edge_list)?;
+            Ok(builder.finish()?)
+        }
+        GraphFormat::Dimacs => {
+            let (builder, declared, lines) = stream_two_pass(open, scan_dimacs)?;
+            // Repeated edges, in either orientation, merge into one.
+            let graph = builder.finish()?;
+            // Published DIMACS files disagree on whether `m` counts
+            // undirected edges or edge *lines* (some list both orientations),
+            // so either reading is accepted — anything else (truncated file,
+            // surplus lines, wrong header) is an error.
+            let distinct = graph.edge_count();
+            if declared != distinct && declared as u64 != lines {
+                return Err(IoError::Inconsistent {
+                    message: format!(
+                        "problem line declares {declared} edges but the file has \
+                         {lines} edge lines ({distinct} distinct edges)"
+                    ),
+                });
+            }
+            Ok(graph)
+        }
+        GraphFormat::Metis => {
+            let (builder, m, mentions) = stream_two_pass(open, scan_metis)?;
+            // Global adjacency symmetry — every mention must have its
+            // reciprocal on the other endpoint's line — is enforced by
+            // `finish_symmetric` without any per-mention bookkeeping.
+            let graph = builder.finish_symmetric().map_err(|e| match e {
+                // Which line is missing a mention is a file-level question,
+                // so these surface as inconsistencies, not line-numbered
+                // parse errors.
+                GraphError::AsymmetricAdjacency(..) | GraphError::DuplicateEdge(..) => {
+                    IoError::Inconsistent {
+                        message: e.to_string(),
+                    }
+                }
+                other => IoError::Graph(other),
+            })?;
+            // With symmetry established, `2·m` mentions over `m` distinct
+            // edges pigeonholes to exactly both orientations of every edge.
+            if graph.edge_count() != m || mentions != 2 * m as u64 {
+                return Err(IoError::Inconsistent {
+                    message: format!(
+                        "header declares {m} edges but the adjacency lists carry \
+                         {mentions} neighbour entries ({} distinct edges); every \
+                         edge must appear in both endpoint lists",
+                        graph.edge_count()
+                    ),
+                });
+            }
+            Ok(graph)
+        }
+        GraphFormat::MatrixMarket => {
+            // Both orientations of an entry collapse onto one edge.
+            let (builder, (), _) = stream_two_pass(open, scan_matrix_market)?;
+            Ok(builder.finish()?)
+        }
+    }
+}
+
 /// Parses `input` in the given format.
 pub fn parse_graph(input: &str, format: GraphFormat) -> Result<Graph, IoError> {
-    match format {
-        GraphFormat::EdgeList => parse_edge_list(input),
-        GraphFormat::Dimacs => parse_dimacs(input),
-        GraphFormat::Metis => parse_metis(input),
-        GraphFormat::MatrixMarket => parse_matrix_market(input),
-    }
+    stream_graph(format, || Ok(input.as_bytes()))
 }
 
 /// Renders `graph` in the given format.
@@ -998,12 +902,7 @@ fn open_lines(path: &Path) -> Result<Box<dyn BufRead>, IoError> {
 pub fn load_graph(path: impl AsRef<Path>, format: Option<GraphFormat>) -> Result<Graph, IoError> {
     let path = path.as_ref();
     let format = format.unwrap_or_else(|| GraphFormat::from_path(path));
-    match format {
-        GraphFormat::EdgeList => stream_edge_list(|| open_lines(path)),
-        GraphFormat::Metis => stream_metis(|| open_lines(path)),
-        GraphFormat::MatrixMarket => stream_matrix_market(|| open_lines(path)),
-        GraphFormat::Dimacs => stream_dimacs(|| open_lines(path)),
-    }
+    stream_graph(format, || open_lines(path))
 }
 
 /// Writes a graph to a file in the given (or extension-inferred) format,

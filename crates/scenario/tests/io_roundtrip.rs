@@ -1,6 +1,6 @@
 //! Property tests for the graph I/O formats: writing and re-reading a graph
-//! must preserve node count, edge set and connectivity, for both edge-list
-//! and DIMACS encodings.
+//! must preserve node count, edge set and connectivity, in all four
+//! encodings (edge list, DIMACS, METIS and MatrixMarket).
 
 use mdst_graph::{algorithms, generators, Graph};
 use mdst_scenario::io::{
