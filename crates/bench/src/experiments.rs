@@ -559,10 +559,10 @@ pub fn f2_figure2() -> Table {
 /// bucketed per-destination flushes with one relaxed in-flight bump per
 /// quantum.
 ///
-/// Besides the table, the experiment writes `BENCH_fabric.json` (machine
-/// readable, one record per workload) to the working directory so CI can
-/// archive the numbers. `BENCH_SMOKE=1` shrinks the workloads to CI-smoke
-/// size.
+/// Besides the table, the experiment writes `harness-e10-fabric.json`
+/// (machine readable, one record per workload) to the working directory so
+/// CI can archive the numbers. `BENCH_SMOKE=1` shrinks the workloads to
+/// CI-smoke size.
 pub fn e10_message_fabric() -> Table {
     use crate::fabric;
     let mut table = Table::new(
@@ -602,8 +602,8 @@ pub fn e10_message_fabric() -> Table {
     ]);
     // Best effort: the table is the primary artifact; a read-only working
     // directory must not fail the harness.
-    if let Err(e) = std::fs::write("BENCH_fabric.json", doc.to_json_pretty() + "\n") {
-        eprintln!("e10: could not write BENCH_fabric.json: {e}");
+    if let Err(e) = std::fs::write("harness-e10-fabric.json", doc.to_json_pretty() + "\n") {
+        eprintln!("e10: could not write harness-e10-fabric.json: {e}");
     }
     table
 }
@@ -616,8 +616,9 @@ pub fn e10_message_fabric() -> Table {
 /// *asserted* under [`crate::ingest::DECODER_HIGH_WATER_CAP`] — the machine-checked
 /// form of "streaming gzip ingestion never materialises the edge stream".
 ///
-/// Besides the table, the experiment writes `BENCH_ingest.json` (one record
-/// per measured run) for CI to archive. `BENCH_SMOKE=1` shrinks the sweep.
+/// Besides the table, the experiment writes `harness-e11-ingest.json` (one
+/// record per measured run) for CI to archive. `BENCH_SMOKE=1` shrinks the
+/// sweep.
 pub fn e11_graph_ingest() -> Table {
     use crate::ingest;
     let mut table = Table::new(
@@ -714,8 +715,8 @@ pub fn e11_graph_ingest() -> Table {
         ("runs".into(), serde::Value::Array(records)),
     ]);
     // Best effort, same policy as E10: the table is the primary artifact.
-    if let Err(e) = std::fs::write("BENCH_ingest.json", doc.to_json_pretty() + "\n") {
-        eprintln!("e11: could not write BENCH_ingest.json: {e}");
+    if let Err(e) = std::fs::write("harness-e11-ingest.json", doc.to_json_pretty() + "\n") {
+        eprintln!("e11: could not write harness-e11-ingest.json: {e}");
     }
     table
 }

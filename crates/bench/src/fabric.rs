@@ -140,18 +140,20 @@ impl FabricSample {
 }
 
 /// Runs the echo flood over `graph` on the pool; `batch = 0` means
-/// [`PoolRuntime::DEFAULT_BATCH`].
+/// [`ExecConfig::DEFAULT_BATCH`].
 pub fn flood_on_pool(graph: &Arc<Graph>, batch: usize) -> FabricSample {
     let ttl = rounds(graph.node_count());
-    let run = PoolRuntime::run(
-        graph,
-        |id, _| EchoFloodSt::new(id, ttl),
-        &PoolConfig {
-            batch,
-            ..Default::default()
-        },
-    )
-    .expect("flood run");
+    let run = ExecutorKind::Pool
+        .run(
+            graph,
+            |id, _| EchoFloodSt::new(id, ttl),
+            &ExecConfig {
+                batch,
+                ..Default::default()
+            },
+            &CancelToken::new(),
+        )
+        .expect("flood run");
     assert_eq!(run.status, ExecStatus::Quiesced);
     FabricSample {
         messages: run.metrics.messages_total,
@@ -187,25 +189,21 @@ mod tests {
         // in total.
         let graph = workload(300);
         let ttl = rounds(graph.node_count());
-        let mut sim = Simulator::new(&graph, SimConfig::default(), |id, _| {
-            EchoFloodSt::new(id, ttl)
-        })
-        .expect("sim");
-        sim.run().expect("sim run");
-        let run = PoolRuntime::run(
-            &graph,
-            |id, _| EchoFloodSt::new(id, ttl),
-            &PoolConfig::default(),
-        )
-        .expect("pool run");
+        let [sim, run] = [ExecutorKind::Sim, ExecutorKind::Pool].map(|kind| {
+            kind.run(
+                &graph,
+                |id, _| EchoFloodSt::new(id, ttl),
+                &ExecConfig::default(),
+                &CancelToken::new(),
+            )
+            .expect("flood run")
+        });
+        assert_eq!(sim.status, ExecStatus::Quiesced);
         assert_eq!(run.status, ExecStatus::Quiesced);
-        assert_eq!(run.metrics.messages_total, sim.metrics().messages_total);
-        assert_eq!(run.metrics.messages_by_kind, sim.metrics().messages_by_kind);
-        assert_eq!(run.metrics.bits_total, sim.metrics().bits_total);
-        assert_eq!(run.metrics.sent_per_node, sim.metrics().sent_per_node);
-        assert_eq!(
-            run.metrics.received_per_node,
-            sim.metrics().received_per_node
-        );
+        assert_eq!(run.metrics.messages_total, sim.metrics.messages_total);
+        assert_eq!(run.metrics.messages_by_kind, sim.metrics.messages_by_kind);
+        assert_eq!(run.metrics.bits_total, sim.metrics.bits_total);
+        assert_eq!(run.metrics.sent_per_node, sim.metrics.sent_per_node);
+        assert_eq!(run.metrics.received_per_node, sim.metrics.received_per_node);
     }
 }

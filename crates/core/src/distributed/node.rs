@@ -725,26 +725,45 @@ impl TreeState for MdstNode {
 mod tests {
     use super::*;
     use mdst_graph::{algorithms, generators};
-    use mdst_netsim::{SimConfig, Simulator};
+    use mdst_netsim::{CancelToken, ExecConfig, ExecRun, ExecStatus, ExecutorKind, SimConfig};
     use mdst_spanning::collect_tree;
 
+    /// Runs the improvement protocol on the simulator under `config`,
+    /// starting from `initial`, and checks that it quiesced.
+    fn sim_run(
+        graph: &std::sync::Arc<mdst_graph::Graph>,
+        initial: &RootedTree,
+        config: SimConfig,
+    ) -> ExecRun<MdstNode> {
+        let nodes = MdstNode::from_tree(initial);
+        let config = ExecConfig {
+            sim: config,
+            ..Default::default()
+        };
+        let run = ExecutorKind::Sim
+            .run(
+                graph,
+                |id, _| nodes[id.index()].clone(),
+                &config,
+                &CancelToken::new(),
+            )
+            .unwrap();
+        assert_eq!(run.status, ExecStatus::Quiesced, "protocol quiesces");
+        run
+    }
+
     /// Runs the improvement protocol on `graph` starting from `initial` and
-    /// returns the final tree plus the simulator.
+    /// returns the final tree plus the run.
     fn run(
         graph: &std::sync::Arc<mdst_graph::Graph>,
         initial: &RootedTree,
-    ) -> (RootedTree, Simulator<MdstNode>) {
-        let nodes = MdstNode::from_tree(initial);
-        let mut sim = Simulator::new(graph, SimConfig::default(), |id, _| {
-            nodes[id.index()].clone()
-        })
-        .unwrap();
-        sim.run().expect("protocol quiesces");
-        assert!(sim.all_terminated(), "every node must receive Stop");
-        let tree = collect_tree(sim.nodes()).expect("consistent final tree");
+    ) -> (RootedTree, ExecRun<MdstNode>) {
+        let run = sim_run(graph, initial, SimConfig::default());
+        assert!(run.all_terminated(), "every node must receive Stop");
+        let tree = collect_tree(&run.nodes).expect("consistent final tree");
         tree.validate_against(graph)
             .expect("final tree spans the graph");
-        (tree, sim)
+        (tree, run)
     }
 
     #[test]
@@ -766,7 +785,7 @@ mod tests {
         let t1 = RootedTree::from_parents(NodeId(0), vec![None]).unwrap();
         let (f1, sim1) = run(&g1, &t1);
         assert_eq!(f1.node_count(), 1);
-        assert_eq!(sim1.metrics().messages_total, 0);
+        assert_eq!(sim1.metrics.messages_total, 0);
 
         let g2 = std::sync::Arc::new(generators::path(2).unwrap());
         let t2 = algorithms::bfs_tree(&g2, NodeId(0)).unwrap();
@@ -782,9 +801,9 @@ mod tests {
         let (final_tree, sim) = run(&g, &initial);
         assert_eq!(final_tree.max_degree(), 2);
         // One SearchDegree convergecast plus the Stop broadcast, nothing else.
-        assert_eq!(sim.metrics().count_of("Cut"), 0);
-        assert_eq!(sim.metrics().count_of("Update"), 0);
-        assert_eq!(sim.metrics().count_of("Stop"), 7);
+        assert_eq!(sim.metrics.count_of("Cut"), 0);
+        assert_eq!(sim.metrics.count_of("Update"), 0);
+        assert_eq!(sim.metrics.count_of("Stop"), 7);
     }
 
     #[test]
@@ -798,10 +817,10 @@ mod tests {
             final_tree.max_degree() <= 3,
             "complete graphs admit a Hamiltonian path"
         );
-        let improvements: u32 = sim.nodes().iter().map(|p| p.improvements_made()).sum();
+        let improvements: u32 = sim.nodes.iter().map(|p| p.improvements_made()).sum();
         assert_eq!(
             improvements as usize,
-            sim.nodes().iter().map(|p| p.round()).max().unwrap() as usize - 1,
+            sim.nodes.iter().map(|p| p.round()).max().unwrap() as usize - 1,
             "every round except the last performs exactly one exchange"
         );
     }
@@ -830,7 +849,6 @@ mod tests {
             t
         };
         for seed in 0..4u64 {
-            let nodes = MdstNode::from_tree(&initial);
             let cfg = SimConfig {
                 delay: DelayModel::PerLinkFixed {
                     min: 1,
@@ -839,10 +857,9 @@ mod tests {
                 },
                 ..Default::default()
             };
-            let mut sim = Simulator::new(&g, cfg, |id, _| nodes[id.index()].clone()).unwrap();
-            sim.run().unwrap();
-            assert!(sim.all_terminated());
-            let tree = collect_tree(sim.nodes()).unwrap();
+            let run = sim_run(&g, &initial, cfg);
+            assert!(run.all_terminated());
+            let tree = collect_tree(&run.nodes).unwrap();
             tree.validate_against(&g).unwrap();
             // The protocol is deterministic in its decisions (they depend only
             // on tree structure, not timing), so the final degree matches the

@@ -6,8 +6,8 @@
 //! executes on the discrete-event simulator (its metrics are the paper's
 //! construction-cost tables); the improvement phase runs on whichever
 //! [`ExecutorKind`] backend the session selects — the simulator or the
-//! work-stealing pool — through the uniform
-//! `mdst_netsim::exec::Executor` surface.
+//! work-stealing pool — through [`ExecutorKind::run`], the one entry both
+//! backends share.
 //!
 //! ## One session API
 //!
@@ -493,7 +493,7 @@ impl<'obs> Pipeline<'obs> {
 
         // Phase 2: the improvement protocol on the configured backend.
         let nodes = MdstNode::from_tree(&initial_tree);
-        let run = config.executor.run_with_cancel(
+        let run = config.executor.run(
             &graph,
             |id, _| nodes[id.index()].clone(),
             &config.exec_config(),

@@ -119,10 +119,9 @@ pub mod prelude {
     pub use mdst_graph::{algorithms, degree::DegreeStats, dot, generators};
     pub use mdst_graph::{Graph, GraphError, NodeId, RootedTree, StreamingBuilder};
     pub use mdst_netsim::{
-        Context, ControlledEvent, ControlledNet, CrashAt, CutAt, DelayModel, ExecConfig, ExecRun,
-        ExecStatus, Executor, ExecutorKind, FaultPlan, Metrics, NetMessage, PoolConfig, PoolRun,
-        PoolRuntime, Protocol, SimConfig, SimError, Simulator, StartDiscipline, StartModel,
-        UnknownExecutor,
+        CancelToken, Context, ControlledEvent, ControlledNet, CrashAt, CutAt, DelayModel,
+        ExecConfig, ExecRun, ExecStatus, ExecutorKind, FaultPlan, Metrics, NetMessage, Protocol,
+        SimConfig, SimError, StartDiscipline, StartModel, UnknownExecutor,
     };
     pub use mdst_scenario::{
         diff_reports, diff_reports_with, run_campaign, CampaignReport, DiffOptions, FaultSpec,

@@ -1,16 +1,17 @@
 //! Step-controlled execution: the runtime hook behind the `mdst-check`
 //! model checker.
 //!
-//! The discrete-event [`crate::sim::Simulator`] owns its schedule (a
-//! time-ordered event queue); a model checker needs the opposite: the
-//! network holds still and an *external* scheduler asks "which events are
-//! enabled right now?" and picks exactly one to apply. [`ControlledNet`]
-//! is that runtime. It keeps the same network model as the simulator —
-//! bidirectional FIFO links, atomic message handlers, crash-stop faults,
-//! messages to a crashed node silently lost — but exposes the enabled-event
-//! set ([`ControlledNet::enabled_events`] / [`ControlledNet::fault_events`])
-//! and applies one chosen [`ControlledEvent`] at a time, so a driver can
-//! branch over *every* delivery interleaving rather than sample one.
+//! The discrete-event simulator ([`crate::ExecutorKind::Sim`]) owns its
+//! schedule (a time-ordered event queue); a model checker needs the
+//! opposite: the network holds still and an *external* scheduler asks
+//! "which events are enabled right now?" and picks exactly one to apply.
+//! [`ControlledNet`] is that runtime. It keeps the same network model as
+//! the simulator — bidirectional FIFO links, atomic message handlers,
+//! crash-stop faults, messages to a crashed node silently lost — but
+//! exposes the enabled-event set ([`ControlledNet::enabled_events`] /
+//! [`ControlledNet::fault_events`]) and applies one chosen
+//! [`ControlledEvent`] at a time, so a driver can branch over *every*
+//! delivery interleaving rather than sample one.
 //!
 //! Two properties make exhaustive exploration practical:
 //!

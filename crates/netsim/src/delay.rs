@@ -47,8 +47,8 @@ pub enum DelayModel {
 
 impl DelayModel {
     /// Checks the documented invariants of the ranged models: `min ≥ 1` and
-    /// `min ≤ max`. [`Simulator::new`](crate::sim::Simulator::new) calls this,
-    /// so degenerate ranges are rejected up front instead of being silently
+    /// `min ≤ max`. The simulator calls this before a run starts, so
+    /// degenerate ranges are rejected up front instead of being silently
     /// clamped deep inside the delay sampler.
     pub fn validate(&self) -> Result<(), String> {
         let (name, min, max) = match *self {

@@ -1,20 +1,20 @@
-//! The [`Executor`] abstraction: one uniform way to run a [`Protocol`] on a
-//! graph, regardless of which runtime drives it.
+//! One way to run a [`Protocol`] on a graph, whichever runtime drives it:
+//! [`ExecutorKind::run`].
 //!
 //! The crate has two interchangeable executions of the paper's §2 network
 //! model, each with its own fidelity/throughput trade-off:
 //!
 //! | backend | scheduling | faults/delays | traces | scale |
 //! |---|---|---|---|---|
-//! | [`SimExecutor`] (discrete-event [`crate::sim::Simulator`]) | deterministic | full (`DelayModel`, `FaultPlan`) | yes (simulated clock) | ~10³ nodes comfortably |
-//! | [`PoolExecutor`] ([`crate::pool::PoolRuntime`]) | work-stealing worker pool on real OS threads, batched message fabric | none (the OS scheduler is the adversary) | yes (atomic global stamp) | ~10⁶ nodes on a fixed pool |
+//! | [`ExecutorKind::Sim`] (discrete-event simulator) | deterministic | full (`DelayModel`, `FaultPlan`) | yes (simulated clock) | ~10³ nodes comfortably |
+//! | [`ExecutorKind::Pool`] (work-stealing pool) | worker pool on real OS threads, batched message fabric | none (the OS scheduler is the adversary) | yes (atomic global stamp) | ~10⁶ nodes on a fixed pool |
 //!
-//! Both take the same inputs — a graph, a per-node protocol factory and
-//! an [`ExecConfig`] — and produce the same [`ExecRun`]: final node states,
-//! aggregated [`Metrics`], an optional trace, the wall-clock duration and a
-//! quiescence [`ExecStatus`]. Code written against the trait (the
-//! `mdst_core::driver` pipeline, the `mdst-scenario` campaign runner) is
-//! backend-agnostic; campaigns pick a backend per run through
+//! Both take the same inputs — a graph, a per-node protocol factory, an
+//! [`ExecConfig`] and a [`CancelToken`] — and produce the same [`ExecRun`]:
+//! final node states, aggregated [`Metrics`], an optional trace, the
+//! wall-clock duration and a quiescence [`ExecStatus`]. Code written against
+//! it (the `mdst_core::driver` pipeline, the `mdst-scenario` campaign
+//! runner) is backend-agnostic; campaigns pick a backend per run through
 //! [`ExecutorKind`].
 //!
 //! Backends refuse configuration they cannot honor instead of silently
@@ -27,9 +27,8 @@
 //! delivery on the backends a model checker cannot reach.
 
 use crate::cancel::CancelToken;
-use crate::delay::DelayModel;
 use crate::metrics::Metrics;
-use crate::pool::{PoolConfig, PoolRuntime};
+use crate::pool::PoolRuntime;
 use crate::protocol::Protocol;
 use crate::sim::{SimConfig, SimError, Simulator};
 use crate::trace::TraceRecorder;
@@ -71,25 +70,16 @@ impl ExecutorKind {
     }
 
     /// Runs `factory`-built protocols on `graph` under the backend this kind
-    /// names. Equivalent to calling [`Executor::run`] on the matching unit
-    /// struct; this is the dynamic-dispatch entry the campaign runner uses.
+    /// names, until quiescence, the event cap or a raised `cancel` token.
+    /// `factory` receives each node's identity and sorted neighbour list.
+    ///
+    /// The token is observed cooperatively: when it is raised mid-run the
+    /// backend winds down at its next safe point and the returned
+    /// [`ExecRun::status`] is [`ExecStatus::Cancelled`]; pass a fresh
+    /// [`CancelToken::new`] for a run nobody cancels. Returns
+    /// [`SimError::InvalidConfig`] when the configuration is inconsistent
+    /// with the graph or asks for something the backend cannot honor.
     pub fn run<P, F>(
-        self,
-        graph: &Arc<Graph>,
-        factory: F,
-        config: &ExecConfig,
-    ) -> Result<ExecRun<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &[NodeId]) -> P,
-    {
-        self.run_with_cancel(graph, factory, config, &CancelToken::new())
-    }
-
-    /// Like [`ExecutorKind::run`], observing `cancel` cooperatively: when the
-    /// token is raised mid-run the backend winds down at its next safe point
-    /// and the returned [`ExecRun::status`] is [`ExecStatus::Cancelled`].
-    pub fn run_with_cancel<P, F>(
         self,
         graph: &Arc<Graph>,
         factory: F,
@@ -101,8 +91,10 @@ impl ExecutorKind {
         F: FnMut(NodeId, &[NodeId]) -> P,
     {
         match self {
-            ExecutorKind::Sim => SimExecutor.run_with_cancel(graph, factory, config, cancel),
-            ExecutorKind::Pool => PoolExecutor.run_with_cancel(graph, factory, config, cancel),
+            ExecutorKind::Sim => {
+                Ok(Simulator::new(graph, config.sim.clone(), factory)?.execute(cancel))
+            }
+            ExecutorKind::Pool => PoolRuntime::run(graph, factory, config, cancel),
         }
     }
 }
@@ -140,8 +132,9 @@ impl std::str::FromStr for ExecutorKind {
 }
 
 /// Backend-independent run configuration: the familiar [`SimConfig`] (every
-/// backend honors `start = Simultaneous`, `max_events` and a benign fault
-/// plan; only the simulator honors the rest) plus the pool's worker count.
+/// backend honors `max_events`, `record_trace`, a simultaneous or selected
+/// start and a benign fault plan; only the simulator honors delays,
+/// staggered starts and faults) plus the pool's worker count and batch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ExecConfig {
     /// The shared run configuration. See the field docs of [`SimConfig`] —
@@ -153,11 +146,18 @@ pub struct ExecConfig {
     /// by the simulator (single-threaded).
     pub workers: usize,
     /// Mailbox messages the pool backend drains per scheduling quantum
-    /// (`0` = the default, [`PoolRuntime::DEFAULT_BATCH`]). Larger batches
+    /// (`0` = the default, [`ExecConfig::DEFAULT_BATCH`]). Larger batches
     /// amortise per-quantum locking; smaller batches interleave nodes more
     /// fairly. Ignored by the simulator; swept as the `batch` axis in
     /// `mdst-scenario` campaigns.
     pub batch: usize,
+}
+
+impl ExecConfig {
+    /// Default mailbox drain batch per scheduling quantum ([`ExecConfig::batch`]
+    /// `== 0`). Bounded so one flooded hub cannot monopolise a worker while
+    /// other nodes starve.
+    pub const DEFAULT_BATCH: usize = 64;
 }
 
 /// How an execution ended.
@@ -218,154 +218,23 @@ impl<P: Protocol> ExecRun<P> {
     }
 }
 
-/// A backend able to execute protocols under the uniform surface. The trait
-/// is object-unsafe (the run method is generic over the protocol); dynamic
-/// backend selection goes through [`ExecutorKind::run`] instead.
-pub trait Executor {
-    /// Which backend this is (used for labels and error messages).
-    fn kind(&self) -> ExecutorKind;
-
-    /// Executes the protocol on `graph` until quiescence (or the event cap)
-    /// and returns the uniform [`ExecRun`]. `factory` receives each node's
-    /// identity and sorted neighbour list, exactly as with
-    /// [`Simulator::new`]. Returns [`SimError::InvalidConfig`] when the
-    /// configuration asks for something the backend cannot honor.
-    fn run<P, F>(
-        &self,
-        graph: &Arc<Graph>,
-        factory: F,
-        config: &ExecConfig,
-    ) -> Result<ExecRun<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &[NodeId]) -> P,
-    {
-        self.run_with_cancel(graph, factory, config, &CancelToken::new())
-    }
-
-    /// Like [`Executor::run`], polling `cancel` between work units: a raised
-    /// token ends the run at the backend's next safe point with
-    /// [`ExecStatus::Cancelled`] and the partial snapshot accumulated so far.
-    fn run_with_cancel<P, F>(
-        &self,
-        graph: &Arc<Graph>,
-        factory: F,
-        config: &ExecConfig,
-        cancel: &CancelToken,
-    ) -> Result<ExecRun<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &[NodeId]) -> P;
-}
-
-/// The discrete-event simulator behind the [`Executor`] surface.
-pub struct SimExecutor;
-
-impl Executor for SimExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Sim
-    }
-
-    fn run_with_cancel<P, F>(
-        &self,
-        graph: &Arc<Graph>,
-        factory: F,
-        config: &ExecConfig,
-        cancel: &CancelToken,
-    ) -> Result<ExecRun<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &[NodeId]) -> P,
-    {
-        let mut sim = Simulator::new(graph, config.sim.clone(), factory)?;
-        sim.set_cancel(cancel.clone());
-        let started = std::time::Instant::now();
-        let status = match sim.run() {
-            Ok(()) => ExecStatus::Quiesced,
-            Err(SimError::EventLimitExceeded { .. }) => ExecStatus::EventLimitExceeded,
-            Err(SimError::Cancelled) => ExecStatus::Cancelled,
-            Err(e) => return Err(e),
-        };
-        let wall_time = started.elapsed();
-        let crashed = sim.crashed().to_vec();
-        let (nodes, metrics, trace) = sim.into_parts();
-        Ok(ExecRun {
-            topology: Arc::clone(graph),
-            nodes,
-            metrics,
-            trace,
-            status,
-            crashed,
-            workers: 1,
-            wall_time,
-        })
-    }
-}
-
-/// The work-stealing pool behind the [`Executor`] surface.
-pub struct PoolExecutor;
-
-impl Executor for PoolExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Pool
-    }
-
-    fn run_with_cancel<P, F>(
-        &self,
-        graph: &Arc<Graph>,
-        factory: F,
-        config: &ExecConfig,
-        cancel: &CancelToken,
-    ) -> Result<ExecRun<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &[NodeId]) -> P,
-    {
-        // The start model is validated by the pool itself; delays and fault
-        // plans need the simulated clock.
-        if !matches!(config.sim.delay, DelayModel::Unit) {
-            return Err(SimError::InvalidConfig(
-                "the `pool` executor schedules deliveries on real threads and \
-                 cannot honor a simulated delay model; use executor = \"sim\""
-                    .to_string(),
-            ));
-        }
-        if !config.sim.faults.is_benign() {
-            return Err(SimError::InvalidConfig(
-                "the `pool` executor cannot inject faults (loss, crashes, \
-                 cuts need the simulated clock); use executor = \"sim\""
-                    .to_string(),
-            ));
-        }
-        let pool_config = PoolConfig {
-            workers: config.workers,
-            max_events: config.sim.max_events,
-            start: config.sim.start.clone(),
-            record_trace: config.sim.record_trace,
-            batch: config.batch,
-        };
-        let run = PoolRuntime::run_with_cancel(graph, factory, &pool_config, cancel)?;
-        let n = graph.node_count();
-        Ok(ExecRun {
-            topology: Arc::clone(graph),
-            nodes: run.nodes,
-            metrics: run.metrics,
-            trace: run.trace,
-            status: run.status,
-            crashed: vec![false; n],
-            workers: run.workers,
-            wall_time: run.wall_time,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delay::DelayModel;
     use crate::fault::FaultPlan;
     use crate::sim::StartModel;
     use crate::testutil::flood;
     use mdst_graph::generators;
+
+    /// Runs the flood on `kind` with a token nobody raises.
+    fn run_flood(
+        kind: ExecutorKind,
+        g: &Arc<Graph>,
+        config: &ExecConfig,
+    ) -> Result<ExecRun<crate::testutil::Flood>, SimError> {
+        kind.run(g, flood, config, &CancelToken::new())
+    }
 
     #[test]
     fn kind_labels_round_trip_through_parse() {
@@ -396,7 +265,7 @@ mod tests {
         let config = ExecConfig::default();
         let mut totals = Vec::new();
         for kind in ExecutorKind::all() {
-            let run = kind.run(&g, flood, &config).unwrap();
+            let run = run_flood(kind, &g, &config).unwrap();
             assert_eq!(run.status, ExecStatus::Quiesced, "{kind}");
             assert!(run.all_terminated(), "{kind}");
             assert!(run.all_live_terminated(), "{kind}");
@@ -430,16 +299,49 @@ mod tests {
             },
             ..Default::default()
         };
-        for config in [&delayed, &faulty] {
-            let err = ExecutorKind::Pool
-                .run(&g, flood, config)
+        let staggered = ExecConfig {
+            sim: SimConfig {
+                start: StartModel::Staggered {
+                    max_offset: 4,
+                    seed: 1,
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for config in [&delayed, &faulty, &staggered] {
+            let err = run_flood(ExecutorKind::Pool, &g, config)
                 .err()
                 .expect("must reject");
             assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
         }
-        // The simulator itself accepts both.
-        for config in [&delayed, &faulty] {
-            ExecutorKind::Sim.run(&g, flood, config).unwrap();
+        // The simulator itself accepts all three.
+        for config in [&delayed, &faulty, &staggered] {
+            run_flood(ExecutorKind::Sim, &g, config).unwrap();
+        }
+    }
+
+    #[test]
+    fn selected_start_rejects_out_of_range_and_empty_lists() {
+        let g = Arc::new(generators::path(4).unwrap());
+        let selected = |list: Vec<NodeId>| ExecConfig {
+            sim: SimConfig {
+                start: StartModel::Selected(list),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for kind in ExecutorKind::all() {
+            let err = run_flood(kind, &g, &selected(vec![NodeId(0), NodeId(7)]))
+                .err()
+                .expect("config must be rejected");
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{kind}: {err}");
+            assert!(err.to_string().contains("v7"), "{kind}: {err}");
+
+            let err = run_flood(kind, &g, &selected(Vec::new()))
+                .err()
+                .expect("config must be rejected");
+            assert!(err.to_string().contains("empty"), "{kind}: {err}");
         }
     }
 
@@ -455,7 +357,7 @@ mod tests {
             ..Default::default()
         };
         for kind in ExecutorKind::all() {
-            let run = kind.run(&g, flood, &traced).unwrap();
+            let run = run_flood(kind, &g, &traced).unwrap();
             assert!(run.trace.is_enabled(), "{kind}");
             let sends = run
                 .trace
@@ -488,7 +390,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let run = ExecutorKind::Pool.run(&g, flood, &config).unwrap();
+        let run = run_flood(ExecutorKind::Pool, &g, &config).unwrap();
         assert!(run.all_terminated());
     }
 
@@ -503,27 +405,24 @@ mod tests {
             ..Default::default()
         };
         for kind in ExecutorKind::all() {
-            let run = kind.run(&g, flood, &config).unwrap();
+            let run = run_flood(kind, &g, &config).unwrap();
             assert_eq!(run.status, ExecStatus::EventLimitExceeded, "{kind}");
         }
     }
 
     #[test]
     fn pre_raised_cancel_token_is_uniform_across_backends() {
-        use crate::cancel::CancelToken;
         let g = Arc::new(generators::complete(8).unwrap());
         let config = ExecConfig::default();
         let token = CancelToken::new();
         token.cancel();
         for kind in ExecutorKind::all() {
-            let run = kind.run_with_cancel(&g, flood, &config, &token).unwrap();
+            let run = kind.run(&g, flood, &config, &token).unwrap();
             assert_eq!(run.status, ExecStatus::Cancelled, "{kind}");
         }
         // An inert token changes nothing.
         for kind in ExecutorKind::all() {
-            let run = kind
-                .run_with_cancel(&g, flood, &config, &CancelToken::new())
-                .unwrap();
+            let run = run_flood(kind, &g, &config).unwrap();
             assert_eq!(run.status, ExecStatus::Quiesced, "{kind}");
         }
     }
@@ -531,20 +430,17 @@ mod tests {
     #[test]
     fn exec_run_reports_worker_counts() {
         let g = Arc::new(generators::cycle(6).unwrap());
-        let sim = ExecutorKind::Sim
-            .run(&g, flood, &ExecConfig::default())
-            .unwrap();
+        let sim = run_flood(ExecutorKind::Sim, &g, &ExecConfig::default()).unwrap();
         assert_eq!(sim.workers, 1);
-        let pool = ExecutorKind::Pool
-            .run(
-                &g,
-                flood,
-                &ExecConfig {
-                    workers: 2,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let pool = run_flood(
+            ExecutorKind::Pool,
+            &g,
+            &ExecConfig {
+                workers: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert_eq!(pool.workers, 2);
     }
 }

@@ -11,13 +11,13 @@
 //! hop costs at most one time unit. This crate provides two interchangeable
 //! executions of that model, plus a step-controlled one for model checking:
 //!
-//! * [`sim::Simulator`] — a deterministic discrete-event simulator with a
+//! * [`ExecutorKind::Sim`] — a deterministic discrete-event simulator with a
 //!   pluggable [`delay::DelayModel`] (unit delays for the paper's time
 //!   accounting, seeded random delays and adversarial per-link delays for
 //!   robustness experiments). It measures exactly the quantities the paper's
 //!   analysis talks about: message count per message kind, total encoded bits,
 //!   and the longest causal dependency chain.
-//! * [`pool::PoolRuntime`] — the same [`protocol::Protocol`] state machines
+//! * [`ExecutorKind::Pool`] — the same [`protocol::Protocol`] state machines
 //!   driven by a work-stealing pool of real OS threads (per-node mailboxes,
 //!   run queues with stealing, quiescence via in-flight counters),
 //!   demonstrating that the protocol tolerates genuine nondeterministic
@@ -29,10 +29,11 @@
 //!
 //! Protocols are written once against the [`protocol::Protocol`] trait and run
 //! unchanged on every runtime; the `mdst-spanning` and `mdst-core` crates
-//! provide the actual protocols. The [`exec::Executor`] trait is the uniform
-//! front door: both backends take a graph, a protocol factory and an
-//! [`exec::ExecConfig`] and produce the same [`exec::ExecRun`], so drivers
-//! and campaign runners select a backend per run via [`exec::ExecutorKind`].
+//! provide the actual protocols. [`ExecutorKind::run`] is the one way to run
+//! them on a backend: it takes a graph, a protocol factory, an
+//! [`ExecConfig`] and a [`CancelToken`] and returns the same [`ExecRun`]
+//! whichever backend ran, so drivers and campaign runners select a backend
+//! per run by its [`ExecutorKind`].
 //!
 //! The simulator additionally supports **fault injection** through
 //! [`fault::FaultPlan`]: seeded per-message loss, scheduled node crashes and
@@ -50,7 +51,7 @@ pub mod exec;
 pub mod fault;
 pub mod message;
 pub mod metrics;
-pub mod pool;
+mod pool;
 pub mod protocol;
 pub mod sim;
 #[cfg(test)]
@@ -60,14 +61,10 @@ pub mod trace;
 pub use cancel::CancelToken;
 pub use controlled::{ControlledEvent, ControlledNet, NotEnabled, StartDiscipline};
 pub use delay::DelayModel;
-pub use exec::{
-    ExecConfig, ExecRun, ExecStatus, Executor, ExecutorKind, PoolExecutor, SimExecutor,
-    UnknownExecutor,
-};
+pub use exec::{ExecConfig, ExecRun, ExecStatus, ExecutorKind, UnknownExecutor};
 pub use fault::{CrashAt, CutAt, FaultPlan};
 pub use message::NetMessage;
 pub use metrics::Metrics;
-pub use pool::{PoolConfig, PoolRun, PoolRuntime};
 pub use protocol::{Context, Protocol};
-pub use sim::{SimConfig, SimError, Simulator, StartModel};
+pub use sim::{SimConfig, SimError, StartModel};
 pub use trace::{KindLabel, TraceEvent, TraceEventKind, TraceRecorder};

@@ -125,7 +125,7 @@ impl Metrics {
 
     /// Records that the simulated clock reached `time` while the network was
     /// still active (used for start events, which are not deliveries but do
-    /// advance the quiescence clock — see `Simulator::step`).
+    /// advance the quiescence clock).
     pub fn record_activity(&mut self, time: u64) {
         self.quiescence_time = self.quiescence_time.max(time);
     }

@@ -10,7 +10,7 @@
 //!   stays FIFO because `u`'s handler appends to `v`'s mailbox in send order
 //!   and the mailbox drains in order.
 //! * **quantum = drain batch** — a scheduled node processes its pending
-//!   wake-up plus up to [`PoolConfig::batch`] mailbox messages per quantum,
+//!   wake-up plus up to [`ExecConfig::batch`] mailbox messages per quantum,
 //!   so one flooded hub cannot monopolise a worker while other nodes starve.
 //!   Envelopes are consumed straight out of the mailbox's `VecDeque` (whose
 //!   capacity stays with the cell), so steady-state quanta allocate nothing.
@@ -51,14 +51,16 @@
 //!   instead of parking one high-water buffer in every one of a million
 //!   cells.
 //!
-//! The runtime reports the same [`Metrics`] as the other backends (message
-//! counts, bits, causal depth) plus the wall-clock duration and honors the
-//! `max_events` cap ([`ExecStatus::EventLimitExceeded`]). It cannot honor
-//! simulated delays or fault plans; the
-//! [`crate::exec::PoolExecutor`] front door rejects such configurations.
+//! The runtime reports the same [`Metrics`] as the simulator (message
+//! counts, bits, causal depth) in the same [`ExecRun`], plus the wall-clock
+//! duration, and honors the `max_events` cap
+//! ([`ExecStatus::EventLimitExceeded`]). It has no simulated clock, so its
+//! entry, [`PoolRuntime::run`], rejects delay models, staggered starts and
+//! fault plans.
 
 use crate::cancel::CancelToken;
-use crate::exec::ExecStatus;
+use crate::delay::DelayModel;
+use crate::exec::{ExecConfig, ExecRun, ExecStatus};
 use crate::message::NetMessage;
 use crate::metrics::{KindCounts, Metrics};
 use crate::protocol::{Context, Protocol};
@@ -69,61 +71,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Pool runtime configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolConfig {
-    /// Worker threads; `0` means one per available CPU, capped at 64. Always
-    /// clamped to at most one worker per node.
-    pub workers: usize,
-    /// Cap on processed work units (wake-ups plus deliveries); exceeding it
-    /// aborts the run with [`ExecStatus::EventLimitExceeded`].
-    pub max_events: u64,
-    /// Which nodes wake up spontaneously. [`StartModel::Simultaneous`] wakes
-    /// everyone; [`StartModel::Selected`] wakes the listed nodes and lets
-    /// messages wake the rest. [`StartModel::Staggered`] needs a simulated
-    /// clock and is rejected by the executor front door.
-    pub start: StartModel,
-    /// Whether to record an auditable message trace. Each worker keeps a
-    /// local event buffer stamped from one atomic global counter; the buffers
-    /// are merged into [`PoolRun::trace`] at quiescence.
-    pub record_trace: bool,
-    /// Messages drained from a mailbox per scheduling quantum; `0` means the
-    /// default of [`PoolRuntime::DEFAULT_BATCH`]. Larger batches amortise the
-    /// per-quantum locking over more messages; smaller batches interleave
-    /// nodes more fairly. Resolved by [`PoolRuntime::effective_batch`].
-    pub batch: usize,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            workers: 0,
-            max_events: crate::sim::SimConfig::default().max_events,
-            start: StartModel::Simultaneous,
-            record_trace: false,
-            batch: 0,
-        }
-    }
-}
-
-/// Result of a pool execution.
-pub struct PoolRun<P> {
-    /// Final protocol state of every node, indexed by identity.
-    pub nodes: Vec<P>,
-    /// Aggregated metrics (message counts, bits, causal depth).
-    pub metrics: Metrics,
-    /// Whether the run quiesced or hit the event cap.
-    pub status: ExecStatus,
-    /// Worker threads actually used.
-    pub workers: usize,
-    /// Wall-clock duration from the first wake-up to quiescence.
-    pub wall_time: Duration,
-    /// Recorded trace: the per-worker event buffers merged at quiescence and
-    /// sorted by the atomic global stamp. The disabled recorder unless
-    /// [`PoolConfig::record_trace`] was set.
-    pub trace: TraceRecorder,
-}
 
 /// Compile-time selector for the pool's trace bookkeeping. The runtime is
 /// monomorphised twice: [`Traced`] carries a `(msg_id, link_seq)` identity in
@@ -307,26 +254,22 @@ impl<M: NetMessage, T: TraceMode> Context<M> for BatchedCtx<'_, M, T> {
     }
 }
 
-/// Runs protocols on a fixed work-stealing worker pool. See the module docs.
-pub struct PoolRuntime;
+/// Runs protocols on a fixed work-stealing worker pool. See the module docs;
+/// runs reach it through [`crate::exec::ExecutorKind::run`].
+pub(crate) struct PoolRuntime;
 
 impl PoolRuntime {
-    /// Default mailbox drain batch per scheduling quantum ([`PoolConfig::batch`]
-    /// `== 0`). Bounded so one flooded hub cannot monopolise a worker while
-    /// other nodes starve.
-    pub const DEFAULT_BATCH: usize = 64;
-
-    /// Resolved drain-batch size: `0` means [`Self::DEFAULT_BATCH`].
-    pub fn effective_batch(requested: usize) -> usize {
+    /// Resolved drain-batch size: `0` means [`ExecConfig::DEFAULT_BATCH`].
+    fn effective_batch(requested: usize) -> usize {
         if requested == 0 {
-            Self::DEFAULT_BATCH
+            ExecConfig::DEFAULT_BATCH
         } else {
             requested
         }
     }
 
     /// Resolved worker count for a pool over `n` nodes.
-    pub fn effective_workers(requested: usize, n: usize) -> usize {
+    fn effective_workers(requested: usize, n: usize) -> usize {
         let hw = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
@@ -338,81 +281,51 @@ impl PoolRuntime {
         w.clamp(1, n.max(1))
     }
 
-    /// Executes the protocol on `graph` until quiescence (or the event cap)
-    /// and returns the final node states plus metrics. The factory receives
-    /// each node's identity and sorted neighbour list.
+    /// Executes the protocol on `graph` until quiescence, the event cap or
+    /// a raised `cancel` token, and returns the final node states plus
+    /// metrics. The factory receives each node's identity and sorted
+    /// neighbour list. Every worker polls `cancel` at the top of its
+    /// scheduling loop; a raised token drains the pool exactly like an
+    /// event-cap abort, reported as [`ExecStatus::Cancelled`].
     ///
-    /// The start model is validated against the graph up front, exactly like
-    /// [`crate::sim::Simulator::new`]: an empty or out-of-range
-    /// [`StartModel::Selected`] list and the clock-dependent
-    /// [`StartModel::Staggered`] return [`SimError::InvalidConfig`] instead
-    /// of panicking (or silently succeeding) inside a worker.
-    pub fn run<P, F>(
+    /// The configuration is validated up front: everything that needs a
+    /// simulated clock (a delay model other than unit, a staggered start, a
+    /// non-benign fault plan) and an empty or out-of-range
+    /// [`StartModel::Selected`] list return [`SimError::InvalidConfig`]
+    /// instead of being ignored or panicking inside a worker.
+    pub(crate) fn run<P, F>(
         graph: &Arc<Graph>,
         factory: F,
-        config: &PoolConfig,
-    ) -> Result<PoolRun<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &[NodeId]) -> P,
-    {
-        Self::run_with_cancel(graph, factory, config, &CancelToken::new())
-    }
-
-    /// Like [`PoolRuntime::run`], observing `cancel` cooperatively: every
-    /// worker polls the token at the top of its scheduling loop and a raised
-    /// token drains the pool exactly like an event-cap abort, reported as
-    /// [`ExecStatus::Cancelled`] with the partial states and metrics.
-    pub fn run_with_cancel<P, F>(
-        graph: &Arc<Graph>,
-        factory: F,
-        config: &PoolConfig,
+        config: &ExecConfig,
         cancel: &CancelToken,
-    ) -> Result<PoolRun<P>, SimError>
+    ) -> Result<ExecRun<P>, SimError>
     where
         P: Protocol,
         F: FnMut(NodeId, &[NodeId]) -> P,
     {
-        // Monomorphise the whole runtime over the trace switch: the untraced
-        // instantiation carries no trace bookkeeping in its envelopes or
-        // cells (see [`TraceMode`]).
-        if config.record_trace {
-            Self::run_mode::<P, F, Traced>(graph, factory, config, cancel)
-        } else {
-            Self::run_mode::<P, F, Untraced>(graph, factory, config, cancel)
+        if !matches!(config.sim.delay, DelayModel::Unit) {
+            return Err(SimError::InvalidConfig(
+                "the `pool` executor schedules deliveries on real threads and \
+                 cannot honor a simulated delay model; use executor = \"sim\""
+                    .to_string(),
+            ));
         }
-    }
-
-    fn run_mode<P, F, T>(
-        graph: &Arc<Graph>,
-        mut factory: F,
-        config: &PoolConfig,
-        cancel: &CancelToken,
-    ) -> Result<PoolRun<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &[NodeId]) -> P,
-        T: TraceMode,
-    {
+        if !config.sim.faults.is_benign() {
+            return Err(SimError::InvalidConfig(
+                "the `pool` executor cannot inject faults (loss, crashes, \
+                 cuts need the simulated clock); use executor = \"sim\""
+                    .to_string(),
+            ));
+        }
         let n = graph.node_count();
-        let workers = Self::effective_workers(config.workers, n);
-        let starters: Vec<usize> = match &config.start {
+        config
+            .sim
+            .start
+            .validate(n)
+            .map_err(SimError::InvalidConfig)?;
+        let starters: Vec<usize> = match &config.sim.start {
+            StartModel::Simultaneous => (0..n).collect(),
             StartModel::Selected(list) => {
-                if list.is_empty() {
-                    return Err(SimError::InvalidConfig(
-                        "StartModel::Selected with an empty list: no node would ever \
-                         wake up, the run would be a silent no-op"
-                            .to_string(),
-                    ));
-                }
-                for &node in list {
-                    if node.index() >= n {
-                        return Err(SimError::InvalidConfig(format!(
-                            "StartModel::Selected references node {node} but the \
-                             graph has {n} nodes"
-                        )));
-                    }
-                }
                 let mut ids: Vec<usize> = list.iter().map(|u| u.index()).collect();
                 ids.sort_unstable();
                 ids.dedup();
@@ -425,8 +338,31 @@ impl PoolRuntime {
                         .to_string(),
                 ));
             }
-            StartModel::Simultaneous => (0..n).collect(),
         };
+        // Monomorphise the whole runtime over the trace switch: the untraced
+        // instantiation carries no trace bookkeeping in its envelopes or
+        // cells (see [`TraceMode`]).
+        Ok(if config.sim.record_trace {
+            Self::run_mode::<P, F, Traced>(graph, factory, config, starters, cancel)
+        } else {
+            Self::run_mode::<P, F, Untraced>(graph, factory, config, starters, cancel)
+        })
+    }
+
+    fn run_mode<P, F, T>(
+        graph: &Arc<Graph>,
+        mut factory: F,
+        config: &ExecConfig,
+        starters: Vec<usize>,
+        cancel: &CancelToken,
+    ) -> ExecRun<P>
+    where
+        P: Protocol,
+        F: FnMut(NodeId, &[NodeId]) -> P,
+        T: TraceMode,
+    {
+        let n = graph.node_count();
+        let workers = Self::effective_workers(config.workers, n);
         let cells: Vec<Mutex<NodeCell<P, T>>> = (0..n)
             .map(|u| {
                 Mutex::new(NodeCell {
@@ -461,10 +397,10 @@ impl PoolRuntime {
             aborted: AtomicBool::new(false),
             cancel: cancel.clone(),
             cancelled: AtomicBool::new(false),
-            max_events: config.max_events,
+            max_events: config.sim.max_events,
             n,
             batch: Self::effective_batch(config.batch),
-            trace: config.record_trace.then(|| TraceShared {
+            trace: T::ENABLED.then(|| TraceShared {
                 stamp: AtomicU64::new(0),
                 next_msg_id: AtomicU64::new(1),
             }),
@@ -495,7 +431,7 @@ impl PoolRuntime {
             metrics.merge(&m);
             merged_events.extend(events);
         }
-        let trace = if config.record_trace {
+        let trace = if T::ENABLED {
             // The global stamp is unique per event, so sorting by it totally
             // orders the merged worker buffers by real recording order.
             merged_events.sort_unstable_by_key(|e| e.time);
@@ -522,14 +458,16 @@ impl PoolRuntime {
                     .protocol
             })
             .collect();
-        Ok(PoolRun {
+        ExecRun {
+            topology: Arc::clone(graph),
             nodes,
             metrics,
+            trace,
             status,
+            crashed: vec![false; n],
             workers,
             wall_time,
-            trace,
-        })
+        }
     }
 }
 
@@ -775,7 +713,7 @@ fn steal<P: Protocol, T: TraceMode>(
 }
 
 /// Processes one scheduling quantum of node `u`: the pending wake-up (if
-/// any) plus up to [`PoolConfig::batch`] mailbox messages, drained into the
+/// any) plus up to [`ExecConfig::batch`] mailbox messages, drained into the
 /// recycled [`Scratch`]; then flushes the buffered sends per destination
 /// group and settles the node's `scheduled` flag. Returns one node the flush
 /// made runnable, for immediate local continuation.
@@ -1068,14 +1006,43 @@ fn flush_processed<P: Protocol, T: TraceMode>(shared: &Shared<P, T>, local: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{SimConfig, Simulator};
+    use crate::exec::ExecutorKind;
+    use crate::sim::SimConfig;
     use crate::testutil::{flood, Token};
     use mdst_graph::generators;
+
+    /// Runs `factory` on `kind` through the executor entry, with a token
+    /// nobody raises.
+    fn run_on<P: Protocol>(
+        kind: ExecutorKind,
+        g: &Arc<Graph>,
+        factory: impl FnMut(NodeId, &[NodeId]) -> P,
+        config: &ExecConfig,
+    ) -> ExecRun<P> {
+        kind.run(g, factory, config, &CancelToken::new())
+            .expect("valid config")
+    }
+
+    fn pool<P: Protocol>(
+        g: &Arc<Graph>,
+        factory: impl FnMut(NodeId, &[NodeId]) -> P,
+        config: &ExecConfig,
+    ) -> ExecRun<P> {
+        run_on(ExecutorKind::Pool, g, factory, config)
+    }
+
+    /// An [`ExecConfig`] whose run configuration is `sim`.
+    fn with_sim(sim: SimConfig) -> ExecConfig {
+        ExecConfig {
+            sim,
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn flood_terminates_and_reaches_everyone() {
         let g = Arc::new(generators::gnp_connected(60, 0.1, 4).unwrap());
-        let run = PoolRuntime::run(&g, flood, &PoolConfig::default()).unwrap();
+        let run = pool(&g, flood, &ExecConfig::default());
         assert_eq!(run.status, ExecStatus::Quiesced);
         assert_eq!(run.nodes.len(), 60);
         assert!(run.nodes.iter().all(|p| p.seen));
@@ -1085,12 +1052,11 @@ mod tests {
     #[test]
     fn message_totals_match_the_simulator_for_deterministic_protocols() {
         let g = Arc::new(generators::path(16).unwrap());
-        let run = PoolRuntime::run(&g, flood, &PoolConfig::default()).unwrap();
-        let mut sim = Simulator::new(&g, SimConfig::default(), flood).unwrap();
-        sim.run().unwrap();
-        assert_eq!(run.metrics.messages_total, sim.metrics().messages_total);
-        assert_eq!(run.metrics.causal_time, sim.metrics().causal_time);
-        assert_eq!(run.metrics.bits_total, sim.metrics().bits_total);
+        let run = pool(&g, flood, &ExecConfig::default());
+        let sim = run_on(ExecutorKind::Sim, &g, flood, &ExecConfig::default());
+        assert_eq!(run.metrics.messages_total, sim.metrics.messages_total);
+        assert_eq!(run.metrics.causal_time, sim.metrics.causal_time);
+        assert_eq!(run.metrics.bits_total, sim.metrics.bits_total);
         let sent: u64 = run.metrics.sent_per_node.iter().sum();
         let received: u64 = run.metrics.received_per_node.iter().sum();
         assert_eq!(sent, run.metrics.messages_total);
@@ -1100,11 +1066,11 @@ mod tests {
     #[test]
     fn flood_with_one_worker_per_node_reaches_everyone() {
         let g = Arc::new(generators::gnp_connected(30, 0.15, 4).unwrap());
-        let config = PoolConfig {
+        let config = ExecConfig {
             workers: 30,
             ..Default::default()
         };
-        let run = PoolRuntime::run(&g, flood, &config).unwrap();
+        let run = pool(&g, flood, &config);
         assert_eq!(run.status, ExecStatus::Quiesced);
         assert_eq!(run.workers, 30);
         assert_eq!(run.nodes.len(), 30);
@@ -1118,30 +1084,28 @@ mod tests {
         // away from the initiator, regardless of scheduling, so even with
         // every node on its own thread the count equals the simulated one.
         let g = Arc::new(generators::path(12).unwrap());
-        let config = PoolConfig {
+        let config = ExecConfig {
             workers: 12,
             ..Default::default()
         };
-        let run = PoolRuntime::run(&g, flood, &config).unwrap();
+        let run = pool(&g, flood, &config);
         assert_eq!(run.workers, 12);
-        let mut sim = Simulator::new(&g, SimConfig::default(), flood).unwrap();
-        sim.run().unwrap();
-        assert_eq!(run.metrics.messages_total, sim.metrics().messages_total);
-        assert_eq!(run.metrics.causal_time, sim.metrics().causal_time);
+        let sim = run_on(ExecutorKind::Sim, &g, flood, &ExecConfig::default());
+        assert_eq!(run.metrics.messages_total, sim.metrics.messages_total);
+        assert_eq!(run.metrics.causal_time, sim.metrics.causal_time);
     }
 
     #[test]
     fn single_worker_pool_is_effectively_sequential_and_correct() {
         let g = Arc::new(generators::complete(9).unwrap());
-        let run = PoolRuntime::run(
+        let run = pool(
             &g,
             flood,
-            &PoolConfig {
+            &ExecConfig {
                 workers: 1,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(run.workers, 1);
         assert!(run.nodes.iter().all(|p| p.seen));
     }
@@ -1149,15 +1113,14 @@ mod tests {
     #[test]
     fn worker_count_is_clamped_to_the_node_count() {
         let g = Arc::new(generators::path(3).unwrap());
-        let run = PoolRuntime::run(
+        let run = pool(
             &g,
             flood,
-            &PoolConfig {
+            &ExecConfig {
                 workers: 512,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(run.workers, 3);
     }
 
@@ -1184,47 +1147,20 @@ mod tests {
             fn on_message(&mut self, _: NodeId, _: Ping, _: &mut dyn Context<Ping>) {}
         }
         let g = Arc::new(generators::path(5).unwrap());
-        let run = PoolRuntime::run(
+        let run = pool(
             &g,
             |_, _| Counter {
                 started_spontaneously: false,
             },
-            &PoolConfig {
+            &with_sim(SimConfig {
                 start: StartModel::Selected(vec![NodeId(2)]),
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            }),
+        );
         // A silent protocol: only the selected node ever runs on_start.
         let started: Vec<bool> = run.nodes.iter().map(|p| p.started_spontaneously).collect();
         assert_eq!(started, vec![false, false, true, false, false]);
         assert_eq!(run.metrics.messages_total, 0);
-    }
-
-    #[test]
-    fn invalid_start_models_are_rejected_at_construction() {
-        let g = Arc::new(generators::path(4).unwrap());
-        let cases = [
-            StartModel::Selected(Vec::new()),
-            StartModel::Selected(vec![NodeId(0), NodeId(9)]),
-            StartModel::Staggered {
-                max_offset: 10,
-                seed: 1,
-            },
-        ];
-        for start in cases {
-            let err = PoolRuntime::run(
-                &g,
-                flood,
-                &PoolConfig {
-                    start: start.clone(),
-                    ..Default::default()
-                },
-            )
-            .err()
-            .unwrap_or_else(|| panic!("{start:?} must be rejected"));
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
-        }
     }
 
     #[test]
@@ -1246,30 +1182,15 @@ mod tests {
             fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
         }
         let g = Arc::new(generators::path(6).unwrap());
-        let start = StartModel::Selected(vec![NodeId(0)]);
-        let mut sim = Simulator::new(
-            &g,
-            SimConfig {
-                start: start.clone(),
-                ..Default::default()
-            },
-            |_, _| Announce,
-        )
-        .unwrap();
-        sim.run().unwrap();
-        let pool = PoolRuntime::run(
-            &g,
-            |_, _| Announce,
-            &PoolConfig {
-                start,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(pool.metrics.messages_total, sim.metrics().messages_total);
+        let config = with_sim(SimConfig {
+            start: StartModel::Selected(vec![NodeId(0)]),
+            ..Default::default()
+        });
+        let sim = run_on(ExecutorKind::Sim, &g, |_, _| Announce, &config);
+        let pool = pool(&g, |_, _| Announce, &config);
+        assert_eq!(pool.metrics.messages_total, sim.metrics.messages_total);
         assert_eq!(
-            pool.metrics.causal_time,
-            sim.metrics().causal_time,
+            pool.metrics.causal_time, sim.metrics.causal_time,
             "wake-up sends must extend the waking message's causal chain"
         );
     }
@@ -1300,15 +1221,14 @@ mod tests {
             }
         }
         let g = Arc::new(generators::path(2).unwrap());
-        let run = PoolRuntime::run(
+        let run = pool(
             &g,
             |_, _| PingPong,
-            &PoolConfig {
+            &with_sim(SimConfig {
                 max_events: 500,
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            }),
+        );
         assert_eq!(run.status, ExecStatus::EventLimitExceeded);
     }
 
@@ -1347,7 +1267,7 @@ mod tests {
             }
         }
         let g = Arc::new(generators::path(2).unwrap());
-        let run = PoolRuntime::run(
+        let run = pool(
             &g,
             |id, _| {
                 if id == NodeId(0) {
@@ -1356,12 +1276,11 @@ mod tests {
                     FifoProbe(Role::Receiver(Vec::new()))
                 }
             },
-            &PoolConfig {
+            &ExecConfig {
                 workers: 4,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let Role::Receiver(got) = &run.nodes[1].0 else {
             panic!("node 1 is the receiver");
         };
@@ -1371,7 +1290,7 @@ mod tests {
 
     /// Checks a traced flood's merged trace: every send delivered, unique
     /// stamps, send-before-deliver and per-link FIFO by seq.
-    fn assert_merged_trace_is_ordered(run: &PoolRun<crate::testutil::Flood>) {
+    fn assert_merged_trace_is_ordered(run: &ExecRun<crate::testutil::Flood>) {
         use crate::trace::TraceEventKind;
         use std::collections::{HashMap, HashSet};
         assert!(run.trace.is_enabled());
@@ -1412,33 +1331,35 @@ mod tests {
     #[test]
     fn traced_run_merges_per_worker_buffers_in_stamp_order() {
         let g = Arc::new(generators::gnp_connected(40, 0.15, 11).unwrap());
-        let run = PoolRuntime::run(
+        let run = pool(
             &g,
             flood,
-            &PoolConfig {
+            &ExecConfig {
                 workers: 4,
-                record_trace: true,
-                ..Default::default()
+                ..with_sim(SimConfig {
+                    record_trace: true,
+                    ..Default::default()
+                })
             },
-        )
-        .unwrap();
+        );
         assert_merged_trace_is_ordered(&run);
     }
 
     #[test]
     fn traced_run_with_one_worker_per_node_merges_in_stamp_order() {
         let g = Arc::new(generators::gnp_connected(20, 0.2, 7).unwrap());
-        let run = PoolRuntime::run(
+        let run = pool(
             &g,
             flood,
-            &PoolConfig {
+            &ExecConfig {
                 workers: 20,
-                record_trace: true,
-                max_events: u64::MAX,
-                ..Default::default()
+                ..with_sim(SimConfig {
+                    record_trace: true,
+                    max_events: u64::MAX,
+                    ..Default::default()
+                })
             },
-        )
-        .unwrap();
+        );
         assert_eq!(run.workers, 20);
         assert_merged_trace_is_ordered(&run);
     }
@@ -1446,7 +1367,7 @@ mod tests {
     #[test]
     fn untraced_run_returns_the_disabled_recorder() {
         let g = Arc::new(generators::path(4).unwrap());
-        let run = PoolRuntime::run(&g, flood, &PoolConfig::default()).unwrap();
+        let run = pool(&g, flood, &ExecConfig::default());
         assert!(!run.trace.is_enabled());
         assert!(run.trace.events().is_empty());
     }
@@ -1454,11 +1375,11 @@ mod tests {
     #[test]
     fn untraced_run_with_one_worker_per_node_returns_the_disabled_recorder() {
         let g = Arc::new(generators::path(4).unwrap());
-        let config = PoolConfig {
+        let config = ExecConfig {
             workers: 4,
             ..Default::default()
         };
-        let run = PoolRuntime::run(&g, flood, &config).unwrap();
+        let run = pool(&g, flood, &config);
         assert_eq!(run.workers, 4);
         assert!(!run.trace.is_enabled());
         assert!(run.trace.events().is_empty());
@@ -1467,11 +1388,11 @@ mod tests {
     #[test]
     fn per_node_counters_are_consistent() {
         let g = Arc::new(generators::complete(6).unwrap());
-        let config = PoolConfig {
+        let config = ExecConfig {
             workers: 4,
             ..Default::default()
         };
-        let run = PoolRuntime::run(&g, flood, &config).unwrap();
+        let run = pool(&g, flood, &config);
         let sent: u64 = run.metrics.sent_per_node.iter().sum();
         let received: u64 = run.metrics.received_per_node.iter().sum();
         assert_eq!(sent, run.metrics.messages_total);
@@ -1487,11 +1408,11 @@ mod tests {
             fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
         }
         let g = Arc::new(generators::cycle(5).unwrap());
-        let config = PoolConfig {
+        let config = ExecConfig {
             workers: 4,
             ..Default::default()
         };
-        let run = PoolRuntime::run(&g, |_, _| Silent, &config).unwrap();
+        let run = pool(&g, |_, _| Silent, &config);
         assert_eq!(run.status, ExecStatus::Quiesced);
         assert_eq!(run.metrics.messages_total, 0);
     }
@@ -1510,6 +1431,6 @@ mod tests {
         let g = Arc::new(generators::path(3).unwrap());
         // Node 0's only neighbour is node 1; the send panics on a worker and
         // the scope propagates it.
-        let _ = PoolRuntime::run(&g, |_, _| Bad, &PoolConfig::default()).unwrap();
+        let _ = pool(&g, |_, _| Bad, &ExecConfig::default());
     }
 }

@@ -15,6 +15,7 @@
 
 use crate::cancel::CancelToken;
 use crate::delay::{DelayModel, DelaySampler};
+use crate::exec::{ExecRun, ExecStatus};
 use crate::fault::FaultPlan;
 use crate::message::NetMessage;
 use crate::metrics::{KindCounts, Metrics};
@@ -28,6 +29,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// When each node spontaneously wakes up.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -48,6 +50,31 @@ pub enum StartModel {
     Selected(Vec<NodeId>),
 }
 
+impl StartModel {
+    /// Checks a [`StartModel::Selected`] list against an `n`-node graph: it
+    /// must be non-empty (or no node would ever wake up) and name only
+    /// existing nodes. Both backends call this before building a run.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
+        let StartModel::Selected(list) = self else {
+            return Ok(());
+        };
+        if list.is_empty() {
+            return Err(
+                "StartModel::Selected with an empty list: no node would ever \
+                 wake up, the run would be a silent no-op"
+                    .to_string(),
+            );
+        }
+        match list.iter().find(|node| node.index() >= n) {
+            Some(node) => Err(format!(
+                "StartModel::Selected references node {node} but the \
+                 graph has {n} nodes"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -55,8 +82,8 @@ pub struct SimConfig {
     pub delay: DelayModel,
     /// Wake-up schedule.
     pub start: StartModel,
-    /// Hard cap on processed events; exceeding it aborts the run with
-    /// [`SimError::EventLimitExceeded`] (a non-termination guard for tests).
+    /// Hard cap on processed events; exceeding it ends the run with
+    /// [`ExecStatus::EventLimitExceeded`] (a non-termination guard).
     pub max_events: u64,
     /// Whether to keep a full [`TraceRecorder`] of sends and deliveries.
     pub record_trace: bool,
@@ -78,30 +105,20 @@ impl Default for SimConfig {
     }
 }
 
-/// Errors the simulator can produce.
+/// Errors of setting up a run on either backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The event cap was hit before the network became quiescent.
-    EventLimitExceeded {
-        /// The configured cap.
-        limit: u64,
-    },
-    /// The configuration is inconsistent with the simulated graph (start list
-    /// out of range or empty, degenerate delay range, bad fault plan, …).
+    /// The configuration is inconsistent with the graph or asks for
+    /// something the backend cannot honor (start list out of range or
+    /// empty, degenerate delay range, bad fault plan, simulated delays on
+    /// the pool, …).
     InvalidConfig(String),
-    /// A [`CancelToken`] installed via [`Simulator::set_cancel`] was raised;
-    /// the run stopped at an event boundary with its state intact.
-    Cancelled,
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::EventLimitExceeded { limit } => {
-                write!(f, "event limit of {limit} exceeded before quiescence")
-            }
             SimError::InvalidConfig(why) => write!(f, "invalid simulator config: {why}"),
-            SimError::Cancelled => write!(f, "run cancelled before quiescence"),
         }
     }
 }
@@ -229,8 +246,9 @@ impl<M: NetMessage> Context<M> for SimCtx<'_, M> {
     }
 }
 
-/// The discrete-event simulator. See the module documentation.
-pub struct Simulator<P: Protocol> {
+/// The discrete-event simulator. See the module documentation; runs reach it
+/// through [`crate::exec::ExecutorKind::run`].
+pub(crate) struct Simulator<P: Protocol> {
     nodes: Vec<P>,
     /// Shared, immutable topology. Neighbour lists are borrowed straight out
     /// of the graph's CSR rows — the simulator materialises no adjacency of
@@ -268,15 +286,11 @@ pub struct Simulator<P: Protocol> {
     /// across events, so scheduling allocates nothing in the steady state.
     outbox: Vec<(NodeId, usize, P::Message)>,
     metrics: Metrics,
-    /// Deliveries per message kind not yet folded into `metrics` (folded at
-    /// every public boundary: [`Simulator::step`], [`Simulator::run`] and
-    /// [`Simulator::into_parts`]).
+    /// Deliveries per message kind not yet folded into `metrics` (folded
+    /// once, when [`Simulator::run`] returns).
     kinds: KindCounts,
     trace: TraceRecorder,
     config: SimConfig,
-    /// Cooperative cancellation flag, polled between events in [`Simulator::run`]
-    /// (absent on uncontrolled runs, which then pay no atomic loads at all).
-    cancel: Option<CancelToken>,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -289,8 +303,8 @@ impl<P: Protocol> Simulator<P> {
     /// delay model must satisfy its documented `1 ≤ min ≤ max` contract, and
     /// the fault plan must reference existing nodes and edges. Violations
     /// return [`SimError::InvalidConfig`] instead of panicking (or silently
-    /// succeeding) deep inside [`Simulator::step`].
-    pub fn new(
+    /// succeeding) deep inside [`Simulator::run`].
+    pub(crate) fn new(
         graph: &Arc<Graph>,
         config: SimConfig,
         mut factory: impl FnMut(NodeId, &[NodeId]) -> P,
@@ -350,7 +364,6 @@ impl<P: Protocol> Simulator<P> {
             kinds: KindCounts::default(),
             trace,
             config,
-            cancel: None,
         };
         sim.schedule_crashes();
         sim.schedule_starts();
@@ -359,24 +372,10 @@ impl<P: Protocol> Simulator<P> {
 
     fn validate_config(graph: &Graph, config: &SimConfig) -> Result<(), SimError> {
         config.delay.validate().map_err(SimError::InvalidConfig)?;
-        if let StartModel::Selected(list) = &config.start {
-            if list.is_empty() {
-                return Err(SimError::InvalidConfig(
-                    "StartModel::Selected with an empty list: no node would ever \
-                     wake up, the run would be a silent no-op"
-                        .to_string(),
-                ));
-            }
-            let n = graph.node_count();
-            for &node in list {
-                if node.index() >= n {
-                    return Err(SimError::InvalidConfig(format!(
-                        "StartModel::Selected references node {node} but the \
-                         graph has {n} nodes"
-                    )));
-                }
-            }
-        }
+        config
+            .start
+            .validate(graph.node_count())
+            .map_err(SimError::InvalidConfig)?;
         config
             .faults
             .validate(graph)
@@ -431,58 +430,8 @@ impl<P: Protocol> Simulator<P> {
         s
     }
 
-    /// Number of nodes in the simulated network.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The shared topology this simulator runs on.
-    pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
-    }
-
-    /// Immutable access to a node's protocol state (for assertions and
-    /// extracting results after a run).
-    pub fn node(&self, id: NodeId) -> &P {
-        &self.nodes[id.index()]
-    }
-
-    /// Immutable access to every node.
-    pub fn nodes(&self) -> &[P] {
-        &self.nodes
-    }
-
-    /// The metrics accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The trace recorded so far (empty unless `record_trace` was set).
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
-    }
-
-    /// The current simulated clock.
-    pub fn now(&self) -> u64 {
-        self.clock
-    }
-
-    /// Consumes the simulator, returning the node states and the metrics.
-    pub fn into_parts(mut self) -> (Vec<P>, Metrics, TraceRecorder) {
-        self.kinds.fold_into(&mut self.metrics);
-        (self.nodes, self.metrics, self.trace)
-    }
-
-    /// Processes a single event. Returns `false` when the queue is empty
-    /// (quiescence reached).
-    pub fn step(&mut self) -> bool {
-        let more = self.process_event();
-        self.kinds.fold_into(&mut self.metrics);
-        more
-    }
-
-    /// [`Simulator::step`] without folding the per-kind counters into the
-    /// metrics; [`Simulator::run`] folds once when it returns.
+    /// Processes a single event without folding the per-kind counters into
+    /// the metrics. Returns `false` when the queue is empty (quiescence).
     fn process_event(&mut self) -> bool {
         let Some((time, event)) = self.queue.pop() else {
             return false;
@@ -694,75 +643,66 @@ impl<P: Protocol> Simulator<P> {
         );
     }
 
-    /// Installs a cooperative cancellation token: [`Simulator::run`] polls it
-    /// every [`Self::CANCEL_POLL_STRIDE`] events and returns
-    /// [`SimError::Cancelled`] at the next boundary once it is raised.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = Some(cancel);
-    }
-
     /// Events between cancellation polls in [`Simulator::run`]: frequent
     /// enough that cancellation lands within microseconds, sparse enough
     /// that uncancelled runs pay about one atomic load per thousand events.
-    pub const CANCEL_POLL_STRIDE: u64 = 1024;
+    const CANCEL_POLL_STRIDE: u64 = 1024;
 
-    /// Runs the simulation to quiescence (empty event queue).
-    pub fn run(&mut self) -> Result<(), SimError> {
-        let result = self.run_events();
+    /// Runs the simulation to quiescence (empty event queue), the event cap
+    /// or a raised `cancel` token, whichever comes first, and folds the
+    /// per-kind counters into the metrics.
+    pub(crate) fn run(&mut self, cancel: &CancelToken) -> ExecStatus {
+        let status = self.run_events(cancel);
         self.kinds.fold_into(&mut self.metrics);
-        result
+        status
     }
 
-    fn run_events(&mut self) -> Result<(), SimError> {
+    fn run_events(&mut self, cancel: &CancelToken) -> ExecStatus {
         while self.processed_events < self.config.max_events {
             if self
                 .processed_events
                 .is_multiple_of(Self::CANCEL_POLL_STRIDE)
-                && self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+                && cancel.is_cancelled()
             {
-                return Err(SimError::Cancelled);
+                return ExecStatus::Cancelled;
             }
             if !self.process_event() {
-                return Ok(());
+                return ExecStatus::Quiesced;
             }
         }
         if self.queue.is_empty() {
-            Ok(())
+            ExecStatus::Quiesced
         } else {
-            Err(SimError::EventLimitExceeded {
-                limit: self.config.max_events,
-            })
+            ExecStatus::EventLimitExceeded
         }
     }
 
-    /// Whether every node's protocol reports local termination.
-    pub fn all_terminated(&self) -> bool {
-        self.nodes.iter().all(|p| p.is_terminated())
-    }
-
-    /// Which nodes have crash-stopped (always all-false under a benign fault
-    /// plan).
-    pub fn crashed(&self) -> &[bool] {
-        &self.crashed
-    }
-
-    /// Whether every *live* (non-crashed) node reports local termination —
-    /// the strongest termination a faulty run can achieve.
-    pub fn all_live_terminated(&self) -> bool {
-        self.nodes
-            .iter()
-            .zip(&self.crashed)
-            .all(|(p, &dead)| dead || p.is_terminated())
+    /// Runs the simulation (see [`Simulator::run`]) and hands its final
+    /// state over as the uniform [`ExecRun`].
+    pub(crate) fn execute(mut self, cancel: &CancelToken) -> ExecRun<P> {
+        let started = Instant::now();
+        let status = self.run(cancel);
+        let wall_time = started.elapsed();
+        ExecRun {
+            topology: self.graph,
+            nodes: self.nodes,
+            metrics: self.metrics,
+            trace: self.trace,
+            status,
+            crashed: self.crashed,
+            workers: 1,
+            wall_time,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ExecConfig, ExecutorKind};
+    use crate::fault::{CrashAt, CutAt};
     use crate::message::bits::message_bits;
     use mdst_graph::generators;
-
-    use crate::fault::{CrashAt, CutAt};
 
     /// Flood protocol: the node with identity 0 floods a token; every node
     /// forwards it the first time it sees it. Classic broadcast, n-1 .. m
@@ -837,51 +777,66 @@ mod tests {
         }
     }
 
-    fn flood_sim(g: &Arc<Graph>, config: SimConfig) -> Simulator<Flood> {
-        Simulator::new(g, config, |id, _| Flood {
+    fn flood_node(id: NodeId, _: &[NodeId]) -> Flood {
+        Flood {
             id,
             seen: false,
             max_hops_seen: 0,
-        })
-        .expect("valid config")
+        }
+    }
+
+    /// Runs the flood on the simulator through the executor entry.
+    fn flood_run(g: &Arc<Graph>, config: SimConfig) -> ExecRun<Flood> {
+        try_flood_run(g, config).expect("valid config")
+    }
+
+    fn try_flood_run(g: &Arc<Graph>, config: SimConfig) -> Result<ExecRun<Flood>, SimError> {
+        let config = ExecConfig {
+            sim: config,
+            ..Default::default()
+        };
+        ExecutorKind::Sim.run(g, flood_node, &config, &CancelToken::new())
+    }
+
+    /// The simulator itself, for the tests that read its clock after a run.
+    fn flood_sim(g: &Arc<Graph>, config: SimConfig) -> Simulator<Flood> {
+        Simulator::new(g, config, flood_node).expect("valid config")
     }
 
     #[test]
     fn flood_reaches_every_node_on_a_path() {
         let g = Arc::new(generators::path(6).unwrap());
-        let mut sim = flood_sim(&g, SimConfig::default());
-        sim.run().unwrap();
-        assert!(sim.all_terminated());
+        let run = flood_run(&g, SimConfig::default());
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert!(run.all_terminated());
         // On a path the flood sends exactly one token over each edge away from
         // node 0, plus the backward token each internal node sends to its
         // predecessor (it does not know who already has the token).
-        assert!(sim.metrics().messages_total >= 5);
-        assert_eq!(sim.metrics().causal_time, 5);
-        assert_eq!(sim.metrics().quiescence_time, 5);
+        assert!(run.metrics.messages_total >= 5);
+        assert_eq!(run.metrics.causal_time, 5);
+        assert_eq!(run.metrics.quiescence_time, 5);
     }
 
     #[test]
     fn flood_message_count_on_complete_graph_is_quadratic() {
         let g = Arc::new(generators::complete(8).unwrap());
-        let mut sim = flood_sim(&g, SimConfig::default());
-        sim.run().unwrap();
-        assert!(sim.all_terminated());
+        let run = flood_run(&g, SimConfig::default());
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert!(run.all_terminated());
         // Every node forwards to all neighbours except the one it heard from:
         // total is at least 2m - (n - 1) under any schedule... just check the
         // broad band: between n-1 and 2m.
         let m = g.edge_count() as u64;
-        assert!(sim.metrics().messages_total >= 7);
-        assert!(sim.metrics().messages_total <= 2 * m);
+        assert!(run.metrics.messages_total >= 7);
+        assert!(run.metrics.messages_total <= 2 * m);
     }
 
     #[test]
     fn unit_delay_runs_are_deterministic() {
         let g = Arc::new(generators::gnp_connected(24, 0.2, 3).unwrap());
-        let mut a = flood_sim(&g, SimConfig::default());
-        let mut b = flood_sim(&g, SimConfig::default());
-        a.run().unwrap();
-        b.run().unwrap();
-        assert_eq!(a.metrics(), b.metrics());
+        let a = flood_run(&g, SimConfig::default());
+        let b = flood_run(&g, SimConfig::default());
+        assert_eq!(a.metrics, b.metrics);
     }
 
     #[test]
@@ -895,16 +850,14 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut a = flood_sim(&g, cfg.clone());
-        let mut b = flood_sim(&g, cfg);
-        a.run().unwrap();
-        b.run().unwrap();
-        assert_eq!(a.metrics(), b.metrics());
+        let a = flood_run(&g, cfg.clone());
+        let b = flood_run(&g, cfg);
+        assert_eq!(a.metrics, b.metrics);
         assert!(a.all_terminated());
     }
 
     #[test]
-    fn public_steps_fold_the_kind_counters_exactly_like_run() {
+    fn every_exit_of_run_folds_the_kind_counters() {
         let g = Arc::new(generators::gnp_connected(24, 0.25, 6).unwrap());
         let cfg = SimConfig {
             delay: DelayModel::UniformRandom {
@@ -914,35 +867,34 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut ran = flood_sim(&g, cfg.clone());
-        ran.run().unwrap();
-        let mut stepped = flood_sim(&g, cfg.clone());
-        while stepped.step() {}
-        assert_eq!(stepped.metrics(), ran.metrics());
-        let by_kind = &ran.metrics().messages_by_kind;
+        let mut sim = flood_sim(&g, cfg.clone());
+        assert_eq!(sim.run(&CancelToken::new()), ExecStatus::Quiesced);
+        let by_kind = &sim.metrics.messages_by_kind;
         assert_eq!(by_kind.len(), 2, "{by_kind:?}");
-        assert_eq!(by_kind.values().sum::<u64>(), ran.metrics().messages_total);
-        let (_, parts_metrics, _) = stepped.into_parts();
-        assert_eq!(&parts_metrics, ran.metrics());
+        assert_eq!(by_kind.values().sum::<u64>(), sim.metrics.messages_total);
 
-        // Read mid-run, the metrics after k public steps equal those of a
-        // fresh run that `run` stopped at the same event (its cap).
-        let events = ran.processed_events;
+        // A run stopped by its event cap folds the counters too: for every
+        // cap, the per-kind counts of the partial run sum to its total.
+        let events = sim.processed_events;
+        let mut delivered_before_the_cap = false;
         for k in [10, 30, events / 2, events - 1] {
-            let mut partial = flood_sim(&g, cfg.clone());
-            for _ in 0..k {
-                assert!(partial.step());
-            }
-            let mut capped = flood_sim(
+            let capped = flood_run(
                 &g,
                 SimConfig {
                     max_events: k,
                     ..cfg.clone()
                 },
             );
-            assert_eq!(capped.run(), Err(SimError::EventLimitExceeded { limit: k }));
-            assert_eq!(partial.metrics(), capped.metrics(), "k = {k}");
+            assert_eq!(capped.status, ExecStatus::EventLimitExceeded, "k = {k}");
+            let total = capped.metrics.messages_total;
+            let by_kind = &capped.metrics.messages_by_kind;
+            assert_eq!(by_kind.values().sum::<u64>(), total, "k = {k}");
+            delivered_before_the_cap |= total > 0;
         }
+        assert!(
+            delivered_before_the_cap,
+            "some capped run delivered messages"
+        );
     }
 
     #[test]
@@ -955,9 +907,9 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
-        assert!(sim.all_terminated());
+        let run = flood_run(&g, cfg);
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert!(run.all_terminated());
     }
 
     #[test]
@@ -967,40 +919,9 @@ mod tests {
             start: StartModel::Selected(vec![NodeId(0)]),
             ..Default::default()
         };
-        let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
-        assert!(sim.all_terminated());
-    }
-
-    #[test]
-    fn selected_start_rejects_out_of_range_and_empty_lists() {
-        let g = Arc::new(generators::path(4).unwrap());
-        let oob = SimConfig {
-            start: StartModel::Selected(vec![NodeId(0), NodeId(7)]),
-            ..Default::default()
-        };
-        let err = Simulator::new(&g, oob, |id, _| Flood {
-            id,
-            seen: false,
-            max_hops_seen: 0,
-        })
-        .err()
-        .expect("config must be rejected");
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
-        assert!(err.to_string().contains("v7"), "{err}");
-
-        let empty = SimConfig {
-            start: StartModel::Selected(Vec::new()),
-            ..Default::default()
-        };
-        let err = Simulator::new(&g, empty, |id, _| Flood {
-            id,
-            seen: false,
-            max_hops_seen: 0,
-        })
-        .err()
-        .expect("config must be rejected");
-        assert!(err.to_string().contains("empty"), "{err}");
+        let run = flood_run(&g, cfg);
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert!(run.all_terminated());
     }
 
     #[test]
@@ -1022,13 +943,9 @@ mod tests {
                 delay,
                 ..Default::default()
             };
-            let err = Simulator::new(&g, cfg, |id, _| Flood {
-                id,
-                seen: false,
-                max_hops_seen: 0,
-            })
-            .err()
-            .expect("config must be rejected");
+            let err = try_flood_run(&g, cfg)
+                .err()
+                .expect("config must be rejected");
             assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
         }
     }
@@ -1047,10 +964,9 @@ mod tests {
             ..Default::default()
         };
         let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
+        assert_eq!(sim.run(&CancelToken::new()), ExecStatus::Quiesced);
         assert_eq!(
-            sim.metrics().quiescence_time,
-            sim.now(),
+            sim.metrics.quiescence_time, sim.clock,
             "quiescence time must equal the clock at the last start/delivery"
         );
     }
@@ -1080,10 +996,10 @@ mod tests {
             ..Default::default()
         };
         let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
-        assert_eq!(sim.metrics().dropped_messages, 1);
-        assert_eq!(sim.metrics().quiescence_time, 1, "drop at the corpse");
-        assert_eq!(sim.now(), 100, "the clock still reaches the late crash");
+        assert_eq!(sim.run(&CancelToken::new()), ExecStatus::Quiesced);
+        assert_eq!(sim.metrics.dropped_messages, 1);
+        assert_eq!(sim.metrics.quiescence_time, 1, "drop at the corpse");
+        assert_eq!(sim.clock, 100, "the clock still reaches the late crash");
 
         // Same principle for starts: a staggered start addressed to a node
         // that crashed at t=0 is a no-op and must not count as activity, so
@@ -1106,9 +1022,9 @@ mod tests {
                 ..Default::default()
             };
             let mut sim = flood_sim(&g, cfg);
-            sim.run().unwrap();
-            assert!(sim.metrics().quiescence_time <= sim.now());
-            some_seed_diverges |= sim.metrics().quiescence_time < sim.now();
+            assert_eq!(sim.run(&CancelToken::new()), ExecStatus::Quiesced);
+            assert!(sim.metrics.quiescence_time <= sim.clock);
+            some_seed_diverges |= sim.metrics.quiescence_time < sim.clock;
         }
         assert!(
             some_seed_diverges,
@@ -1127,12 +1043,12 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
+        let run = flood_run(&g, cfg);
+        assert_eq!(run.status, ExecStatus::Quiesced);
         // Node 0 floods its 5 neighbours; every send is lost, nobody answers.
-        assert_eq!(sim.metrics().messages_total, 0);
-        assert_eq!(sim.metrics().dropped_messages, 5);
-        assert!(!sim.all_terminated(), "only node 0 ever saw the token");
+        assert_eq!(run.metrics.messages_total, 0);
+        assert_eq!(run.metrics.dropped_messages, 5);
+        assert!(!run.all_terminated(), "only node 0 ever saw the token");
     }
 
     #[test]
@@ -1146,14 +1062,12 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut a = flood_sim(&g, cfg.clone());
-        let mut b = flood_sim(&g, cfg.clone());
-        a.run().unwrap();
-        b.run().unwrap();
-        assert_eq!(a.metrics(), b.metrics());
-        assert!(a.metrics().dropped_messages > 0, "loss 0.4 must drop some");
+        let a = flood_run(&g, cfg.clone());
+        let b = flood_run(&g, cfg.clone());
+        assert_eq!(a.metrics, b.metrics);
+        assert!(a.metrics.dropped_messages > 0, "loss 0.4 must drop some");
         // A different loss seed changes which messages die.
-        let mut c = flood_sim(
+        let c = flood_run(
             &g,
             SimConfig {
                 faults: FaultPlan {
@@ -1164,10 +1078,9 @@ mod tests {
                 ..cfg
             },
         );
-        c.run().unwrap();
         assert_ne!(
-            (a.metrics().messages_total, a.metrics().dropped_messages),
-            (c.metrics().messages_total, c.metrics().dropped_messages),
+            (a.metrics.messages_total, a.metrics.dropped_messages),
+            (c.metrics.messages_total, c.metrics.dropped_messages),
         );
     }
 
@@ -1184,10 +1097,10 @@ mod tests {
         };
         let mut a = flood_sim(&g, SimConfig::default());
         let mut b = flood_sim(&g, explicit);
-        a.run().unwrap();
-        b.run().unwrap();
-        assert_eq!(a.metrics(), b.metrics());
-        assert_eq!(a.now(), b.now());
+        assert_eq!(a.run(&CancelToken::new()), ExecStatus::Quiesced);
+        assert_eq!(b.run(&CancelToken::new()), ExecStatus::Quiesced);
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(a.clock, b.clock);
     }
 
     #[test]
@@ -1205,12 +1118,12 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
-        assert_eq!(sim.metrics().messages_total, 0);
-        assert_eq!(sim.metrics().crashed_nodes, 1);
-        assert!(sim.crashed()[0]);
-        assert!(!sim.node(NodeId(1)).seen, "the flood never started");
+        let run = flood_run(&g, cfg);
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert_eq!(run.metrics.messages_total, 0);
+        assert_eq!(run.metrics.crashed_nodes, 1);
+        assert!(run.crashed[0]);
+        assert!(!run.nodes[1].seen, "the flood never started");
 
         // Crash node 2 mid-path instead: the flood dies at the crash site and
         // the message addressed to the corpse is counted as dropped.
@@ -1225,26 +1138,26 @@ mod tests {
             record_trace: true,
             ..Default::default()
         };
-        let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
-        assert!(sim.node(NodeId(1)).seen);
-        assert!(!sim.node(NodeId(3)).seen, "flood cannot pass the crash");
-        assert!(sim.metrics().dropped_messages >= 1);
-        assert!(!sim.all_live_terminated());
-        let crashes = sim
-            .trace()
+        let run = flood_run(&g, cfg);
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert!(run.nodes[1].seen);
+        assert!(!run.nodes[3].seen, "flood cannot pass the crash");
+        assert!(run.metrics.dropped_messages >= 1);
+        assert!(!run.all_live_terminated());
+        let crashes = run
+            .trace
             .events()
             .iter()
             .filter(|e| e.kind == TraceEventKind::Crash)
             .count();
-        let drops = sim
-            .trace()
+        let drops = run
+            .trace
             .events()
             .iter()
             .filter(|e| e.kind == TraceEventKind::Drop)
             .count();
         assert_eq!(crashes, 1);
-        assert_eq!(drops as u64, sim.metrics().dropped_messages);
+        assert_eq!(drops as u64, run.metrics.dropped_messages);
     }
 
     #[test]
@@ -1263,12 +1176,12 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
-        assert!(sim.node(NodeId(1)).seen);
-        assert!(!sim.node(NodeId(2)).seen);
-        assert!(!sim.node(NodeId(3)).seen);
-        assert!(sim.metrics().dropped_messages >= 1);
+        let run = flood_run(&g, cfg);
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert!(run.nodes[1].seen);
+        assert!(!run.nodes[2].seen);
+        assert!(!run.nodes[3].seen);
+        assert!(run.metrics.dropped_messages >= 1);
     }
 
     #[test]
@@ -1284,13 +1197,9 @@ mod tests {
             },
             ..Default::default()
         };
-        let err = Simulator::new(&g, bad_crash, |id, _| Flood {
-            id,
-            seen: false,
-            max_hops_seen: 0,
-        })
-        .err()
-        .expect("config must be rejected");
+        let err = try_flood_run(&g, bad_crash)
+            .err()
+            .expect("config must be rejected");
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
         let bad_cut = SimConfig {
             faults: FaultPlan {
@@ -1303,13 +1212,9 @@ mod tests {
             },
             ..Default::default()
         };
-        let err = Simulator::new(&g, bad_cut, |id, _| Flood {
-            id,
-            seen: false,
-            max_hops_seen: 0,
-        })
-        .err()
-        .expect("config must be rejected");
+        let err = try_flood_run(&g, bad_cut)
+            .err()
+            .expect("config must be rejected");
         assert!(err.to_string().contains("not an edge"), "{err}");
     }
 
@@ -1321,8 +1226,8 @@ mod tests {
             ..Default::default()
         };
         let mut sim = flood_sim(&g, cfg);
-        let err = sim.run().unwrap_err();
-        assert_eq!(err, SimError::EventLimitExceeded { limit: 5 });
+        assert_eq!(sim.run(&CancelToken::new()), ExecStatus::EventLimitExceeded);
+        assert_eq!(sim.processed_events, 5);
     }
 
     #[test]
@@ -1336,14 +1241,12 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut fast = flood_sim(&g, SimConfig::default());
-        let mut slow_sim = flood_sim(&g, slow);
-        fast.run().unwrap();
-        slow_sim.run().unwrap();
+        let fast = flood_run(&g, SimConfig::default());
+        let slow_run = flood_run(&g, slow);
         // The causal chain length is a property of the protocol, not the delays.
-        assert_eq!(fast.metrics().causal_time, slow_sim.metrics().causal_time);
+        assert_eq!(fast.metrics.causal_time, slow_run.metrics.causal_time);
         // But the clock at quiescence is delay dependent (strictly larger here).
-        assert!(slow_sim.metrics().quiescence_time >= fast.metrics().quiescence_time);
+        assert!(slow_run.metrics.quiescence_time >= fast.metrics.quiescence_time);
     }
 
     #[test]
@@ -1353,22 +1256,21 @@ mod tests {
             record_trace: true,
             ..Default::default()
         };
-        let mut sim = flood_sim(&g, cfg);
-        sim.run().unwrap();
-        let sends = sim
-            .trace()
+        let run = flood_run(&g, cfg);
+        let sends = run
+            .trace
             .events()
             .iter()
             .filter(|e| e.kind == TraceEventKind::Send)
             .count();
-        let delivers = sim
-            .trace()
+        let delivers = run
+            .trace
             .events()
             .iter()
             .filter(|e| e.kind == TraceEventKind::Deliver)
             .count();
         assert_eq!(sends, delivers);
-        assert_eq!(delivers as u64, sim.metrics().messages_total);
+        assert_eq!(delivers as u64, run.metrics.messages_total);
     }
 
     #[test]
@@ -1383,9 +1285,8 @@ mod tests {
             fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
         }
         let g = Arc::new(generators::path(3).unwrap());
-        let mut sim = Simulator::new(&g, SimConfig::default(), |_, _| Bad).unwrap();
-        // Node 0's only neighbour is node 1, so this panics during run().
-        sim.run().unwrap();
+        // Node 0's only neighbour is node 1, so this panics during the run.
+        let _ = ExecutorKind::Sim.run(&g, |_, _| Bad, &ExecConfig::default(), &CancelToken::new());
     }
 
     #[test]
@@ -1425,24 +1326,33 @@ mod tests {
             }
         }
         let g = Arc::new(generators::path(2).unwrap());
-        let cfg = SimConfig {
-            delay: DelayModel::UniformRandom {
-                min: 1,
-                max: 30,
-                seed: 123,
+        let cfg = ExecConfig {
+            sim: SimConfig {
+                delay: DelayModel::UniformRandom {
+                    min: 1,
+                    max: 30,
+                    seed: 123,
+                },
+                ..Default::default()
             },
             ..Default::default()
         };
-        let mut sim = Simulator::new(&g, cfg, |id, _| {
-            if id == NodeId(0) {
-                FifoProbe(Role::Sender)
-            } else {
-                FifoProbe(Role::Receiver(Vec::new()))
-            }
-        })
-        .unwrap();
-        sim.run().unwrap();
-        let Role::Receiver(got) = &sim.node(NodeId(1)).0 else {
+        let run = ExecutorKind::Sim
+            .run(
+                &g,
+                |id, _| {
+                    if id == NodeId(0) {
+                        FifoProbe(Role::Sender)
+                    } else {
+                        FifoProbe(Role::Receiver(Vec::new()))
+                    }
+                },
+                &cfg,
+                &CancelToken::new(),
+            )
+            .unwrap();
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        let Role::Receiver(got) = &run.nodes[1].0 else {
             panic!("node 1 is the receiver");
         };
         let sorted: Vec<u64> = (0..50).collect();

@@ -35,6 +35,18 @@ fn spec_err<T>(msg: impl Into<String>) -> Result<T, SpecError> {
     Err(SpecError(msg.into()))
 }
 
+/// Checks that a node id read from a spec fits a 32-bit [`NodeId`], so an
+/// oversized id is a spec error instead of wrapping onto a real node.
+fn node_index(id: u64, scenario: &str, what: &str) -> Result<usize, SpecError> {
+    match u32::try_from(id) {
+        Ok(id) => Ok(id as usize),
+        Err(_) => spec_err(format!(
+            "scenario `{scenario}`: {what} {id} exceeds the largest node id {}",
+            u32::MAX
+        )),
+    }
+}
+
 /// A full campaign: a name plus the scenarios to sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioMatrix {
@@ -327,8 +339,8 @@ impl FaultSpec {
                     ))
                 })?
                 .into_iter()
-                .map(|[node, at]| (node as usize, at))
-                .collect(),
+                .map(|[node, at]| Ok((node_index(node, scenario, "faults `crashes` node")?, at)))
+                .collect::<Result<_, SpecError>>()?,
         };
         let cuts = match value.get("cuts") {
             None => Vec::new(),
@@ -340,8 +352,15 @@ impl FaultSpec {
                     ))
                 })?
                 .into_iter()
-                .map(|[a, b, at]| (a as usize, b as usize, at))
-                .collect(),
+                .map(|[a, b, at]| {
+                    let what = "faults `cuts` endpoint";
+                    Ok((
+                        node_index(a, scenario, what)?,
+                        node_index(b, scenario, what)?,
+                        at,
+                    ))
+                })
+                .collect::<Result<_, SpecError>>()?,
         };
         Ok(FaultSpec {
             loss,
@@ -915,11 +934,14 @@ impl ScenarioSpec {
         };
         let root = match value.get("root") {
             None => 0,
-            Some(v) => v.as_u64().ok_or_else(|| {
-                SpecError(format!(
-                    "scenario `{name}`: `root` must be a non-negative integer"
-                ))
-            })? as usize,
+            Some(v) => {
+                let root = v.as_u64().ok_or_else(|| {
+                    SpecError(format!(
+                        "scenario `{name}`: `root` must be a non-negative integer"
+                    ))
+                })?;
+                node_index(root, &name, "`root`")?
+            }
         };
         let max_events = match value.get("max_events") {
             None => SimConfig::default().max_events,
@@ -1462,6 +1484,32 @@ mod tests {
             let err = ScenarioMatrix::from_toml_str(&spec);
             assert!(err.is_err(), "accepted malformed fault axis: {case}");
         }
+    }
+
+    #[test]
+    fn node_ids_past_u32_are_rejected_instead_of_wrapping() {
+        // 2³² + 1 would wrap to node 1 and 2³² to node 0 of a real graph.
+        let cases = [
+            ("faults = [{ crashes = [[4294967297, 3]] }]", "crashes"),
+            ("faults = [{ cuts = [[4294967296, 1, 3]] }]", "cuts"),
+            ("root = 4294967296", "root"),
+        ];
+        for (case, what) in cases {
+            let spec = format!(
+                "[[scenario]]\nname = \"x\"\ngraph = {{ family = \"cycle\", n = 8 }}\n{case}\n"
+            );
+            let err = ScenarioMatrix::from_toml_str(&spec)
+                .err()
+                .unwrap_or_else(|| panic!("accepted an oversized node id: {case}"));
+            let msg = err.to_string();
+            assert!(msg.contains(what), "{case}: {msg}");
+            assert!(msg.contains("largest node id 4294967295"), "{case}: {msg}");
+        }
+        // The largest 32-bit id still parses; `FaultPlan::validate` range
+        // checks it against the graph when the run is set up.
+        let largest = "[[scenario]]\nname = \"x\"\ngraph = { family = \"cycle\", n = 8 }\n\
+                       faults = [{ crashes = [[4294967295, 3]] }]\n";
+        assert!(ScenarioMatrix::from_toml_str(largest).is_ok());
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn batched_pool_traces_audit_clean_and_match_sim_link_counts_across_batch_sizes(
     use mdst_analysis::audit::audit;
     use mdst_graph::{generators, NodeId};
     use mdst_netsim::{
-        Context, ExecStatus, NetMessage, PoolConfig, PoolRuntime, Protocol, SimConfig, Simulator,
+        CancelToken, Context, ExecConfig, ExecStatus, ExecutorKind, NetMessage, Protocol, SimConfig,
     };
     use std::sync::Arc;
 
@@ -140,13 +140,19 @@ fn batched_pool_traces_audit_clean_and_match_sim_link_counts_across_batch_sizes(
     }
 
     let graph = Arc::new(generators::random_connected(60, 120, 13).unwrap());
-    let sim_config = SimConfig {
-        record_trace: true,
+    let traced = |batch| ExecConfig {
+        sim: SimConfig {
+            record_trace: true,
+            ..Default::default()
+        },
+        batch,
         ..Default::default()
     };
-    let mut sim = Simulator::new(&graph, sim_config, |id, _| EchoSt(id)).unwrap();
-    sim.run().unwrap();
-    let sim_audit = audit(sim.trace());
+    let sim = ExecutorKind::Sim
+        .run(&graph, |id, _| EchoSt(id), &traced(0), &CancelToken::new())
+        .unwrap();
+    assert_eq!(sim.status, ExecStatus::Quiesced);
+    let sim_audit = audit(&sim.trace);
     assert!(sim_audit.is_clean(), "{}", sim_audit.to_markdown());
     assert!(sim_audit.sends > 0);
 
@@ -154,16 +160,14 @@ fn batched_pool_traces_audit_clean_and_match_sim_link_counts_across_batch_sizes(
     // link by link — the coalesced flush regroups sends per destination, but
     // the messages each directed link carries are invariant.
     for batch in [1usize, 2, 7, 64, 256] {
-        let run = PoolRuntime::run(
-            &graph,
-            |id, _| EchoSt(id),
-            &PoolConfig {
-                record_trace: true,
-                batch,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let run = ExecutorKind::Pool
+            .run(
+                &graph,
+                |id, _| EchoSt(id),
+                &traced(batch),
+                &CancelToken::new(),
+            )
+            .unwrap();
         assert_eq!(run.status, ExecStatus::Quiesced, "batch {batch}");
         let pool_audit = audit(&run.trace);
         assert!(

@@ -13,10 +13,10 @@
 //! a useful contrast to the flooding construction (shallow, higher degree) in
 //! the initial-tree-sensitivity experiment (E7).
 
-use crate::tree_state::TreeState;
+use crate::tree_state::{build_tree, TreeState};
 use mdst_graph::{Graph, GraphError, NodeId, RootedTree};
 use mdst_netsim::message::bits::message_bits;
-use mdst_netsim::{Context, Metrics, NetMessage, Protocol, SimConfig, Simulator};
+use mdst_netsim::{Context, Metrics, NetMessage, Protocol, SimConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -187,22 +187,14 @@ pub fn build_token_tree(
     root: NodeId,
     config: SimConfig,
 ) -> Result<(RootedTree, Metrics), GraphError> {
-    graph.check_node(root)?;
-    let mut sim = Simulator::new(graph, config, |id, _| DfsTokenSt::new(id, root))
-        .map_err(|e| GraphError::InvalidParameter(e.to_string()))?;
-    sim.run()
-        .map_err(|e| GraphError::NotASpanningTree(format!("construction did not quiesce: {e}")))?;
-    let (nodes, metrics, _) = sim.into_parts();
-    let tree = crate::tree_state::collect_tree(&nodes)?;
-    tree.validate_against(graph)?;
-    Ok((tree, metrics))
+    build_tree(graph, root, config, DfsTokenSt::new)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdst_graph::generators;
-    use mdst_netsim::DelayModel;
+    use mdst_netsim::{CancelToken, DelayModel, ExecConfig, ExecStatus, ExecutorKind};
 
     fn unit(graph: &Arc<Graph>, root: NodeId) -> (RootedTree, Metrics) {
         build_token_tree(graph, root, SimConfig::default()).unwrap()
@@ -275,11 +267,15 @@ mod tests {
     #[test]
     fn all_nodes_terminate() {
         let g = Arc::new(generators::petersen().unwrap());
-        let mut sim = Simulator::new(&g, SimConfig::default(), |id, _| {
-            DfsTokenSt::new(id, NodeId(3))
-        })
-        .unwrap();
-        sim.run().unwrap();
-        assert!(sim.all_terminated());
+        let run = ExecutorKind::Sim
+            .run(
+                &g,
+                |id, _| DfsTokenSt::new(id, NodeId(3)),
+                &ExecConfig::default(),
+                &CancelToken::new(),
+            )
+            .unwrap();
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert!(run.all_terminated());
     }
 }

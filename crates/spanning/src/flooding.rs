@@ -13,10 +13,10 @@
 //! the root; under arbitrary delays it is some spanning tree, which is all the
 //! MDegST algorithm needs.
 
-use crate::tree_state::TreeState;
+use crate::tree_state::{build_tree, TreeState};
 use mdst_graph::{Graph, GraphError, NodeId, RootedTree};
 use mdst_netsim::message::bits::message_bits;
-use mdst_netsim::{Context, Metrics, NetMessage, Protocol, SimConfig, Simulator};
+use mdst_netsim::{Context, Metrics, NetMessage, Protocol, SimConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -195,22 +195,14 @@ pub fn build_flooding_tree(
     root: NodeId,
     config: SimConfig,
 ) -> Result<(RootedTree, Metrics), GraphError> {
-    graph.check_node(root)?;
-    let mut sim = Simulator::new(graph, config, |id, _| FloodingSt::new(id, root))
-        .map_err(|e| GraphError::InvalidParameter(e.to_string()))?;
-    sim.run()
-        .map_err(|e| GraphError::NotASpanningTree(format!("construction did not quiesce: {e}")))?;
-    let (nodes, metrics, _) = sim.into_parts();
-    let tree = crate::tree_state::collect_tree(&nodes)?;
-    tree.validate_against(graph)?;
-    Ok((tree, metrics))
+    build_tree(graph, root, config, FloodingSt::new)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdst_graph::generators;
-    use mdst_netsim::{DelayModel, StartModel};
+    use mdst_netsim::{CancelToken, DelayModel, ExecConfig, ExecStatus, ExecutorKind, StartModel};
 
     fn unit(graph: &Arc<Graph>, root: NodeId) -> (RootedTree, Metrics) {
         build_flooding_tree(graph, root, SimConfig::default()).unwrap()
@@ -244,12 +236,16 @@ mod tests {
     #[test]
     fn every_node_terminates_by_process() {
         let g = Arc::new(generators::hypercube(4).unwrap());
-        let mut sim = Simulator::new(&g, SimConfig::default(), |id, _| {
-            FloodingSt::new(id, NodeId(5))
-        })
-        .unwrap();
-        sim.run().unwrap();
-        assert!(sim.all_terminated());
+        let run = ExecutorKind::Sim
+            .run(
+                &g,
+                |id, _| FloodingSt::new(id, NodeId(5)),
+                &ExecConfig::default(),
+                &CancelToken::new(),
+            )
+            .unwrap();
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert!(run.all_terminated());
     }
 
     #[test]

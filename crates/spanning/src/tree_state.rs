@@ -7,8 +7,12 @@
 //! used for seeding the next protocol, validation and reporting — the nodes
 //! themselves never see the global tree).
 
-use mdst_graph::{GraphError, NodeId, RootedTree};
+use mdst_graph::{Graph, GraphError, NodeId, RootedTree};
+use mdst_netsim::{
+    CancelToken, ExecConfig, ExecStatus, ExecutorKind, Metrics, Protocol, SimConfig,
+};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Local spanning-tree knowledge of one node after a construction protocol
 /// has terminated.
@@ -70,6 +74,38 @@ pub fn collect_tree<S: TreeState>(states: &[S]) -> Result<RootedTree, GraphError
     }
     let root = root.ok_or_else(|| GraphError::NotASpanningTree("no root".to_string()))?;
     RootedTree::from_parents(root, parents)
+}
+
+/// Runs the construction whose node automata `node(id, root)` builds on the
+/// simulator under `config`, then collects and validates the tree it leaves
+/// behind. Returns the tree plus the metrics of the run.
+pub(crate) fn build_tree<S>(
+    graph: &Arc<Graph>,
+    root: NodeId,
+    config: SimConfig,
+    node: impl Fn(NodeId, NodeId) -> S,
+) -> Result<(RootedTree, Metrics), GraphError>
+where
+    S: Protocol + TreeState,
+{
+    graph.check_node(root)?;
+    let max_events = config.max_events;
+    let config = ExecConfig {
+        sim: config,
+        ..Default::default()
+    };
+    let run = ExecutorKind::Sim
+        .run(graph, |id, _| node(id, root), &config, &CancelToken::new())
+        .map_err(|e| GraphError::InvalidParameter(e.to_string()))?;
+    // Nobody raises the token above, so only the event cap ends a run early.
+    if run.status != ExecStatus::Quiesced {
+        return Err(GraphError::NotASpanningTree(format!(
+            "construction did not quiesce: event limit of {max_events} exceeded before quiescence"
+        )));
+    }
+    let tree = collect_tree(&run.nodes)?;
+    tree.validate_against(graph)?;
+    Ok((tree, run.metrics))
 }
 
 #[cfg(test)]

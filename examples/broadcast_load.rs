@@ -58,14 +58,20 @@ impl Protocol for TreeBroadcast {
 }
 
 fn broadcast_load(graph: &Arc<Graph>, tree: &RootedTree) -> (u64, u64) {
-    let mut sim = Simulator::new(graph, SimConfig::default(), |id, _| TreeBroadcast {
-        children: tree.children(id).iter().copied().collect(),
-        is_root: tree.root() == id,
-        received: false,
-    })
-    .expect("valid config");
-    sim.run().expect("broadcast quiesces");
-    let metrics = sim.metrics();
+    let run = ExecutorKind::Sim
+        .run(
+            graph,
+            |id, _| TreeBroadcast {
+                children: tree.children(id).iter().copied().collect(),
+                is_root: tree.root() == id,
+                received: false,
+            },
+            &ExecConfig::default(),
+            &CancelToken::new(),
+        )
+        .expect("valid config");
+    assert_eq!(run.status, ExecStatus::Quiesced, "broadcast quiesces");
+    let metrics = run.metrics;
     let max_sent = *metrics.sent_per_node.iter().max().unwrap_or(&0);
     (metrics.messages_total, max_sent)
 }

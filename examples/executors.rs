@@ -1,6 +1,7 @@
-//! Runs the same MDegST improvement on both executor backends through the
-//! uniform `Executor` surface and compares their verdicts and wall times:
-//! the discrete-event simulator and the work-stealing pool of OS threads.
+//! Runs the same MDegST improvement on both executor backends, each reached
+//! through `ExecutorKind::run` by way of the `Pipeline` session, and compares
+//! their verdicts and wall times: the discrete-event simulator and the
+//! work-stealing pool of OS threads.
 //!
 //! ```text
 //! cargo run --release --example executors

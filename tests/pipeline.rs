@@ -288,6 +288,7 @@ fn historical_strict_run(
             graph,
             |id, _| nodes[id.index()].clone(),
             &config.exec_config(),
+            &CancelToken::new(),
         )
         .map_err(|e| GraphError::InvalidParameter(e.to_string()))?;
     if run.status != ExecStatus::Quiesced {

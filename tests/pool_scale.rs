@@ -12,15 +12,17 @@ fn pool_completes_a_5000_node_run_with_at_most_64_workers() {
     let n = 5_000;
     let graph = Arc::new(generators::random_connected(n, n / 2, 7).unwrap());
     let m = graph.edge_count() as u64;
-    let run = PoolRuntime::run(
-        &graph,
-        |id, _| FloodingSt::new(id, NodeId(0)),
-        &PoolConfig {
-            workers: 64,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let run = ExecutorKind::Pool
+        .run(
+            &graph,
+            |id, _| FloodingSt::new(id, NodeId(0)),
+            &ExecConfig {
+                workers: 64,
+                ..Default::default()
+            },
+            &CancelToken::new(),
+        )
+        .unwrap();
     assert!(
         run.workers <= 64,
         "the pool must multiplex {n} nodes over at most 64 workers, used {}",
@@ -50,12 +52,14 @@ fn pool_completes_a_100_000_node_run_with_a_degree_bound_verdict() {
     let n = 100_000;
     let graph = Arc::new(generators::random_connected(n, n / 2, 7).unwrap());
     let m = graph.edge_count() as u64;
-    let run = PoolRuntime::run(
-        &graph,
-        |id, _| FloodingSt::new(id, NodeId(0)),
-        &PoolConfig::default(),
-    )
-    .unwrap();
+    let run = ExecutorKind::Pool
+        .run(
+            &graph,
+            |id, _| FloodingSt::new(id, NodeId(0)),
+            &ExecConfig::default(),
+            &CancelToken::new(),
+        )
+        .unwrap();
     assert_eq!(run.status, ExecStatus::Quiesced);
     // Message determinism survives the scale jump: exactly 2m + (n − 1)
     // messages under any worker interleaving and any batch size.
@@ -117,10 +121,20 @@ fn pool_borrows_the_shared_topology_instead_of_rebuilding_adjacency() {
         ..Default::default()
     };
     let first = ExecutorKind::Pool
-        .run(&graph, |id, _| FloodingSt::new(id, NodeId(0)), &config)
+        .run(
+            &graph,
+            |id, _| FloodingSt::new(id, NodeId(0)),
+            &config,
+            &CancelToken::new(),
+        )
         .unwrap();
     let second = ExecutorKind::Pool
-        .run(&graph, |id, _| FloodingSt::new(id, NodeId(0)), &config)
+        .run(
+            &graph,
+            |id, _| FloodingSt::new(id, NodeId(0)),
+            &config,
+            &CancelToken::new(),
+        )
         .unwrap();
     assert!(
         Arc::ptr_eq(&first.topology, &graph) && Arc::ptr_eq(&second.topology, &graph),
@@ -139,7 +153,12 @@ fn pool_borrows_the_shared_topology_instead_of_rebuilding_adjacency() {
     };
     for kind in ExecutorKind::all() {
         let run = kind
-            .run(&graph, |id, _| FloodingSt::new(id, NodeId(0)), &config)
+            .run(
+                &graph,
+                |id, _| FloodingSt::new(id, NodeId(0)),
+                &config,
+                &CancelToken::new(),
+            )
             .unwrap();
         assert!(Arc::ptr_eq(&run.topology, &graph), "{kind}");
     }
@@ -276,15 +295,17 @@ fn pool_completes_a_million_node_run_on_one_box() {
     );
     // A bounded worker count keeps the per-worker metrics columns (two
     // `u64` columns of n entries each) from dominating the run's footprint.
-    let run = PoolRuntime::run(
-        &graph,
-        |id, _| FloodingSt::new(id, NodeId(0)),
-        &PoolConfig {
-            workers: 8,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let run = ExecutorKind::Pool
+        .run(
+            &graph,
+            |id, _| FloodingSt::new(id, NodeId(0)),
+            &ExecConfig {
+                workers: 8,
+                ..Default::default()
+            },
+            &CancelToken::new(),
+        )
+        .unwrap();
     assert_eq!(run.status, ExecStatus::Quiesced);
     // Message determinism holds at 10⁶: exactly 2m + (n − 1) messages under
     // any worker interleaving.

@@ -131,31 +131,40 @@ proptest! {
         } else {
             DelayModel::UniformRandom { min, max: min + span, seed }
         };
-        let cfg = SimConfig {
-            delay,
-            faults: FaultPlan {
-                loss: f64::from(loss_tenths) / 10.0,
-                seed: seed ^ 0x5EED_F1F0,
+        let cfg = ExecConfig {
+            sim: SimConfig {
+                delay,
+                faults: FaultPlan {
+                    loss: f64::from(loss_tenths) / 10.0,
+                    seed: seed ^ 0x5EED_F1F0,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             ..Default::default()
         };
         let burst = 60u64;
         let graph = Arc::new(generators::path(2).unwrap());
-        let mut sim = Simulator::new(&graph, cfg, |id, _| FifoProbe {
-            id,
-            burst,
-            got: Vec::new(),
-        })
-        .unwrap();
-        sim.run().unwrap();
-        let got = &sim.node(NodeId(1)).got;
+        let run = ExecutorKind::Sim
+            .run(
+                &graph,
+                |id, _| FifoProbe {
+                    id,
+                    burst,
+                    got: Vec::new(),
+                },
+                &cfg,
+                &CancelToken::new(),
+            )
+            .unwrap();
+        prop_assert_eq!(run.status, ExecStatus::Quiesced);
+        let got = &run.nodes[1].got;
         prop_assert!(
             got.windows(2).all(|w| w[0] < w[1]),
             "per-link FIFO violated: {got:?}"
         );
         // Loss accounting: every token is either delivered or counted dropped.
-        prop_assert_eq!(got.len() as u64 + sim.metrics().dropped_messages, burst);
+        prop_assert_eq!(got.len() as u64 + run.metrics.dropped_messages, burst);
         if loss_tenths == 0 {
             prop_assert_eq!(got.len() as u64, burst);
         }

@@ -147,18 +147,23 @@ impl Fnv {
 fn traced_digest(graph: &Arc<Graph>, config: SimConfig) -> ((usize, u64, u64), Metrics) {
     let initial = algorithms::greedy_high_degree_tree(graph, NodeId(0)).unwrap();
     let nodes = MdstNode::from_tree(&initial);
-    let mut sim = Simulator::new(
-        graph,
-        SimConfig {
-            record_trace: true,
-            ..config
-        },
-        |id, _| nodes[id.index()].clone(),
-    )
-    .unwrap();
-    sim.run().unwrap();
+    let run = ExecutorKind::Sim
+        .run(
+            graph,
+            |id, _| nodes[id.index()].clone(),
+            &ExecConfig {
+                sim: SimConfig {
+                    record_trace: true,
+                    ..config
+                },
+                ..Default::default()
+            },
+            &CancelToken::new(),
+        )
+        .unwrap();
+    assert_eq!(run.status, ExecStatus::Quiesced);
     let mut trace = Fnv::new();
-    for e in sim.trace().events() {
+    for e in run.trace.events() {
         trace.u64(e.time);
         trace.bytes(&[e.kind as u8]);
         trace.u64(e.from.index() as u64);
@@ -169,9 +174,9 @@ fn traced_digest(graph: &Arc<Graph>, config: SimConfig) -> ((usize, u64, u64), M
         trace.u64(e.seq);
     }
     let mut metrics = Fnv::new();
-    metrics.bytes(sim.metrics().to_value().to_json().as_bytes());
-    let digest = (sim.trace().events().len(), trace.0, metrics.0);
-    (digest, sim.metrics().clone())
+    metrics.bytes(run.metrics.to_value().to_json().as_bytes());
+    let digest = (run.trace.events().len(), trace.0, metrics.0);
+    (digest, run.metrics)
 }
 
 /// Digests recorded before the simulator's event heap and per-link tables

@@ -118,15 +118,17 @@ proptest! {
 fn spanning_tree_constructions_also_run_on_the_pool() {
     use mdst::spanning::flooding::FloodingSt;
     let graph = Arc::new(generators::grid(8, 8).unwrap());
-    let run = PoolRuntime::run(
-        &graph,
-        |id, _| FloodingSt::new(id, NodeId(0)),
-        &PoolConfig {
-            workers: 4,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let run = ExecutorKind::Pool
+        .run(
+            &graph,
+            |id, _| FloodingSt::new(id, NodeId(0)),
+            &ExecConfig {
+                workers: 4,
+                ..Default::default()
+            },
+            &CancelToken::new(),
+        )
+        .unwrap();
     let tree = collect_tree(&run.nodes).unwrap();
     assert!(tree.is_spanning_tree_of(&graph));
     assert_eq!(tree.root(), NodeId(0));
@@ -139,15 +141,17 @@ fn spanning_tree_constructions_also_run_on_the_pool() {
 fn spanning_tree_constructions_run_with_one_worker_per_node() {
     use mdst::spanning::flooding::FloodingSt;
     let graph = Arc::new(generators::grid(5, 5).unwrap());
-    let run = PoolRuntime::run(
-        &graph,
-        |id, _| FloodingSt::new(id, NodeId(0)),
-        &PoolConfig {
-            workers: graph.node_count(),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let run = ExecutorKind::Pool
+        .run(
+            &graph,
+            |id, _| FloodingSt::new(id, NodeId(0)),
+            &ExecConfig {
+                workers: graph.node_count(),
+                ..Default::default()
+            },
+            &CancelToken::new(),
+        )
+        .unwrap();
     assert_eq!(run.workers, graph.node_count());
     let tree = collect_tree(&run.nodes).unwrap();
     assert!(tree.is_spanning_tree_of(&graph));
