@@ -1,8 +1,8 @@
 //! The happens-before auditor.
 //!
 //! [`audit`] replays a recorded trace once, reconstructing the causal
-//! partial order with per-node [`VectorClock`]s, and statically checks the
-//! delivery discipline every backend promises:
+//! partial order with per-node vector clocks ([`crate::clock`]), and
+//! statically checks the delivery discipline every backend promises:
 //!
 //! * **`fifo-inversion`** — per directed link, delivered sequence numbers
 //!   must be strictly increasing (a lost message consumes its slot, so gaps
@@ -34,13 +34,24 @@
 //! time on the simulator, the atomic global stamp on the concurrent
 //! backends); causality can then only point backwards, which is what lets
 //! the minimality scan keep just the current minima.
+//!
+//! The replay makes two passes. The first gives every distinct message id a
+//! slot (recording its first send), every directed link an index, and every
+//! node the trace names a compact index. The second replays the clocks
+//! without hashing the ids the backends assign: per-message and per-link
+//! state live in vectors indexed by slot and link, the node clocks in one
+//! row-major table over the compacted nodes, and in-flight send snapshots in
+//! reusable rows. Time is O(events × nodes) and memory O(events + nodes²),
+//! where nodes counts the distinct nodes the trace names — not its largest
+//! node id.
 
-use crate::clock::VectorClock;
+use crate::clock;
 use mdst_graph::NodeId;
 use mdst_netsim::{TraceEvent, TraceEventKind, TraceRecorder};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The audited delivery-discipline rules. Labels are stable kebab-case
 /// strings used in findings, JSON reports and CLI output.
@@ -163,7 +174,8 @@ pub struct LinkStat {
 pub struct AuditReport {
     /// Number of audited trace events.
     pub events: usize,
-    /// Number of distinct node indices the trace mentions.
+    /// One more than the largest node index the trace mentions (`0` for an
+    /// empty trace).
     pub nodes: usize,
     /// Send events seen.
     pub sends: u64,
@@ -237,6 +249,111 @@ const COORDINATOR_KIND: &str = "SearchInit";
 /// Message kind whose causally unordered initiations mean two exchanges.
 const EXCHANGE_KIND: &str = "Cut";
 
+/// Marks an absent event index or pool row in the replay tables.
+const NONE: usize = usize::MAX;
+
+/// Multiplicative hash for the replay's integer keys (message ids, packed
+/// links, node ids): one multiply and one shift instead of SipHash. The
+/// shift folds the well-mixed high product bits into the low bits the table
+/// indexes by.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type IntMap = HashMap<u64, usize, BuildHasherDefault<IntHasher>>;
+
+/// Returns the dense index of `key`, giving it the next one on first sight.
+fn dense(map: &mut IntMap, key: u64) -> usize {
+    let next = map.len();
+    *map.entry(key).or_insert(next)
+}
+
+/// The slot of message id `id` in a trace of `events` events. Every backend
+/// numbers messages densely from 1, so an id up to the event count is its
+/// own slot and needs no lookup; any other id gets a dense slot past those.
+fn msg_slot(id: u64, events: usize, other_ids: &mut IntMap) -> usize {
+    match usize::try_from(id) {
+        Ok(id) if id <= events => id,
+        _ => events + 1 + dense(other_ids, id),
+    }
+}
+
+/// Replay state of one distinct message id.
+#[derive(Clone, Copy)]
+struct Msg {
+    /// Index of the id's first `Send` (`NONE` if it has none; always for id 0).
+    send: usize,
+    /// Index of the id's first delivery (`NONE` until delivered).
+    delivered: usize,
+    /// [`RowPool`] row holding the send's snapshot while the message is in
+    /// flight (`NONE` otherwise).
+    in_flight: usize,
+    /// Index into the early-delivery list when the message was delivered
+    /// before its own send (`NONE` otherwise).
+    early: usize,
+}
+
+/// One directed link: its statistics and its FIFO watermark.
+struct Link {
+    stat: LinkStat,
+    /// Compacted sender and receiver indices.
+    u: usize,
+    v: usize,
+    /// Highest sequence number delivered so far and the delivering event.
+    watermark: Option<(u64, usize)>,
+}
+
+/// Fixed-width clock rows reused through a free list, so recording a send's
+/// snapshot copies into an existing row instead of allocating a clock.
+struct RowPool {
+    width: usize,
+    rows: Vec<u64>,
+    free: Vec<usize>,
+}
+
+impl RowPool {
+    fn alloc(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            let row = self.rows.len() / self.width;
+            self.rows.resize(self.rows.len() + self.width, 0);
+            row
+        })
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.rows[r * self.width..(r + 1) * self.width]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.rows[r * self.width..(r + 1) * self.width]
+    }
+}
+
+/// The happens-before-minimal initiations of one protocol rule so far: the
+/// first one's event index (the one a race is reported against) and every
+/// one's snapshot, one row each.
+#[derive(Default)]
+struct Minima {
+    first: Option<usize>,
+    clocks: Vec<u64>,
+}
+
 /// Audits the events of a [`TraceRecorder`] (see [`audit_events`]).
 pub fn audit(trace: &TraceRecorder) -> AuditReport {
     audit_events(trace.events())
@@ -245,35 +362,70 @@ pub fn audit(trace: &TraceRecorder) -> AuditReport {
 /// Replays `events` once and returns the full verdict. The slice must be in
 /// recording order — how every backend publishes it.
 pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
-    let n = events
-        .iter()
-        .map(|e| e.from.index().max(e.to.index()) + 1)
-        .max()
-        .unwrap_or(0);
-
-    // Pass 1: where was each message sent?
-    let mut send_index: HashMap<u64, usize> = HashMap::new();
+    // Pass 1: a slot per distinct message id with its first send, a link
+    // index per event, and a compact index per node the trace names.
+    let absent = Msg {
+        send: NONE,
+        delivered: NONE,
+        in_flight: NONE,
+        early: NONE,
+    };
+    let mut msgs: Vec<Msg> = Vec::new();
+    let mut other_ids = IntMap::default();
+    let mut link_index = IntMap::default();
+    let mut node_index = IntMap::default();
+    let mut links: Vec<Link> = Vec::new();
+    let mut link_at: Vec<usize> = Vec::with_capacity(events.len());
     for (i, e) in events.iter().enumerate() {
-        if e.kind == TraceEventKind::Send && e.msg_id != 0 {
-            send_index.entry(e.msg_id).or_insert(i);
+        let slot = msg_slot(e.msg_id, events.len(), &mut other_ids);
+        if slot >= msgs.len() {
+            msgs.resize(slot + 1, absent);
         }
+        if e.kind == TraceEventKind::Send && e.msg_id != 0 && msgs[slot].send == NONE {
+            msgs[slot].send = i;
+        }
+        let link = dense(
+            &mut link_index,
+            (u64::from(e.from.0) << 32) | u64::from(e.to.0),
+        );
+        if link == links.len() {
+            links.push(Link {
+                stat: LinkStat {
+                    from: e.from,
+                    to: e.to,
+                    sends: 0,
+                    delivers: 0,
+                    drops: 0,
+                },
+                u: dense(&mut node_index, u64::from(e.from.0)),
+                v: dense(&mut node_index, u64::from(e.to.0)),
+                watermark: None,
+            });
+        }
+        link_at.push(link);
     }
 
-    // Pass 2: vector-clock replay.
-    let mut clocks: Vec<VectorClock> = (0..n).map(|_| VectorClock::new(n)).collect();
-    let mut in_flight: HashMap<u64, VectorClock> = HashMap::new();
-    // Deliveries that preceded their own send in the trace: msg id →
-    // (delivery index, receiver, the receiver's own event count at the
-    // delivery). If the eventual send turns out to causally know that
-    // receiver event, the message happens-before its own send — a cycle.
-    let mut early_delivery: HashMap<u64, (usize, usize, u64)> = HashMap::new();
-    let mut delivered: HashMap<u64, usize> = HashMap::new();
-    let mut crashed_at: HashMap<usize, usize> = HashMap::new();
-    let mut fifo_watermark: HashMap<(usize, usize), (u64, usize)> = HashMap::new();
-    let mut links: BTreeMap<(usize, usize), LinkStat> = BTreeMap::new();
+    // Pass 2: vector-clock replay over the compacted nodes. Components of
+    // nodes the trace never names would stay zero in every clock, so leaving
+    // them out changes no comparison.
+    let width = node_index.len();
+    // An overflowing size saturates, so the allocation fails loudly instead
+    // of wrapping to a short table.
+    let mut clocks = vec![0u64; width.saturating_mul(width)];
+    let mut pool = RowPool {
+        width,
+        rows: Vec::new(),
+        free: Vec::new(),
+    };
+    // Deliveries that preceded their own send in the trace: (delivery index,
+    // receiver, the receiver's own event count at the delivery). If the
+    // eventual send turns out to causally know that receiver event, the
+    // message happens-before its own send — a cycle.
+    let mut early_delivery: Vec<(usize, usize, u64)> = Vec::new();
+    let mut crashed_at = vec![NONE; width];
     // Happens-before-minimal initiations seen so far, per protocol rule.
-    let mut coordinator_minima: Vec<(usize, VectorClock)> = Vec::new();
-    let mut exchange_minima: Vec<(usize, VectorClock)> = Vec::new();
+    let mut coordinator_minima = Minima::default();
+    let mut exchange_minima = Minima::default();
 
     let mut findings: Vec<Finding> = Vec::new();
     let (mut sends, mut delivers, mut drops, mut crashes) = (0u64, 0u64, 0u64, 0u64);
@@ -290,21 +442,17 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
             detail,
         };
 
-    for (i, e) in events.iter().enumerate() {
-        let (u, v) = (e.from.index(), e.to.index());
-        let link = links.entry((u, v)).or_insert(LinkStat {
-            from: e.from,
-            to: e.to,
-            sends: 0,
-            delivers: 0,
-            drops: 0,
-        });
+    for (i, (e, &l)) in events.iter().zip(&link_at).enumerate() {
+        let link = &mut links[l];
+        let (u, v) = (link.u, link.v);
+        let msg = &mut msgs[msg_slot(e.msg_id, events.len(), &mut other_ids)];
         match e.kind {
             TraceEventKind::Send => {
                 sends += 1;
-                link.sends += 1;
-                clocks[u].tick(u);
-                let snapshot = clocks[u].clone();
+                link.stat.sends += 1;
+                let own = u * width..(u + 1) * width;
+                clock::tick(&mut clocks[own.clone()], u);
+                let snapshot = &clocks[own];
                 // Protocol-level mutual exclusion: keep the send only if no
                 // already-known minimal initiation happens-before it.
                 for (kind, minima, rule) in [
@@ -322,10 +470,13 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
                     if e.message_kind != kind {
                         continue;
                     }
-                    let dominated = minima.iter().any(|(_, vc)| vc.precedes(&snapshot));
+                    let dominated = minima
+                        .clocks
+                        .chunks_exact(width)
+                        .any(|vc| clock::precedes(vc, snapshot));
                     if !dominated {
-                        if let Some((first, vc)) = minima.first() {
-                            if vc.concurrent(&snapshot) {
+                        if let Some(first) = minima.first {
+                            if clock::concurrent(&minima.clocks[..width], snapshot) {
                                 let what = if rule == Rule::CoordinatorRace {
                                     "coordinator broadcasts"
                                 } else {
@@ -334,7 +485,7 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
                                 findings.push(finding(
                                     rule,
                                     i,
-                                    Some(*first),
+                                    Some(first),
                                     e,
                                     format!(
                                         "{kind} initiation at node {} races the one at event {first}: \
@@ -344,15 +495,16 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
                                 ));
                             }
                         }
-                        minima.push((i, snapshot.clone()));
+                        minima.first.get_or_insert(i);
+                        minima.clocks.extend_from_slice(snapshot);
                     }
                 }
-                if let Some(&(d, v, count)) = early_delivery.get(&e.msg_id) {
+                if let Some(&(d, receiver, count)) = early_delivery.get(msg.early) {
                     // The message was delivered before this send; if the
                     // sender's snapshot causally includes the delivery event
                     // at the receiver, the delivery fed back into its own
                     // send: a happens-before cycle.
-                    if snapshot.get(v) >= count {
+                    if snapshot[receiver] >= count {
                         findings.push(finding(
                             Rule::CausalPrecedesOwnSend,
                             i,
@@ -367,21 +519,24 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
                     }
                 }
                 if e.msg_id != 0 {
-                    in_flight.insert(e.msg_id, snapshot);
+                    if msg.in_flight == NONE {
+                        msg.in_flight = pool.alloc();
+                    }
+                    pool.row_mut(msg.in_flight).copy_from_slice(snapshot);
                 }
             }
             TraceEventKind::Deliver => {
                 delivers += 1;
-                link.delivers += 1;
-                match send_index.get(&e.msg_id) {
-                    None => findings.push(finding(
+                link.stat.delivers += 1;
+                match msg.send {
+                    NONE => findings.push(finding(
                         Rule::OrphanDelivery,
                         i,
                         None,
                         e,
                         format!("delivery of msg {} which no event sent", e.msg_id),
                     )),
-                    Some(&j) if j > i => findings.push(finding(
+                    j if j > i => findings.push(finding(
                         Rule::DeliverBeforeSend,
                         i,
                         Some(j),
@@ -390,7 +545,10 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
                     )),
                     _ => {}
                 }
-                if let Some(&first) = delivered.get(&e.msg_id) {
+                if msg.delivered == NONE {
+                    msg.delivered = i;
+                } else {
+                    let first = msg.delivered;
                     findings.push(finding(
                         Rule::DuplicateDelivery,
                         i,
@@ -398,10 +556,9 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
                         e,
                         format!("msg {} already delivered at event {first}", e.msg_id),
                     ));
-                } else {
-                    delivered.insert(e.msg_id, i);
                 }
-                if let Some(&crash) = crashed_at.get(&v) {
+                if crashed_at[v] != NONE {
+                    let crash = crashed_at[v];
                     findings.push(finding(
                         Rule::DeliveryToCrashed,
                         i,
@@ -410,8 +567,8 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
                         format!("node {} crash-stopped at event {crash}", e.to),
                     ));
                 }
-                match fifo_watermark.get(&(u, v)) {
-                    Some(&(seq, prev)) if e.seq <= seq => findings.push(finding(
+                match link.watermark {
+                    Some((seq, prev)) if e.seq <= seq => findings.push(finding(
                         Rule::FifoInversion,
                         i,
                         Some(prev),
@@ -421,43 +578,55 @@ pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
                             e.seq, e.from, e.to
                         ),
                     )),
-                    _ => {
-                        fifo_watermark.insert((u, v), (e.seq, i));
-                    }
+                    _ => link.watermark = Some((e.seq, i)),
                 }
-                if let Some(send_vc) = in_flight.remove(&e.msg_id) {
-                    clocks[v].join(&send_vc);
-                } else if e.msg_id != 0 && send_index.get(&e.msg_id).is_some_and(|&j| j > i) {
+                let receiver = v * width..(v + 1) * width;
+                if msg.in_flight != NONE {
+                    clock::join(&mut clocks[receiver.clone()], pool.row(msg.in_flight));
+                    pool.free.push(msg.in_flight);
+                    msg.in_flight = NONE;
+                } else if msg.send != NONE && msg.send > i && msg.early == NONE {
                     // Delivered before its send: remember the receiver's
                     // event count so the send can be checked for a causal
                     // cycle when (if) it appears.
-                    early_delivery
-                        .entry(e.msg_id)
-                        .or_insert((i, v, clocks[v].get(v) + 1));
+                    msg.early = early_delivery.len();
+                    early_delivery.push((i, v, clocks[receiver.start + v] + 1));
                 }
-                clocks[v].tick(v);
+                clock::tick(&mut clocks[receiver], v);
             }
             TraceEventKind::Drop => {
                 drops += 1;
-                link.drops += 1;
-                in_flight.remove(&e.msg_id);
+                link.stat.drops += 1;
+                if msg.in_flight != NONE {
+                    pool.free.push(msg.in_flight);
+                    msg.in_flight = NONE;
+                }
             }
             TraceEventKind::Crash => {
                 crashes += 1;
-                crashed_at.entry(u).or_insert(i);
+                if crashed_at[u] == NONE {
+                    crashed_at[u] = i;
+                }
             }
         }
     }
 
     findings.sort_by_key(|f| (f.event_index, f.rule.label()));
+    let nodes = links
+        .iter()
+        .map(|l| l.stat.from.index().max(l.stat.to.index()).saturating_add(1))
+        .max()
+        .unwrap_or(0);
+    let mut links: Vec<LinkStat> = links.into_iter().map(|l| l.stat).collect();
+    links.sort_unstable_by_key(|l| (l.from, l.to));
     AuditReport {
         events: events.len(),
-        nodes: n,
+        nodes,
         sends,
         delivers,
         drops,
         crashes,
-        links: links.into_values().collect(),
+        links,
         findings,
     }
 }
@@ -645,6 +814,22 @@ mod tests {
     fn concurrent_cut_cascades_race() {
         let report = audit_events(&[send(0, 0, 1, "Cut", 1, 0), send(1, 2, 3, "Cut", 2, 0)]);
         assert_eq!(report.count(Rule::ConcurrentExchange), 1);
+    }
+
+    #[test]
+    fn a_huge_node_id_allocates_for_the_nodes_named_not_the_id() {
+        // Two nodes are named, so the replay holds a 2×2 clock table; sizing
+        // by the largest id would ask for 4·10⁹ clocks of 4·10⁹ entries.
+        let far = 4_000_000_000;
+        let started = std::time::Instant::now();
+        let report = audit_events(&[
+            send(0, 0, far, "BFS", 1, 0),
+            deliver(1, 0, far, "BFS", 1, 0),
+        ]);
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert!(report.is_clean(), "{:?}", report.findings);
+        assert_eq!(report.nodes, far + 1);
+        assert_eq!(report.links.len(), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Vector clocks over node indices.
+//! Vector clocks over node indices, as plain `u64` slices.
 //!
 //! The auditor reconstructs the happens-before partial order of a recorded
 //! run with the textbook vector-clock algorithm: every node carries one
@@ -7,66 +7,44 @@
 //! message is delivered. Two events are then causally ordered iff their
 //! snapshots are componentwise ordered, and *concurrent* (racing) iff the
 //! snapshots are incomparable.
+//!
+//! The auditor keeps every clock as one row of a flat table, so a clock here
+//! is a slice with one component per node, and the operations are free
+//! functions over slices of equal length.
 
-/// A vector clock over `n` node components.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VectorClock(Vec<u64>);
-
-impl VectorClock {
-    /// The zero clock over `n` components.
-    pub fn new(n: usize) -> Self {
-        VectorClock(vec![0; n])
+/// Advances node `i`'s own component by one (a local event at `i`).
+pub fn tick(clock: &mut [u64], i: usize) {
+    if let Some(c) = clock.get_mut(i) {
+        *c += 1;
     }
+}
 
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.0.len()
+/// Joins `theirs` into `mine` (componentwise max) — the receiver's side of
+/// a delivery.
+pub fn join(mine: &mut [u64], theirs: &[u64]) {
+    for (m, t) in mine.iter_mut().zip(theirs) {
+        *m = (*m).max(*t);
     }
+}
 
-    /// Whether the clock has no components (a trace with no nodes).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The component for node `i`.
-    pub fn get(&self, i: usize) -> u64 {
-        self.0.get(i).copied().unwrap_or(0)
-    }
-
-    /// Advances node `i`'s own component by one (a local event at `i`).
-    pub fn tick(&mut self, i: usize) {
-        if let Some(c) = self.0.get_mut(i) {
-            *c += 1;
+/// Whether the event stamped `a` happens-before the event stamped `b`:
+/// componentwise `≤` with at least one strict component.
+pub fn precedes(a: &[u64], b: &[u64]) -> bool {
+    let mut strict = false;
+    for (x, y) in a.iter().zip(b) {
+        if x > y {
+            return false;
+        }
+        if x < y {
+            strict = true;
         }
     }
+    strict
+}
 
-    /// Joins `other` into `self` (componentwise max) — the receiver's side
-    /// of a delivery.
-    pub fn join(&mut self, other: &VectorClock) {
-        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
-            *mine = (*mine).max(*theirs);
-        }
-    }
-
-    /// Whether the event stamped `self` happens-before the event stamped
-    /// `other`: componentwise `≤` with at least one strict component.
-    pub fn precedes(&self, other: &VectorClock) -> bool {
-        let mut strict = false;
-        for (a, b) in self.0.iter().zip(&other.0) {
-            if a > b {
-                return false;
-            }
-            if a < b {
-                strict = true;
-            }
-        }
-        strict
-    }
-
-    /// Whether the two stamps are causally incomparable — the events *race*.
-    pub fn concurrent(&self, other: &VectorClock) -> bool {
-        self != other && !self.precedes(other) && !other.precedes(self)
-    }
+/// Whether the two stamps are causally incomparable — the events *race*.
+pub fn concurrent(a: &[u64], b: &[u64]) -> bool {
+    a != b && !precedes(a, b) && !precedes(b, a)
 }
 
 #[cfg(test)]
@@ -75,33 +53,33 @@ mod tests {
 
     #[test]
     fn tick_and_join_build_the_partial_order() {
-        let mut a = VectorClock::new(3);
-        let mut b = VectorClock::new(3);
-        a.tick(0); // a = [1,0,0]
-        let send = a.clone();
-        b.tick(1); // b = [0,1,0]  — concurrent with the send
-        assert!(send.concurrent(&b));
-        b.join(&send);
-        b.tick(1); // b = [1,2,0]  — now causally after the send
-        assert!(send.precedes(&b));
-        assert!(!b.precedes(&send));
-        assert!(!send.concurrent(&b));
+        let mut a = [0u64; 3];
+        let mut b = [0u64; 3];
+        tick(&mut a, 0); // a = [1,0,0]
+        let send = a;
+        tick(&mut b, 1); // b = [0,1,0]  — concurrent with the send
+        assert!(concurrent(&send, &b));
+        join(&mut b, &send);
+        tick(&mut b, 1); // b = [1,2,0]  — now causally after the send
+        assert!(precedes(&send, &b));
+        assert!(!precedes(&b, &send));
+        assert!(!concurrent(&send, &b));
     }
 
     #[test]
     fn equal_clocks_neither_precede_nor_race() {
-        let a = VectorClock::new(2);
-        let b = VectorClock::new(2);
-        assert!(!a.precedes(&b));
-        assert!(!a.concurrent(&b));
+        let a = [0u64; 2];
+        let b = [0u64; 2];
+        assert!(!precedes(&a, &b));
+        assert!(!concurrent(&a, &b));
     }
 
     #[test]
     fn same_node_events_are_totally_ordered() {
-        let mut c = VectorClock::new(2);
-        c.tick(0);
-        let first = c.clone();
-        c.tick(0);
-        assert!(first.precedes(&c));
+        let mut c = [0u64; 2];
+        tick(&mut c, 0);
+        let first = c;
+        tick(&mut c, 0);
+        assert!(precedes(&first, &c));
     }
 }

@@ -31,5 +31,4 @@ pub mod clock;
 pub mod observer;
 
 pub use audit::{audit, audit_events, AuditReport, Finding, LinkStat, Rule};
-pub use clock::VectorClock;
 pub use observer::Auditor;

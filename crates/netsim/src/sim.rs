@@ -118,7 +118,7 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::InvalidConfig(why) => write!(f, "invalid simulator config: {why}"),
+            SimError::InvalidConfig(why) => write!(f, "invalid executor config: {why}"),
         }
     }
 }

@@ -608,7 +608,7 @@ pub struct RunControls<'a> {
     /// recorded verbatim in [`RunRecord::predicted_wall_ms`].
     pub predicted_wall_ms: f64,
     /// An extra streaming observer registered on the session (the serve
-    /// event fabric plugs a channel sink in here).
+    /// event fabric plugs its campaign-log tap in here).
     pub observer: Option<&'a mut dyn Observer>,
 }
 

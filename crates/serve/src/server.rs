@@ -1,6 +1,6 @@
 //! The resident campaign server behind `scenario serve`.
 //!
-//! One process, std-only: a nonblocking `UnixListener` accept loop, N
+//! One process, std-only: a blocking `UnixListener` accept loop, N
 //! worker threads multiplexing every resident campaign through the
 //! [`mdst_scenario::Scheduler`] (the executor `scenario run` also claims
 //! through), a watchdog thread enforcing the
@@ -9,15 +9,22 @@
 //! same graphs build each topology exactly once.
 //!
 //! Every campaign owns an append-only JSONL event log (`EventLog`): run
-//! lifecycle transitions and forwarded per-run observer events, each
-//! stamped with one *global* sequence number. `watch` connections replay
-//! the log from any sequence number and then follow it live (condvar-woken,
-//! no polling) until the campaign's final event. The log is retained after
-//! completion, so a watcher that connects late still sees the whole story.
+//! lifecycle transitions and per-run observer events (appended by the
+//! worker running the run, as they fire), each stamped with one *global*
+//! sequence number. `watch` connections replay the log from any sequence
+//! number and then follow it live (condvar-woken, no polling, one flush per
+//! batch of new lines) until the campaign's final event. The log is
+//! retained after completion, so a watcher that connects late still sees
+//! the whole story.
+//!
+//! The accept loop blocks in `accept()`, so a request is served as soon as it
+//! connects. A graceful shutdown ends it with one connection to the server's
+//! own socket: once the drain converges, the watchdog connects, and the loop
+//! exits on the first connection it accepts after the drain.
 
 use crate::cost::CostModel;
 use crate::proto::{read_request, write_line, Event, Request, Response, ServeStatus, SpecFormat};
-use mdst_core::{ChannelObserver, SessionEvent};
+use mdst_core::{ConstructionEvent, ExchangeEvent, FaultEvent, Observer, RoundEvent, RunReport};
 use mdst_scenario::prelude::{RunSpec, ScenarioMatrix};
 use mdst_scenario::{
     execute_run_controlled, CampaignReport, Claim, Completion, RunControls, Scheduler,
@@ -67,10 +74,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// Append-only JSONL log of one campaign's events, with a condvar so
-/// watchers block (instead of polling) while the campaign is live.
+/// Append-only JSONL log of one campaign's events, each line stored with
+/// its event's sequence number, with a condvar so watchers block (instead of
+/// polling) while the campaign is live.
 struct EventLog {
-    lines: Mutex<(Vec<String>, bool)>,
+    lines: Mutex<(Vec<(u64, String)>, bool)>,
     grew: Condvar,
 }
 
@@ -82,9 +90,9 @@ impl EventLog {
         }
     }
 
-    fn append(&self, line: String, last: bool) {
+    fn append(&self, seq: u64, line: String, last: bool) {
         let mut state = self.lines.lock().unwrap_or_else(PoisonError::into_inner);
-        state.0.push(line);
+        state.0.push((seq, line));
         state.1 |= last;
         self.grew.notify_all();
     }
@@ -92,7 +100,7 @@ impl EventLog {
     /// Lines from index `from` onwards, blocking until at least one more
     /// exists or the log is closed. Returns `None` when closed with nothing
     /// further.
-    fn wait_from(&self, from: usize) -> Option<Vec<String>> {
+    fn wait_from(&self, from: usize) -> Option<Vec<(u64, String)>> {
         let mut state = self.lines.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if state.0.len() > from {
@@ -140,7 +148,7 @@ impl Inner {
     fn emit(&self, campaign: u64, event: &Event, last: bool) {
         use serde::Serialize;
         self.log_of(campaign)
-            .append(event.to_value().to_json(), last);
+            .append(event.seq(), event.to_value().to_json(), last);
     }
 
     /// One worker's life: claim, execute with cancellation + prediction +
@@ -179,43 +187,24 @@ impl Inner {
             },
             false,
         );
-        // Observer events flow through an mpsc channel to a drain thread
-        // that appends them to the campaign log while the run executes, so
-        // a watcher sees the construction-phase boundary live, not after
-        // quiescence.
-        let (tx, rx) = std::sync::mpsc::channel::<SessionEvent>();
-        let drain_key = key.clone();
-        let record = std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for event in rx {
-                    let (kind, detail) = describe_session_event(&event);
-                    self.emit(
-                        campaign,
-                        &Event::Observer {
-                            seq: self.next_seq(),
-                            campaign,
-                            key: drain_key.clone(),
-                            kind,
-                            detail,
-                        },
-                        false,
-                    );
-                }
-            });
-            let mut forwarder = ChannelObserver::new(tx);
-            execute_run_controlled(
-                &spec,
-                &self.topologies,
-                RunControls {
-                    progress: false,
-                    cancel: Some(token),
-                    predicted_wall_ms: predicted_ms,
-                    observer: Some(&mut forwarder),
-                },
-            )
-            // `forwarder` (and its channel sender) drops here, closing the
-            // drain thread's iterator; the scope joins it before returning.
-        });
+        // Observer callbacks are appended to the campaign log by this worker
+        // as they fire, so a watcher sees the construction-phase boundary
+        // live, not after quiescence.
+        let mut forwarder = LogObserver {
+            inner: self,
+            campaign,
+            key: &key,
+        };
+        let record = execute_run_controlled(
+            &spec,
+            &self.topologies,
+            RunControls {
+                progress: false,
+                cancel: Some(token),
+                predicted_wall_ms: predicted_ms,
+                observer: Some(&mut forwarder),
+            },
+        );
         {
             let mut model = self.cost.lock().unwrap_or_else(PoisonError::into_inner);
             model.observe(&record);
@@ -352,29 +341,22 @@ impl Inner {
                     return;
                 }
                 let mut cursor = 0usize;
+                // One flush per batch of new lines, not per line: a burst of
+                // events reaches the watcher in one write.
                 while let Some(lines) = log.wait_from(cursor) {
+                    use std::io::Write;
                     cursor += lines.len();
-                    for line in lines {
-                        // Seq filtering happens on the decoded event so the
-                        // stream stays plain JSONL.
-                        let keep = serde::from_json_str(&line)
-                            .ok()
-                            .and_then(|v| {
-                                use serde::Deserialize;
-                                Event::from_value(&v).ok()
-                            })
-                            .is_none_or(|e| e.seq() >= from_seq);
-                        if keep {
-                            use std::io::Write;
-                            if writer
+                    let sent = lines
+                        .iter()
+                        .filter(|(seq, _)| *seq >= from_seq)
+                        .try_for_each(|(_, line)| {
+                            writer
                                 .write_all(line.as_bytes())
                                 .and_then(|()| writer.write_all(b"\n"))
-                                .and_then(|()| writer.flush())
-                                .is_err()
-                            {
-                                return; // watcher went away
-                            }
-                        }
+                        })
+                        .and_then(|()| writer.flush());
+                    if sent.is_err() {
+                        return; // watcher went away
                     }
                 }
             }
@@ -406,29 +388,68 @@ impl Inner {
     }
 }
 
-/// Human-readable flattening of one observer callback for the event stream.
-fn describe_session_event(event: &SessionEvent) -> (String, String) {
-    match event {
-        SessionEvent::Construction(c) => (
-            "construction".to_string(),
+/// A run's observer tap: every callback becomes one human-readable
+/// `Observer` event in the campaign's log, appended on the worker's thread.
+struct LogObserver<'a> {
+    inner: &'a Inner,
+    campaign: u64,
+    key: &'a str,
+}
+
+impl LogObserver<'_> {
+    fn emit(&self, kind: &str, detail: String) {
+        self.inner.emit(
+            self.campaign,
+            &Event::Observer {
+                seq: self.inner.next_seq(),
+                campaign: self.campaign,
+                key: self.key.to_string(),
+                kind: kind.to_string(),
+                detail,
+            },
+            false,
+        );
+    }
+}
+
+impl Observer for LogObserver<'_> {
+    fn on_construction_done(&mut self, c: &ConstructionEvent) {
+        self.emit(
+            "construction",
             format!(
                 "n={} m={} initial_degree={} construction_messages={}",
                 c.n, c.m, c.initial_degree, c.construction_messages
             ),
-        ),
-        SessionEvent::Round(r) => (
-            "round".to_string(),
+        );
+    }
+
+    fn on_round(&mut self, r: &RoundEvent) {
+        self.emit(
+            "round",
             format!("round={} improved={:?}", r.round, r.improved),
-        ),
-        SessionEvent::Exchange(e) => ("exchange".to_string(), format!("index={}", e.index)),
-        SessionEvent::Fault(f) => ("fault".to_string(), format!("{f:?}")),
-        SessionEvent::Finish(f) => (
-            "finish".to_string(),
+        );
+    }
+
+    fn on_exchange(&mut self, e: &ExchangeEvent) {
+        self.emit("exchange", format!("index={}", e.index));
+    }
+
+    fn on_fault(&mut self, f: &FaultEvent) {
+        self.emit("fault", format!("{f:?}"));
+    }
+
+    fn on_finish(&mut self, report: &RunReport) {
+        self.emit(
+            "finish",
             format!(
                 "outcome={} rounds={} improvements={} final_degree={} wall_ms={:.3}",
-                f.outcome, f.rounds, f.improvements, f.final_degree, f.wall_ms
+                report.outcome.label(),
+                report.rounds,
+                report.improvements,
+                report.final_degree,
+                report.wall_ms
             ),
-        ),
+        );
     }
 }
 
@@ -464,7 +485,6 @@ pub fn serve(config: &ServeConfig) -> Result<(), String> {
     let _ = std::fs::remove_file(&config.socket);
     let listener = UnixListener::bind(&config.socket)
         .map_err(|e| format!("binding {}: {e}", config.socket.display()))?;
-    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
     if !config.quiet {
         eprintln!(
             "serve: listening on {} ({workers} workers)",
@@ -487,7 +507,10 @@ pub fn serve(config: &ServeConfig) -> Result<(), String> {
             scope.spawn(|| inner.worker_loop());
         }
         // Watchdog: scan the running set for budget blowups. Exits with the
-        // drain, like the workers.
+        // drain, like the workers, and on its way out wakes the accept loop,
+        // which is blocked in `accept()`. The wake waits for `drained()`
+        // rather than for the workers: they can exit while a cancel is still
+        // recording its skipped runs.
         scope.spawn(|| loop {
             for token in inner
                 .scheduler
@@ -496,23 +519,22 @@ pub fn serve(config: &ServeConfig) -> Result<(), String> {
                 token.cancel();
             }
             if inner.scheduler.is_shutting_down() && inner.scheduler.drained() {
+                // Without the socket no client can reach the server either.
+                if let Err(e) = UnixStream::connect(&config.socket) {
+                    eprintln!("serve: waking the accept loop failed: {e}");
+                }
                 return;
             }
             std::thread::park_timeout(Duration::from_millis(20));
         });
-        // Accept loop: nonblocking + short sleeps so a shutdown request is
-        // noticed promptly; every connection gets its own handler thread
-        // (watch connections live as long as their campaign).
+        // Accept loop: every connection gets its own handler thread (watch
+        // connections live as long as their campaign). The first connection
+        // accepted after the drain (the watchdog's wake-up) ends it.
         loop {
             match listener.accept() {
+                Ok(_) if inner.scheduler.is_shutting_down() && inner.scheduler.drained() => break,
                 Ok((stream, _)) => {
                     scope.spawn(|| inner.handle_connection(stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if inner.scheduler.is_shutting_down() && inner.scheduler.drained() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
                 }
                 Err(_) => break,
             }

@@ -210,6 +210,26 @@ fn serve_end_to_end() {
     assert_eq!(large_report.runs.len(), 4);
     assert_eq!(small_report.runs.len(), 1);
 
+    // The run's observer callbacks reach the stream between its
+    // `RunStarted` and `RunFinished`, the construction boundary first and
+    // the finish summary last, in sequence order.
+    let observed: Vec<(u64, &str)> = small_events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Observer { seq, kind, .. } => Some((*seq, kind.as_str())),
+            _ => None,
+        })
+        .collect();
+    let seq_of = |pick: fn(&Event) -> bool| small_events.iter().find(|e| pick(e)).map(Event::seq);
+    let started = seq_of(|e| matches!(e, Event::RunStarted { .. })).expect("run started");
+    let finished = seq_of(|e| matches!(e, Event::RunFinished { .. })).expect("run finished");
+    assert_eq!(observed.first().map(|o| o.1), Some("construction"));
+    assert_eq!(observed.last().map(|o| o.1), Some("finish"));
+    assert!(observed.windows(2).all(|w| w[0].0 < w[1].0));
+    assert!(observed
+        .iter()
+        .all(|&(seq, _)| started < seq && seq < finished));
+
     // The served report must agree with a direct in-process run of the same
     // spec on everything deterministic.
     let matrix = ScenarioMatrix::from_toml_str(SMALL_SPEC).expect("parse small spec");
@@ -441,4 +461,61 @@ fn oversized_request_lines_are_refused() {
         .join()
         .expect("server thread")
         .expect("serve exits cleanly");
+}
+
+/// The accept loop blocks in `accept()` rather than polling, so a request is
+/// answered as soon as it connects: twenty sequential `status` round trips
+/// take milliseconds, not twenty polling intervals.
+#[test]
+fn sequential_requests_are_answered_without_polling_delay() {
+    let socket = test_socket("rtt");
+    let config = ServeConfig {
+        socket: socket.clone(),
+        workers: 1,
+        quiet: true,
+        ..ServeConfig::default()
+    };
+    let server = std::thread::spawn(move || serve(&config));
+    wait_for_server(&socket);
+
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        client::status(&socket).expect("status");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "20 status round trips took {elapsed:?}"
+    );
+
+    client::shutdown(&socket).expect("shutdown");
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
+}
+
+/// An idle server blocked in `accept()` still exits promptly once a shutdown
+/// is requested: the drained shutdown wakes the accept loop.
+#[test]
+fn an_idle_server_exits_promptly_after_shutdown() {
+    let socket = test_socket("idle-shutdown");
+    let config = ServeConfig {
+        socket: socket.clone(),
+        workers: 2,
+        quiet: true,
+        ..ServeConfig::default()
+    };
+    let (done, exited) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(serve(&config));
+    });
+    wait_for_server(&socket);
+
+    client::shutdown(&socket).expect("shutdown");
+    exited
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve returns within five seconds of the shutdown")
+        .expect("serve exits cleanly");
+    assert!(!socket.exists(), "socket file removed on exit");
 }

@@ -123,6 +123,28 @@ fn pipeline_works_under_every_delay_and_start_model() {
     );
 }
 
+/// A simulated delay model on the pool is the pool's own rejection, and the
+/// error says so instead of blaming the simulator's config.
+#[test]
+fn a_pool_rejection_names_the_pool_not_the_simulator() {
+    let graph = Arc::new(generators::cycle(8).unwrap());
+    let err = Pipeline::on(&graph)
+        .executor(ExecutorKind::Pool)
+        .sim(SimConfig {
+            delay: DelayModel::UniformRandom {
+                min: 1,
+                max: 5,
+                seed: 3,
+            },
+            ..Default::default()
+        })
+        .run()
+        .expect_err("the pool cannot honor simulated delays");
+    let message = err.to_string();
+    assert!(message.contains("`pool` executor"), "{message}");
+    assert!(!message.contains("simulator"), "{message}");
+}
+
 #[test]
 fn message_kinds_match_the_papers_inventory() {
     let graph = Arc::new(generators::star_with_leaf_edges(16).unwrap());
