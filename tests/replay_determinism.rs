@@ -11,6 +11,8 @@
 //!   delay model, a staggered start and a mixed fault plan reproduce
 //!   recorded digests of their full trace and metrics, so a rewrite of the
 //!   event queue or the link tables cannot silently reorder deliveries.
+//!   A second set pins runs whose events lie hundreds of ticks ahead of
+//!   the clock (long delays, widely staggered starts, a late crash).
 
 use mdst::prelude::*;
 use serde::{Serialize, Value};
@@ -179,11 +181,16 @@ fn traced_digest(graph: &Arc<Graph>, config: SimConfig) -> ((usize, u64, u64), M
     (digest, run.metrics)
 }
 
+/// The graph every digest case runs on.
+fn digest_graph() -> Arc<Graph> {
+    Arc::new(generators::gnp_connected(40, 0.15, 7).unwrap())
+}
+
 /// Digests recorded before the simulator's event heap and per-link tables
 /// were rewritten; they pin the exact delivery order of every case.
 #[test]
 fn simulator_event_order_matches_the_recorded_digests() {
-    let graph = Arc::new(generators::gnp_connected(40, 0.15, 7).unwrap());
+    let graph = digest_graph();
     // Cut the root's link to its first tree child at time zero, so the very
     // first SearchInit wave loses a branch; crash a node early in the wave.
     let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
@@ -265,6 +272,94 @@ fn simulator_event_order_matches_the_recorded_digests() {
         if faulty {
             assert_eq!(metrics.crashed_nodes, 1, "{name}: the crash fired");
             assert!(metrics.dropped_messages >= 2, "{name}: cut and loss drop");
+        }
+        got.push((name, digest));
+        want.push((name, recorded));
+    }
+    assert_eq!(got, want, "the simulator's event order or metrics moved");
+}
+
+/// Digests of runs whose events lie far ahead of the clock: delays of up to
+/// 500 ticks, wake-ups spread over 1,000 ticks, and a crash scheduled at
+/// t = 5000 while lossy traffic is still in flight. They were recorded on the
+/// plain `(time, seq)` heap, so a queue that keeps near and far events apart
+/// must merge the two back into exactly this order.
+#[test]
+fn far_future_events_match_the_recorded_digests() {
+    let graph = digest_graph();
+    let crashed = NodeId(5);
+    let cases: Vec<(&str, SimConfig, (usize, u64, u64))> = vec![
+        (
+            "uniform-random-500",
+            SimConfig {
+                delay: DelayModel::UniformRandom {
+                    min: 1,
+                    max: 500,
+                    seed: 21,
+                },
+                ..SimConfig::default()
+            },
+            (21900, 3601520431322003594, 4223658633717804283),
+        ),
+        (
+            "per-link-fixed-300",
+            SimConfig {
+                delay: DelayModel::PerLinkFixed {
+                    min: 1,
+                    max: 300,
+                    seed: 4,
+                },
+                ..SimConfig::default()
+            },
+            (21900, 14909522491929170973, 7886463638891079182),
+        ),
+        (
+            "staggered-1000",
+            SimConfig {
+                start: StartModel::Staggered {
+                    max_offset: 1000,
+                    seed: 9,
+                },
+                ..SimConfig::default()
+            },
+            (21900, 15703704134490836884, 18075851338459386974),
+        ),
+        (
+            "late-crash-with-loss",
+            SimConfig {
+                delay: DelayModel::UniformRandom {
+                    min: 1,
+                    max: 500,
+                    seed: 21,
+                },
+                faults: FaultPlan {
+                    loss: 0.001,
+                    seed: 17,
+                    crashes: vec![CrashAt {
+                        node: crashed,
+                        at: 5000,
+                    }],
+                    cuts: Vec::new(),
+                },
+                ..SimConfig::default()
+            },
+            (1097, 3020861034061901817, 12688020749525075682),
+        ),
+    ];
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (name, config, recorded) in cases {
+        let faulty = !config.faults.is_benign();
+        let (digest, metrics) = traced_digest(&graph, config);
+        if faulty {
+            assert_eq!(metrics.crashed_nodes, 1, "{name}: the crash fired");
+            assert!(metrics.dropped_messages >= 1, "{name}: loss drops");
+            assert!(
+                metrics.quiescence_time > 5000,
+                "{name}: traffic outlives the crash"
+            );
+        } else {
+            assert_eq!(metrics.dropped_messages, 0, "{name}");
         }
         got.push((name, digest));
         want.push((name, recorded));
