@@ -39,7 +39,7 @@ use crate::verify::{survivor_report, SurvivorReport};
 use mdst_graph::Graph;
 use mdst_graph::{GraphError, NodeId, RootedTree};
 use mdst_netsim::{
-    CancelToken, ExecConfig, ExecStatus, ExecutorKind, FaultPlan, Metrics, SimConfig, SimError,
+    CancelToken, ExecConfig, ExecError, ExecStatus, ExecutorKind, FaultPlan, Metrics, SimConfig,
     TraceEventKind,
 };
 use mdst_spanning::{build_initial_tree, collect_tree, InitialTreeKind};
@@ -57,7 +57,7 @@ pub enum PipelineError {
     Graph(GraphError),
     /// The executor backend rejected the configuration or failed to run
     /// (e.g. asking the pool for simulated delays or fault injection).
-    Exec(SimError),
+    Exec(ExecError),
 }
 
 impl fmt::Display for PipelineError {
@@ -84,8 +84,8 @@ impl From<GraphError> for PipelineError {
     }
 }
 
-impl From<SimError> for PipelineError {
-    fn from(e: SimError) -> Self {
+impl From<ExecError> for PipelineError {
+    fn from(e: ExecError) -> Self {
         PipelineError::Exec(e)
     }
 }
@@ -774,7 +774,7 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(
-            matches!(err, PipelineError::Exec(SimError::InvalidConfig(_))),
+            matches!(err, PipelineError::Exec(ExecError::InvalidConfig(_))),
             "expected a typed executor rejection, got {err:?}"
         );
         assert!(

@@ -36,8 +36,7 @@ pub mod verify;
 pub use distributed::{Candidate, MdstMsg, MdstNode};
 pub use driver::{Outcome, Pipeline, PipelineConfig, PipelineError, RunReport};
 pub use observer::{
-    ChannelObserver, ConstructionEvent, CountingObserver, ExchangeEvent, FaultEvent, FinishSummary,
-    Observer, RoundEvent, SessionEvent,
+    ConstructionEvent, CountingObserver, ExchangeEvent, FaultEvent, Observer, RoundEvent,
 };
 pub use verify::{
     check_safety_invariants, survivor_report, InvariantViolation, NodeSnapshot, SurvivorReport,

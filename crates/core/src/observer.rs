@@ -155,93 +155,6 @@ impl Observer for CountingObserver {
     }
 }
 
-/// An owned, thread-portable rendering of one observer callback — what a
-/// [`ChannelObserver`] sends down its channel. Borrowed event payloads are
-/// converted to owned values so the stream can outlive the session and cross
-/// thread boundaries (the `scenario serve` event fabric forwards these to
-/// watching clients as JSONL).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SessionEvent {
-    /// Mirror of [`Observer::on_construction_done`].
-    Construction(ConstructionEvent),
-    /// Mirror of [`Observer::on_round`].
-    Round(RoundEvent),
-    /// Mirror of [`Observer::on_exchange`].
-    Exchange(ExchangeEvent),
-    /// Mirror of [`Observer::on_fault`].
-    Fault(FaultEvent),
-    /// Mirror of [`Observer::on_finish`], compacted to the summary a remote
-    /// watcher needs (the full report travels separately, as the run record).
-    Finish(FinishSummary),
-}
-
-/// The owned finale of a session stream: the headline numbers of the
-/// [`crate::driver::RunReport`] without its trees, metrics or trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FinishSummary {
-    /// Stable kebab-case label of the session [`crate::driver::Outcome`].
-    pub outcome: String,
-    /// Improvement rounds executed.
-    pub rounds: u32,
-    /// Edge exchanges performed.
-    pub improvements: u32,
-    /// Maximum degree of the surviving tree edges.
-    pub final_degree: usize,
-    /// Wall-clock milliseconds of the improvement execution.
-    pub wall_ms: f64,
-}
-
-/// An [`Observer`] that forwards every event down a [`std::sync::mpsc`]
-/// channel as an owned [`SessionEvent`] — the bridge from the borrow-bound
-/// observer tap to anything that lives on another thread (live dashboards,
-/// the `scenario serve` per-run event stream). A disconnected receiver is
-/// tolerated: sends simply stop landing, the session is never disturbed.
-#[derive(Debug, Clone)]
-pub struct ChannelObserver {
-    sink: std::sync::mpsc::Sender<SessionEvent>,
-}
-
-impl ChannelObserver {
-    /// Wraps a channel sender as an observer.
-    pub fn new(sink: std::sync::mpsc::Sender<SessionEvent>) -> Self {
-        ChannelObserver { sink }
-    }
-
-    fn forward(&self, event: SessionEvent) {
-        // A gone receiver means nobody is watching any more; that must not
-        // fail the run, so the send result is deliberately dropped.
-        let _ = self.sink.send(event);
-    }
-}
-
-impl Observer for ChannelObserver {
-    fn on_construction_done(&mut self, event: &ConstructionEvent) {
-        self.forward(SessionEvent::Construction(event.clone()));
-    }
-
-    fn on_round(&mut self, event: &RoundEvent) {
-        self.forward(SessionEvent::Round(*event));
-    }
-
-    fn on_exchange(&mut self, event: &ExchangeEvent) {
-        self.forward(SessionEvent::Exchange(*event));
-    }
-
-    fn on_fault(&mut self, event: &FaultEvent) {
-        self.forward(SessionEvent::Fault(event.clone()));
-    }
-
-    fn on_finish(&mut self, report: &crate::driver::RunReport) {
-        self.forward(SessionEvent::Finish(FinishSummary {
-            outcome: report.outcome.label().to_string(),
-            rounds: report.rounds,
-            improvements: report.improvements,
-            final_degree: report.final_degree,
-            wall_ms: report.wall_ms,
-        }));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,39 +200,5 @@ mod tests {
         assert_eq!(c.exchanges, 1);
         assert_eq!(c.faults, 1);
         assert_eq!(c.finishes, 0);
-    }
-
-    #[test]
-    fn channel_observer_forwards_owned_events() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut obs = ChannelObserver::new(tx);
-        obs.on_round(&RoundEvent {
-            round: 1,
-            improved: Some(true),
-        });
-        obs.on_exchange(&ExchangeEvent { index: 1 });
-        drop(obs);
-        let events: Vec<SessionEvent> = rx.into_iter().collect();
-        assert_eq!(
-            events,
-            vec![
-                SessionEvent::Round(RoundEvent {
-                    round: 1,
-                    improved: Some(true),
-                }),
-                SessionEvent::Exchange(ExchangeEvent { index: 1 }),
-            ]
-        );
-    }
-
-    #[test]
-    fn channel_observer_survives_a_gone_receiver() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        drop(rx);
-        let mut obs = ChannelObserver::new(tx);
-        obs.on_round(&RoundEvent {
-            round: 1,
-            improved: None,
-        }); // must not panic
     }
 }

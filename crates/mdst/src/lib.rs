@@ -120,8 +120,8 @@ pub mod prelude {
     pub use mdst_graph::{Graph, GraphError, NodeId, RootedTree, StreamingBuilder};
     pub use mdst_netsim::{
         CancelToken, Context, ControlledEvent, ControlledNet, CrashAt, CutAt, DelayModel,
-        ExecConfig, ExecRun, ExecStatus, ExecutorKind, FaultPlan, Metrics, NetMessage, Protocol,
-        SimConfig, SimError, StartDiscipline, StartModel, UnknownExecutor,
+        ExecConfig, ExecError, ExecRun, ExecStatus, ExecutorKind, FaultPlan, Metrics, NetMessage,
+        Protocol, SimConfig, StartDiscipline, StartModel, UnknownExecutor,
     };
     pub use mdst_scenario::{
         diff_reports, diff_reports_with, run_campaign, CampaignReport, DiffOptions, FaultSpec,

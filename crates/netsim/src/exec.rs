@@ -19,7 +19,7 @@
 //!
 //! Backends refuse configuration they cannot honor instead of silently
 //! ignoring it: asking the pool backend for simulated delays or fault
-//! injection is an [`SimError::InvalidConfig`], not a lie in the report.
+//! injection is an [`ExecError::InvalidConfig`], not a lie in the report.
 //! `record_trace`, on the other hand, is honored by every backend: the pool
 //! keeps lock-free per-worker event buffers stamped from one atomic counter
 //! and merges them at quiescence, so the
@@ -30,7 +30,7 @@ use crate::cancel::CancelToken;
 use crate::metrics::Metrics;
 use crate::pool::PoolRuntime;
 use crate::protocol::Protocol;
-use crate::sim::{SimConfig, SimError, Simulator};
+use crate::sim::{SimConfig, Simulator};
 use crate::trace::TraceRecorder;
 use mdst_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -77,7 +77,7 @@ impl ExecutorKind {
     /// backend winds down at its next safe point and the returned
     /// [`ExecRun::status`] is [`ExecStatus::Cancelled`]; pass a fresh
     /// [`CancelToken::new`] for a run nobody cancels. Returns
-    /// [`SimError::InvalidConfig`] when the configuration is inconsistent
+    /// [`ExecError::InvalidConfig`] when the configuration is inconsistent
     /// with the graph or asks for something the backend cannot honor.
     pub fn run<P, F>(
         self,
@@ -85,7 +85,7 @@ impl ExecutorKind {
         factory: F,
         config: &ExecConfig,
         cancel: &CancelToken,
-    ) -> Result<ExecRun<P>, SimError>
+    ) -> Result<ExecRun<P>, ExecError>
     where
         P: Protocol,
         F: FnMut(NodeId, &[NodeId]) -> P,
@@ -118,6 +118,26 @@ impl std::fmt::Display for UnknownExecutor {
 }
 
 impl std::error::Error for UnknownExecutor {}
+
+/// Errors of setting up a run on either backend.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExecError {
+    /// The configuration is inconsistent with the graph or asks for
+    /// something the backend cannot honor (start list out of range or
+    /// empty, degenerate delay range, bad fault plan, simulated delays on
+    /// the pool, …).
+    InvalidConfig(String),
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecError::InvalidConfig(why) => write!(f, "invalid executor config: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
 
 impl std::str::FromStr for ExecutorKind {
     type Err = UnknownExecutor;
@@ -232,7 +252,7 @@ mod tests {
         kind: ExecutorKind,
         g: &Arc<Graph>,
         config: &ExecConfig,
-    ) -> Result<ExecRun<crate::testutil::Flood>, SimError> {
+    ) -> Result<ExecRun<crate::testutil::Flood>, ExecError> {
         kind.run(g, flood, config, &CancelToken::new())
     }
 
@@ -313,7 +333,7 @@ mod tests {
             let err = run_flood(ExecutorKind::Pool, &g, config)
                 .err()
                 .expect("must reject");
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+            assert!(matches!(err, ExecError::InvalidConfig(_)), "{err}");
         }
         // The simulator itself accepts all three.
         for config in [&delayed, &faulty, &staggered] {
@@ -335,7 +355,7 @@ mod tests {
             let err = run_flood(kind, &g, &selected(vec![NodeId(0), NodeId(7)]))
                 .err()
                 .expect("config must be rejected");
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{kind}: {err}");
+            assert!(matches!(err, ExecError::InvalidConfig(_)), "{kind}: {err}");
             assert!(err.to_string().contains("v7"), "{kind}: {err}");
 
             let err = run_flood(kind, &g, &selected(Vec::new()))

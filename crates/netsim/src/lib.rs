@@ -61,10 +61,10 @@ pub mod trace;
 pub use cancel::CancelToken;
 pub use controlled::{ControlledEvent, ControlledNet, NotEnabled, StartDiscipline};
 pub use delay::DelayModel;
-pub use exec::{ExecConfig, ExecRun, ExecStatus, ExecutorKind, UnknownExecutor};
+pub use exec::{ExecConfig, ExecError, ExecRun, ExecStatus, ExecutorKind, UnknownExecutor};
 pub use fault::{CrashAt, CutAt, FaultPlan};
 pub use message::NetMessage;
 pub use metrics::Metrics;
 pub use protocol::{Context, Protocol};
-pub use sim::{SimConfig, SimError, StartModel};
+pub use sim::{SimConfig, StartModel};
 pub use trace::{KindLabel, TraceEvent, TraceEventKind, TraceRecorder};

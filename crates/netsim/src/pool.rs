@@ -60,11 +60,11 @@
 
 use crate::cancel::CancelToken;
 use crate::delay::DelayModel;
-use crate::exec::{ExecConfig, ExecRun, ExecStatus};
+use crate::exec::{ExecConfig, ExecError, ExecRun, ExecStatus};
 use crate::message::NetMessage;
 use crate::metrics::{KindCounts, Metrics};
 use crate::protocol::{Context, Protocol};
-use crate::sim::{SimError, StartModel};
+use crate::sim::StartModel;
 use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use mdst_graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -291,27 +291,27 @@ impl PoolRuntime {
     /// The configuration is validated up front: everything that needs a
     /// simulated clock (a delay model other than unit, a staggered start, a
     /// non-benign fault plan) and an empty or out-of-range
-    /// [`StartModel::Selected`] list return [`SimError::InvalidConfig`]
+    /// [`StartModel::Selected`] list return [`ExecError::InvalidConfig`]
     /// instead of being ignored or panicking inside a worker.
     pub(crate) fn run<P, F>(
         graph: &Arc<Graph>,
         factory: F,
         config: &ExecConfig,
         cancel: &CancelToken,
-    ) -> Result<ExecRun<P>, SimError>
+    ) -> Result<ExecRun<P>, ExecError>
     where
         P: Protocol,
         F: FnMut(NodeId, &[NodeId]) -> P,
     {
         if !matches!(config.sim.delay, DelayModel::Unit) {
-            return Err(SimError::InvalidConfig(
+            return Err(ExecError::InvalidConfig(
                 "the `pool` executor schedules deliveries on real threads and \
                  cannot honor a simulated delay model; use executor = \"sim\""
                     .to_string(),
             ));
         }
         if !config.sim.faults.is_benign() {
-            return Err(SimError::InvalidConfig(
+            return Err(ExecError::InvalidConfig(
                 "the `pool` executor cannot inject faults (loss, crashes, \
                  cuts need the simulated clock); use executor = \"sim\""
                     .to_string(),
@@ -322,7 +322,7 @@ impl PoolRuntime {
             .sim
             .start
             .validate(n)
-            .map_err(SimError::InvalidConfig)?;
+            .map_err(ExecError::InvalidConfig)?;
         let starters: Vec<usize> = match &config.sim.start {
             StartModel::Simultaneous => (0..n).collect(),
             StartModel::Selected(list) => {
@@ -332,7 +332,7 @@ impl PoolRuntime {
                 ids
             }
             StartModel::Staggered { .. } => {
-                return Err(SimError::InvalidConfig(
+                return Err(ExecError::InvalidConfig(
                     "the pool runtime has no simulated clock and cannot honor \
                      StartModel::Staggered; use the simulator"
                         .to_string(),

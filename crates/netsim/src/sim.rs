@@ -12,10 +12,22 @@
 //! [`Metrics`] produced at quiescence contain both the delay-model-dependent
 //! clock and the delay-independent causal-chain length the paper calls "time
 //! complexity".
+//!
+//! Pending events wait in a calendar queue (`EventQueue`). Events due
+//! within 64 ticks of the last popped time sit in a ring of FIFO buckets,
+//! one bucket per tick; under `Unit` delay, where every send made at `t` is
+//! due at `t + 1`, that is every message. Events due further ahead
+//! (staggered starts, crashes, long delays) sit in a binary heap keyed by
+//! `(time, seq)`. A pop takes the earlier of the first non-empty bucket's
+//! head and the heap's top, which yields exactly the order of one
+//! `(time, seq)` heap over all events, so the queue is a cost choice only.
+//! The buckets are lists threaded through the one payload slab rather than
+//! deques of their own, so the queue's memory follows the number of
+//! pending events, not the busiest tick.
 
 use crate::cancel::CancelToken;
 use crate::delay::{DelayModel, DelaySampler};
-use crate::exec::{ExecRun, ExecStatus};
+use crate::exec::{ExecError, ExecRun, ExecStatus};
 use crate::fault::FaultPlan;
 use crate::message::NetMessage;
 use crate::metrics::{KindCounts, Metrics};
@@ -27,7 +39,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,26 +116,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Errors of setting up a run on either backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// The configuration is inconsistent with the graph or asks for
-    /// something the backend cannot honor (start list out of range or
-    /// empty, degenerate delay range, bad fault plan, simulated delays on
-    /// the pool, …).
-    InvalidConfig(String),
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::InvalidConfig(why) => write!(f, "invalid executor config: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
 /// What a scheduled event does when it fires.
 #[derive(Debug, Clone)]
 enum EventKind<M> {
@@ -146,18 +137,18 @@ enum EventKind<M> {
     Crash,
 }
 
-/// The payload of one scheduled event, parked in the simulator's slab while
-/// its [`EventKey`] moves through the heap.
+/// The payload of one scheduled event, parked in the queue's slab while its
+/// time orders it (see [`EventQueue`]).
 #[derive(Debug, Clone)]
 struct Event<M> {
     to: NodeId,
     kind: EventKind<M>,
 }
 
-/// Heap entry of one scheduled event: 24 bytes, ordered by `(time, seq)`.
-/// `seq` is unique per run, so `slot` (the payload's index in the slab) never
-/// decides the order. The heap is a max-heap of `Reverse<EventKey>`, so the
-/// earliest `(time, seq)` pops first.
+/// Heap entry of one far event: 24 bytes, ordered by `(time, seq)`. `seq` is
+/// unique per run, so `slot` (the payload's index in the slab) never decides
+/// the order. The heap is a max-heap of `Reverse<EventKey>`, so the earliest
+/// `(time, seq)` pops first.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
     time: u64,
@@ -165,13 +156,62 @@ struct EventKey {
     slot: usize,
 }
 
-/// The pending-event queue: a heap of small keys over a payload slab whose
-/// freed slots are reused, so a sift moves 24 bytes instead of the whole
-/// message and steady-state scheduling allocates nothing.
+/// Buckets in the near ring: events due in `[cursor, cursor + RING)` wait
+/// in bucket `time % RING`. A power of two no larger than 64, so the
+/// non-empty buckets fit one `u64` mask.
+const RING: u64 = 64;
+
+/// The end of a slot list (a bucket's FIFO or the free list).
+const NIL: usize = usize::MAX;
+
+/// One slab slot: a pending event (`None` while the slot is free) and the
+/// next slot of the list it is on, its bucket's FIFO or the free list.
+struct Entry<M> {
+    event: Option<Event<M>>,
+    next: usize,
+}
+
+/// The pending-event queue, a calendar queue (Brown, CACM 1988) in two
+/// tiers over one payload slab.
+///
+/// * **Near ring.** `RING` FIFO buckets hold the events due in
+///   `[cursor, cursor + RING)`, where `cursor` is the time of the last pop;
+///   bucket `time % RING` therefore holds events of one time only. Under
+///   `Unit` delay every send is due one tick ahead, so nearly every event
+///   takes this path: an O(1) append and an O(1) unlink, found through a
+///   mask of the non-empty buckets.
+/// * **Far heap.** Events due at or past `cursor + RING` (staggered starts,
+///   crashes, long delays) go to a binary heap of `(time, seq, slot)` keys.
+///   They stay there until they pop; nothing migrates into the ring.
+///
+/// Pop takes the earlier by `(time, seq)` of the first non-empty bucket's
+/// head and the heap's top. Every push is at or after `cursor` and `seq`
+/// grows with every push, so a bucket is already in `seq` order. On equal
+/// times the heap wins: a far event due at `t` was pushed while the cursor
+/// was at most `t - RING`, a ring event due at `t` while it was past that,
+/// and the cursor never moves back, so the far event is the older one. The
+/// pop order is therefore exactly that of one `(time, seq)` heap over all
+/// events, which the golden digests in `tests/replay_determinism.rs` pin.
+///
+/// The buckets are intrusive lists threaded through the slab (head and tail
+/// slots per bucket, a `next` slot per entry), and so is the free list.
+/// The queue's memory is thus one slab entry per *pending* event plus the
+/// far keys. Per-bucket deques would instead each grow to the peak load of
+/// one tick and keep that capacity.
 struct EventQueue<M> {
     heap: BinaryHeap<Reverse<EventKey>>,
-    slab: Vec<Option<Event<M>>>,
-    free: Vec<usize>,
+    slab: Vec<Entry<M>>,
+    /// Head of the free list (`NIL` when every slot is in use).
+    free: usize,
+    /// First and last slot of each bucket's FIFO (`NIL` when empty).
+    head: [usize; RING as usize],
+    tail: [usize; RING as usize],
+    /// Bit `b` is set iff bucket `b` is non-empty.
+    occupied: u64,
+    /// Time of the last pop; no pending event is earlier.
+    cursor: u64,
+    /// Pushes so far: the next event's tie-breaking sequence number.
+    seq: u64,
 }
 
 impl<M> EventQueue<M> {
@@ -179,34 +219,83 @@ impl<M> EventQueue<M> {
         EventQueue {
             heap: BinaryHeap::new(),
             slab: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
+            head: [NIL; RING as usize],
+            tail: [NIL; RING as usize],
+            occupied: 0,
+            cursor: 0,
+            seq: 0,
         }
     }
 
-    fn push(&mut self, time: u64, seq: u64, event: Event<M>) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Some(event);
-                slot
-            }
-            None => {
-                self.slab.push(Some(event));
-                self.slab.len() - 1
-            }
+    /// Schedules `event` at `time`, which must not precede the last pop.
+    fn push(&mut self, time: u64, event: Event<M>) {
+        debug_assert!(time >= self.cursor, "event scheduled in the past");
+        let seq = self.seq;
+        self.seq += 1;
+        let entry = Entry {
+            event: Some(event),
+            next: NIL,
         };
-        self.heap.push(Reverse(EventKey { time, seq, slot }));
+        let slot = if self.free == NIL {
+            self.slab.push(entry);
+            self.slab.len() - 1
+        } else {
+            let slot = self.free;
+            self.free = self.slab[slot].next;
+            self.slab[slot] = entry;
+            slot
+        };
+        if time.wrapping_sub(self.cursor) >= RING {
+            self.heap.push(Reverse(EventKey { time, seq, slot }));
+            return;
+        }
+        let bucket = (time % RING) as usize;
+        if self.occupied & (1 << bucket) == 0 {
+            self.occupied |= 1 << bucket;
+            self.head[bucket] = slot;
+        } else {
+            self.slab[self.tail[bucket]].next = slot;
+        }
+        self.tail[bucket] = slot;
     }
 
     /// The earliest event and its scheduled time.
     fn pop(&mut self) -> Option<(u64, Event<M>)> {
-        let Reverse(key) = self.heap.pop()?;
-        self.free.push(key.slot);
-        // A slot is emptied only here, once per key, so it is always filled.
-        self.slab[key.slot].take().map(|event| (key.time, event))
+        // The first non-empty bucket at or after the cursor's holds the
+        // earliest near event; its distance from the cursor is its bucket's
+        // distance from the cursor's bucket.
+        let near = (self.occupied != 0).then(|| {
+            let ahead = self.occupied.rotate_right((self.cursor % RING) as u32);
+            self.cursor + u64::from(ahead.trailing_zeros())
+        });
+        let far_first = match (self.heap.peek(), near) {
+            (Some(Reverse(key)), Some(near)) => key.time <= near,
+            (far, _) => far.is_some(),
+        };
+        let (time, slot) = if far_first {
+            let Reverse(key) = self.heap.pop()?;
+            (key.time, key.slot)
+        } else {
+            let time = near?;
+            let bucket = (time % RING) as usize;
+            let slot = self.head[bucket];
+            self.head[bucket] = self.slab[slot].next;
+            if self.head[bucket] == NIL {
+                self.occupied &= !(1 << bucket);
+            }
+            (time, slot)
+        };
+        self.cursor = time;
+        let entry = &mut self.slab[slot];
+        entry.next = self.free;
+        self.free = slot;
+        // A slot is emptied only here, once per push, so it is always filled.
+        entry.event.take().map(|event| (time, event))
     }
 
     fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.occupied == 0 && self.heap.is_empty()
     }
 }
 
@@ -255,7 +344,6 @@ pub(crate) struct Simulator<P: Protocol> {
     /// its own, so thousands of runs can share one `Arc<Graph>`.
     graph: Arc<Graph>,
     queue: EventQueue<P::Message>,
-    seq: u64,
     clock: u64,
     processed_events: u64,
     started: Vec<bool>,
@@ -302,13 +390,13 @@ impl<P: Protocol> Simulator<P> {
     /// [`StartModel::Selected`] lists must be non-empty and in range, the
     /// delay model must satisfy its documented `1 ≤ min ≤ max` contract, and
     /// the fault plan must reference existing nodes and edges. Violations
-    /// return [`SimError::InvalidConfig`] instead of panicking (or silently
+    /// return [`ExecError::InvalidConfig`] instead of panicking (or silently
     /// succeeding) deep inside [`Simulator::run`].
     pub(crate) fn new(
         graph: &Arc<Graph>,
         config: SimConfig,
         mut factory: impl FnMut(NodeId, &[NodeId]) -> P,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, ExecError> {
         Self::validate_config(graph, &config)?;
         let n = graph.node_count();
         let links = graph.degree_sum();
@@ -348,7 +436,6 @@ impl<P: Protocol> Simulator<P> {
             nodes,
             graph: Arc::clone(graph),
             queue: EventQueue::new(),
-            seq: 0,
             clock: 0,
             processed_events: 0,
             started: vec![false; n],
@@ -370,16 +457,16 @@ impl<P: Protocol> Simulator<P> {
         Ok(sim)
     }
 
-    fn validate_config(graph: &Graph, config: &SimConfig) -> Result<(), SimError> {
-        config.delay.validate().map_err(SimError::InvalidConfig)?;
+    fn validate_config(graph: &Graph, config: &SimConfig) -> Result<(), ExecError> {
+        config.delay.validate().map_err(ExecError::InvalidConfig)?;
         config
             .start
             .validate(graph.node_count())
-            .map_err(SimError::InvalidConfig)?;
+            .map_err(ExecError::InvalidConfig)?;
         config
             .faults
             .validate(graph)
-            .map_err(SimError::InvalidConfig)
+            .map_err(ExecError::InvalidConfig)
     }
 
     /// Crash events go into the queue before the start events, so a crash and
@@ -387,10 +474,8 @@ impl<P: Protocol> Simulator<P> {
     fn schedule_crashes(&mut self) {
         let crashes = self.config.faults.crashes.clone();
         for crash in crashes {
-            let seq = self.next_seq();
             self.queue.push(
                 crash.at,
-                seq,
                 Event {
                     to: crash.node,
                     kind: EventKind::Crash,
@@ -412,22 +497,14 @@ impl<P: Protocol> Simulator<P> {
             StartModel::Selected(list) => list.iter().map(|&u| (u, 0)).collect(),
         };
         for (node, time) in starts {
-            let seq = self.next_seq();
             self.queue.push(
                 time,
-                seq,
                 Event {
                     to: node,
                     kind: EventKind::Start,
                 },
             );
         }
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
     }
 
     /// Processes a single event without folding the per-kind counters into
@@ -626,10 +703,8 @@ impl<P: Protocol> Simulator<P> {
         let delay = self.sampler.sample(from, target);
         let delivery = (now + delay.max(1)).max(self.link_last_delivery[link]);
         self.link_last_delivery[link] = delivery;
-        let seq = self.next_seq();
         self.queue.push(
             delivery,
-            seq,
             Event {
                 to: target,
                 kind: EventKind::Message {
@@ -703,6 +778,7 @@ mod tests {
     use crate::fault::{CrashAt, CutAt};
     use crate::message::bits::message_bits;
     use mdst_graph::generators;
+    use proptest::prelude::*;
 
     /// Flood protocol: the node with identity 0 floods a token; every node
     /// forwards it the first time it sees it. Classic broadcast, n-1 .. m
@@ -790,7 +866,7 @@ mod tests {
         try_flood_run(g, config).expect("valid config")
     }
 
-    fn try_flood_run(g: &Arc<Graph>, config: SimConfig) -> Result<ExecRun<Flood>, SimError> {
+    fn try_flood_run(g: &Arc<Graph>, config: SimConfig) -> Result<ExecRun<Flood>, ExecError> {
         let config = ExecConfig {
             sim: config,
             ..Default::default()
@@ -946,7 +1022,7 @@ mod tests {
             let err = try_flood_run(&g, cfg)
                 .err()
                 .expect("config must be rejected");
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+            assert!(matches!(err, ExecError::InvalidConfig(_)), "{err}");
         }
     }
 
@@ -1200,7 +1276,7 @@ mod tests {
         let err = try_flood_run(&g, bad_crash)
             .err()
             .expect("config must be rejected");
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        assert!(matches!(err, ExecError::InvalidConfig(_)), "{err}");
         let bad_cut = SimConfig {
             faults: FaultPlan {
                 cuts: vec![CutAt {
@@ -1360,5 +1436,84 @@ mod tests {
             got, &sorted,
             "messages on one link must arrive in FIFO order"
         );
+    }
+
+    /// A start event whose target names its push index, so a popped event
+    /// identifies the push it came from.
+    fn tagged(index: u32) -> Event<()> {
+        Event {
+            to: NodeId(index),
+            kind: EventKind::Start,
+        }
+    }
+
+    #[test]
+    fn equal_times_pop_the_far_event_first() {
+        let mut queue = EventQueue::new();
+        // Pushed at cursor 0, time 100 lies past the ring: a far event.
+        queue.push(100, tagged(0));
+        queue.push(40, tagged(1));
+        assert_eq!(queue.pop().map(|(t, e)| (t, e.to)), Some((40, NodeId(1))));
+        // At cursor 40 the same time is near; it was pushed later, so it
+        // pops after the far one, as one `(time, seq)` heap would order it.
+        queue.push(100, tagged(2));
+        queue.push(41, tagged(3));
+        let order: Vec<(u64, NodeId)> = std::iter::from_fn(|| queue.pop())
+            .map(|(t, e)| (t, e.to))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(41, NodeId(3)), (100, NodeId(0)), (100, NodeId(2))]
+        );
+        assert!(queue.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The calendar queue pops exactly what one `(time, seq)` heap over
+        /// the same pushes pops, and its slab never holds more slots than
+        /// the most events ever pending at once.
+        #[test]
+        fn calendar_queue_pops_in_heap_order(seed in any::<u64>(), pop_percent in 10u32..70) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut queue = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let (mut cursor, mut pushed, mut pending, mut peak) = (0u64, 0u32, 0usize, 0usize);
+            for _ in 0..1_500 {
+                if pending > 0 && rng.gen_range(0..100u32) < pop_percent {
+                    let (time, event) = queue.pop().expect("a pending event");
+                    let Reverse((want_time, want_index)) = reference.pop().expect("same length");
+                    prop_assert_eq!((time, event.to), (want_time, NodeId(want_index)));
+                    cursor = time;
+                    pending -= 1;
+                    continue;
+                }
+                // Mostly single pushes; now and then a burst of up to 200
+                // before the next pop.
+                let burst = if rng.gen_bool(0.05) { rng.gen_range(20..200u32) } else { 1 };
+                for _ in 0..burst {
+                    let delay = match rng.gen_range(0..10u32) {
+                        0..=2 => 0,
+                        3..=5 => rng.gen_range(1..4),
+                        6 => rng.gen_range(RING - 3..RING + 3),
+                        7 => rng.gen_range(0..3 * RING),
+                        8 => rng.gen_range(RING..1_000),
+                        _ => rng.gen_range(1_000..100_000),
+                    };
+                    queue.push(cursor + delay, tagged(pushed));
+                    reference.push(Reverse((cursor + delay, pushed)));
+                    pushed += 1;
+                    pending += 1;
+                }
+                peak = peak.max(pending);
+                prop_assert!(queue.slab.len() <= peak, "{} slots for {peak} pending", queue.slab.len());
+            }
+            while let Some(Reverse((want_time, want_index))) = reference.pop() {
+                let (time, event) = queue.pop().expect("same length");
+                prop_assert_eq!((time, event.to), (want_time, NodeId(want_index)));
+            }
+            prop_assert!(queue.pop().is_none() && queue.is_empty());
+        }
     }
 }
