@@ -1350,6 +1350,96 @@ mod tests {
     }
 
     #[test]
+    fn a_node_woken_by_a_message_traces_the_delivery_before_its_sends() {
+        // Every node greets its neighbours from `on_start` and answers its
+        // first message from `on_message`, so a node woken by a message
+        // sends from both handlers while processing that one delivery.
+        struct Greeter {
+            answered: bool,
+        }
+        impl Protocol for Greeter {
+            type Message = Token;
+            fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+                let n = ctx.network_size();
+                for to in ctx.neighbors().to_vec() {
+                    ctx.send(to, Token { hops: 0, n });
+                }
+            }
+            fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
+                if !self.answered {
+                    self.answered = true;
+                    let n = ctx.network_size();
+                    ctx.send(
+                        from,
+                        Token {
+                            hops: msg.hops + 1,
+                            n,
+                        },
+                    );
+                }
+            }
+        }
+        let g = Arc::new(generators::gnp_connected(30, 0.2, 4).unwrap());
+        let config = ExecConfig {
+            sim: SimConfig {
+                delay: DelayModel::UniformRandom {
+                    min: 1,
+                    max: 5,
+                    seed: 3,
+                },
+                start: StartModel::Selected(vec![NodeId(0)]),
+                record_trace: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let run = ExecutorKind::Sim
+            .run(
+                &g,
+                |_, _| Greeter { answered: false },
+                &config,
+                &CancelToken::new(),
+            )
+            .unwrap();
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        let events = run.trace.events();
+        for u in 1..g.node_count() {
+            let node = NodeId::new(u);
+            // The first delivery to `node` wakes it.
+            let wake = events
+                .iter()
+                .position(|e| e.kind == TraceEventKind::Deliver && e.to == node)
+                .expect("every node is woken by a message");
+            let first_send = events
+                .iter()
+                .position(|e| e.kind == TraceEventKind::Send && e.from == node)
+                .expect("every node greets its neighbours");
+            assert!(wake < first_send, "{node} sent before its waking delivery");
+            // The greetings, then the answer, right after the delivery.
+            let degree = g.degree(node);
+            let sends = &events[wake + 1..wake + 2 + degree];
+            assert!(
+                sends
+                    .iter()
+                    .all(|e| e.kind == TraceEventKind::Send && e.from == node),
+                "{node}: {sends:?}"
+            );
+            let greeted: Vec<NodeId> = sends[..degree].iter().map(|e| e.to).collect();
+            assert_eq!(greeted, g.neighbor_slice(node), "{node}");
+            assert_eq!(sends[degree].to, events[wake].from, "{node} answers");
+        }
+        let ids: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Send)
+            .map(|e| e.msg_id)
+            .collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "message ids rise in recording order"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "non-neighbour")]
     fn sending_to_a_non_neighbour_panics() {
         struct Bad;
