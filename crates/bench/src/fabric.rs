@@ -99,7 +99,7 @@ impl EchoFloodSt {
 impl Protocol for EchoFloodSt {
     type Message = EchoToken;
 
-    fn on_start(&mut self, ctx: &mut dyn Context<EchoToken>) {
+    fn on_start(&mut self, ctx: &mut impl Context<EchoToken>) {
         if self.id == NodeId(0) {
             // Index the neighbour slice per send instead of materialising a
             // `Vec`: the handler allocating per quantum would dominate the
@@ -111,7 +111,7 @@ impl Protocol for EchoFloodSt {
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: EchoToken, ctx: &mut dyn Context<EchoToken>) {
+    fn on_message(&mut self, from: NodeId, msg: EchoToken, ctx: &mut impl Context<EchoToken>) {
         if msg.ttl > 0 {
             for i in 0..ctx.neighbors().len() {
                 let to = ctx.neighbors()[i];

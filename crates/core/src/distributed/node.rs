@@ -179,7 +179,7 @@ impl MdstNode {
     }
 
     /// Starts a new round at the current root: SearchDegree broadcast.
-    fn start_round(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn start_round(&mut self, ctx: &mut impl Context<MdstMsg>) {
         debug_assert!(self.parent.is_none(), "only the root starts rounds");
         self.round += 1;
         self.reset_round_state();
@@ -202,7 +202,7 @@ impl MdstNode {
 
     /// The root has the global `(k, p)`; either stop, become the coordinator,
     /// or move the root toward `p` (§3.2.2).
-    fn finalize_search(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn finalize_search(&mut self, ctx: &mut impl Context<MdstMsg>) {
         let (k, p) = self.search_best;
         if k <= 2 {
             // The tree is a chain (or trivially small): optimal, stop.
@@ -232,7 +232,7 @@ impl MdstNode {
     }
 
     /// `p` starts the Cut/BFS phase of the round (§3.2.3).
-    fn become_coordinator(&mut self, k: usize, ctx: &mut dyn Context<MdstMsg>) {
+    fn become_coordinator(&mut self, k: usize, ctx: &mut impl Context<MdstMsg>) {
         debug_assert!(self.parent.is_none());
         debug_assert_eq!(self.degree(), k, "the coordinator has the maximum degree");
         self.coordinator = true;
@@ -258,7 +258,7 @@ impl MdstNode {
 
     /// The coordinator has every fragment's report: either exchange or stop
     /// (§3.2.5 Choose).
-    fn choose(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn choose(&mut self, ctx: &mut impl Context<MdstMsg>) {
         match self.best_candidate {
             None => {
                 // No admissible outgoing edge anywhere: the maximum degree of
@@ -287,7 +287,7 @@ impl MdstNode {
         }
     }
 
-    fn broadcast_stop(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn broadcast_stop(&mut self, ctx: &mut impl Context<MdstMsg>) {
         self.done = true;
         self.coordinator = false;
         let n = ctx.network_size();
@@ -306,7 +306,7 @@ impl MdstNode {
         candidate.0 > current.0 || (candidate.0 == current.0 && candidate.1 < current.1)
     }
 
-    fn on_search_init(&mut self, round: u32, ctx: &mut dyn Context<MdstMsg>) {
+    fn on_search_init(&mut self, round: u32, ctx: &mut impl Context<MdstMsg>) {
         self.round = round;
         self.reset_round_state();
         self.search_pending.extend(&self.children);
@@ -334,7 +334,7 @@ impl MdstNode {
         from: NodeId,
         best_deg: usize,
         best_id: NodeId,
-        ctx: &mut dyn Context<MdstMsg>,
+        ctx: &mut impl Context<MdstMsg>,
     ) {
         if Self::search_better((best_deg, best_id), self.search_best) {
             self.search_best = (best_deg, best_id);
@@ -366,7 +366,7 @@ impl MdstNode {
         from: NodeId,
         k: usize,
         target: NodeId,
-        ctx: &mut dyn Context<MdstMsg>,
+        ctx: &mut impl Context<MdstMsg>,
     ) {
         // Path reversal: the old parent becomes a child.
         self.children.insert(from);
@@ -396,7 +396,7 @@ impl MdstNode {
     // Fragments and the BFS wave (§3.2.3 / §3.2.4).
     // ------------------------------------------------------------------
 
-    fn enter_fragment(&mut self, k: usize, frag: FragmentId, ctx: &mut dyn Context<MdstMsg>) {
+    fn enter_fragment(&mut self, k: usize, frag: FragmentId, ctx: &mut impl Context<MdstMsg>) {
         self.round_k = k;
         self.fragment = Some(frag);
         self.bfs_reported = false;
@@ -436,7 +436,7 @@ impl MdstNode {
         &mut self,
         sender: NodeId,
         theirs: FragmentId,
-        ctx: &mut dyn Context<MdstMsg>,
+        ctx: &mut impl Context<MdstMsg>,
     ) {
         let mine = self
             .fragment
@@ -476,7 +476,7 @@ impl MdstNode {
         &mut self,
         from: NodeId,
         responder_degree: usize,
-        ctx: &mut dyn Context<MdstMsg>,
+        ctx: &mut impl Context<MdstMsg>,
     ) {
         // The responder sits in another fragment (or is the coordinator). The
         // edge is admissible only if both endpoints could absorb one more tree
@@ -502,7 +502,7 @@ impl MdstNode {
         &mut self,
         from: NodeId,
         candidate: Option<Candidate>,
-        ctx: &mut dyn Context<MdstMsg>,
+        ctx: &mut impl Context<MdstMsg>,
     ) {
         if let Some(candidate) = candidate {
             if Candidate::merge_into(&mut self.best_candidate, candidate) {
@@ -520,7 +520,7 @@ impl MdstNode {
         }
     }
 
-    fn maybe_complete_bfs(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn maybe_complete_bfs(&mut self, ctx: &mut impl Context<MdstMsg>) {
         if self.bfs_reported || self.fragment.is_none() || !self.bfs_expected.is_empty() {
             return;
         }
@@ -543,7 +543,7 @@ impl MdstNode {
     // The exchange (§3.2.5).
     // ------------------------------------------------------------------
 
-    fn on_update(&mut self, from: NodeId, u: NodeId, v: NodeId, ctx: &mut dyn Context<MdstMsg>) {
+    fn on_update(&mut self, from: NodeId, u: NodeId, v: NodeId, ctx: &mut impl Context<MdstMsg>) {
         self.update_sender = Some(from);
         let from_coordinator = self.fragment.map(|f| f.0) == Some(from);
         if !from_coordinator {
@@ -579,7 +579,7 @@ impl MdstNode {
         }
     }
 
-    fn on_child(&mut self, from: NodeId, ctx: &mut dyn Context<MdstMsg>) {
+    fn on_child(&mut self, from: NodeId, ctx: &mut impl Context<MdstMsg>) {
         self.children.insert(from);
         let n = ctx.network_size();
         ctx.send(
@@ -591,7 +591,7 @@ impl MdstNode {
         );
     }
 
-    fn on_child_ack(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn on_child_ack(&mut self, ctx: &mut impl Context<MdstMsg>) {
         let back = self
             .update_sender
             .expect("ChildAck only reaches the node that sent Child");
@@ -605,7 +605,7 @@ impl MdstNode {
         );
     }
 
-    fn on_update_done(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn on_update_done(&mut self, ctx: &mut impl Context<MdstMsg>) {
         if self.coordinator {
             // The exchange is installed everywhere: run the next round.
             self.start_round(ctx);
@@ -624,7 +624,7 @@ impl MdstNode {
         );
     }
 
-    fn on_stop(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn on_stop(&mut self, ctx: &mut impl Context<MdstMsg>) {
         if self.done {
             return;
         }
@@ -646,13 +646,13 @@ fn remove_sorted(set: &mut Vec<NodeId>, x: NodeId) {
 impl Protocol for MdstNode {
     type Message = MdstMsg;
 
-    fn on_start(&mut self, ctx: &mut dyn Context<MdstMsg>) {
+    fn on_start(&mut self, ctx: &mut impl Context<MdstMsg>) {
         if self.is_initial_root && self.round == 0 && !self.done {
             self.start_round(ctx);
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: MdstMsg, ctx: &mut dyn Context<MdstMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: MdstMsg, ctx: &mut impl Context<MdstMsg>) {
         if self.done {
             return;
         }

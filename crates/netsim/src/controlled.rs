@@ -607,13 +607,13 @@ mod tests {
 
     impl Protocol for Ring {
         type Message = Token;
-        fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+        fn on_start(&mut self, ctx: &mut impl Context<Token>) {
             if self.id == NodeId(0) {
                 let next = self.next();
                 ctx.send(next, Token(0));
             }
         }
-        fn on_message(&mut self, _from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
+        fn on_message(&mut self, _from: NodeId, msg: Token, ctx: &mut impl Context<Token>) {
             self.seen = true;
             if self.next() != NodeId(0) || msg.0 == 0 {
                 // Forward until the token returns to its origin's successor.
@@ -716,13 +716,13 @@ mod tests {
         }
         impl Protocol for Burst {
             type Message = Token;
-            fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
                 if self.id == NodeId(0) {
                     ctx.send(NodeId(1), Token(1));
                     ctx.send(NodeId(1), Token(2));
                 }
             }
-            fn on_message(&mut self, _f: NodeId, msg: Token, _c: &mut dyn Context<Token>) {
+            fn on_message(&mut self, _f: NodeId, msg: Token, _c: &mut impl Context<Token>) {
                 self.got.push(msg.0);
             }
         }
@@ -784,13 +784,13 @@ mod tests {
         }
         impl Protocol for TwoWay {
             type Message = Token;
-            fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
                 if self.id == NodeId(1) {
                     ctx.send(NodeId(0), Token(7));
                     ctx.send(NodeId(2), Token(9));
                 }
             }
-            fn on_message(&mut self, _f: NodeId, msg: Token, _c: &mut dyn Context<Token>) {
+            fn on_message(&mut self, _f: NodeId, msg: Token, _c: &mut impl Context<Token>) {
                 self.got += msg.0;
             }
         }
@@ -870,6 +870,37 @@ mod tests {
             net.apply(event).unwrap();
         }
         assert!(net.trace().events().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-neighbour")]
+    fn sending_to_a_non_neighbour_panics() {
+        // On the path 0 - 1 - 2, node 1 answers node 0's token, and node 0
+        // answers by addressing node 2, which is not its neighbour.
+        #[derive(Debug, Clone, Hash)]
+        struct Bad;
+        impl Protocol for Bad {
+            type Message = Token;
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
+                if ctx.id() == NodeId(0) {
+                    ctx.send(NodeId(1), Token(0));
+                }
+            }
+            fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut impl Context<Token>) {
+                let to = if ctx.id() == NodeId(1) {
+                    from
+                } else {
+                    NodeId(2)
+                };
+                ctx.send(to, Token(msg.0 + 1));
+            }
+        }
+        let graph = Arc::new(generators::path(3).unwrap());
+        let mut net = ControlledNet::new(&graph, StartDiscipline::Eager, |_, _| Bad);
+        for from in [NodeId(0), NodeId(1)] {
+            let to = NodeId::new(1 - from.index());
+            net.apply(ControlledEvent::Deliver { from, to }).unwrap();
+        }
     }
 
     #[test]

@@ -1141,10 +1141,10 @@ mod tests {
         }
         impl Protocol for Counter {
             type Message = Ping;
-            fn on_start(&mut self, _ctx: &mut dyn Context<Ping>) {
+            fn on_start(&mut self, _ctx: &mut impl Context<Ping>) {
                 self.started_spontaneously = true;
             }
-            fn on_message(&mut self, _: NodeId, _: Ping, _: &mut dyn Context<Ping>) {}
+            fn on_message(&mut self, _: NodeId, _: Ping, _: &mut impl Context<Ping>) {}
         }
         let g = Arc::new(generators::path(5).unwrap());
         let run = pool(
@@ -1172,14 +1172,14 @@ mod tests {
         struct Announce;
         impl Protocol for Announce {
             type Message = Token;
-            fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
                 let targets: Vec<NodeId> = ctx.neighbors().to_vec();
                 let n = ctx.network_size();
                 for t in targets {
                     ctx.send(t, Token { n });
                 }
             }
-            fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
+            fn on_message(&mut self, _: NodeId, _: Token, _: &mut impl Context<Token>) {}
         }
         let g = Arc::new(generators::path(6).unwrap());
         let config = with_sim(SimConfig {
@@ -1211,12 +1211,12 @@ mod tests {
         }
         impl Protocol for PingPong {
             type Message = Ball;
-            fn on_start(&mut self, ctx: &mut dyn Context<Ball>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Ball>) {
                 if ctx.id() == NodeId(0) {
                     ctx.send(NodeId(1), Ball);
                 }
             }
-            fn on_message(&mut self, from: NodeId, _msg: Ball, ctx: &mut dyn Context<Ball>) {
+            fn on_message(&mut self, from: NodeId, _msg: Ball, ctx: &mut impl Context<Ball>) {
                 ctx.send(from, Ball);
             }
         }
@@ -1251,7 +1251,7 @@ mod tests {
         struct FifoProbe(Role);
         impl Protocol for FifoProbe {
             type Message = Numbered;
-            fn on_start(&mut self, ctx: &mut dyn Context<Numbered>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Numbered>) {
                 if let Role::Sender = self.0 {
                     if ctx.id() == NodeId(0) {
                         for i in 0..500 {
@@ -1260,7 +1260,7 @@ mod tests {
                     }
                 }
             }
-            fn on_message(&mut self, _: NodeId, msg: Numbered, _: &mut dyn Context<Numbered>) {
+            fn on_message(&mut self, _: NodeId, msg: Numbered, _: &mut impl Context<Numbered>) {
                 if let Role::Receiver(got) = &mut self.0 {
                     got.push(msg.0);
                 }
@@ -1404,8 +1404,8 @@ mod tests {
         struct Silent;
         impl Protocol for Silent {
             type Message = Token;
-            fn on_start(&mut self, _: &mut dyn Context<Token>) {}
-            fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
+            fn on_start(&mut self, _: &mut impl Context<Token>) {}
+            fn on_message(&mut self, _: NodeId, _: Token, _: &mut impl Context<Token>) {}
         }
         let g = Arc::new(generators::cycle(5).unwrap());
         let config = ExecConfig {
@@ -1423,10 +1423,10 @@ mod tests {
         struct Bad;
         impl Protocol for Bad {
             type Message = Token;
-            fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
                 ctx.send(NodeId(2), Token { n: 3 });
             }
-            fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
+            fn on_message(&mut self, _: NodeId, _: Token, _: &mut impl Context<Token>) {}
         }
         let g = Arc::new(generators::path(3).unwrap());
         // Node 0's only neighbour is node 1; the send panics on a worker and

@@ -7,6 +7,12 @@
 //! and the ability to send messages over them. There are deliberately no
 //! timers and no global information — exactly the event-driven model of the
 //! paper.
+//!
+//! Handlers are generic over their context (`ctx: &mut impl Context<_>`), so
+//! each backend's handler code is compiled against its own concrete context
+//! and every `send` is a direct, inlinable call. The price is that
+//! [`Protocol`] is not object-safe: runs are generic over the protocol type,
+//! and no backend needs a `dyn Protocol`.
 
 use crate::message::NetMessage;
 use mdst_graph::NodeId;
@@ -14,7 +20,8 @@ use mdst_graph::NodeId;
 /// The interface a running node uses to interact with the network.
 ///
 /// Implemented by every runtime (simulator, pool, controlled); protocols never see
-/// which one is driving them.
+/// which one is driving them. Handlers take it as `&mut impl Context<M>`, so
+/// each runtime's calls dispatch statically.
 pub trait Context<M: NetMessage> {
     /// Identity of this node.
     fn id(&self) -> NodeId;
@@ -36,6 +43,10 @@ pub trait Context<M: NetMessage> {
 }
 
 /// A distributed node algorithm.
+///
+/// Both handlers are generic over the [`Context`] they are given, which makes
+/// the trait not object-safe: a run names its protocol type, and the handlers
+/// are monomorphised once per backend.
 pub trait Protocol: Send + 'static {
     /// The message alphabet of the protocol.
     type Message: NetMessage;
@@ -43,14 +54,14 @@ pub trait Protocol: Send + 'static {
     /// Called exactly once when the node spontaneously wakes up. The paper's
     /// algorithms are "started independently by all nodes, perhaps at
     /// different times"; the runtime decides the wake-up schedule.
-    fn on_start(&mut self, ctx: &mut dyn Context<Self::Message>);
+    fn on_start(&mut self, ctx: &mut impl Context<Self::Message>);
 
     /// Called for every message delivered to this node.
     fn on_message(
         &mut self,
         from: NodeId,
         msg: Self::Message,
-        ctx: &mut dyn Context<Self::Message>,
+        ctx: &mut impl Context<Self::Message>,
     );
 
     /// Whether the node has locally terminated. Used by the runtimes for
@@ -67,7 +78,7 @@ mod tests {
     use super::*;
     use crate::message::bits::message_bits;
 
-    /// A trivial protocol used to exercise the trait object plumbing.
+    /// A trivial protocol used to exercise the context plumbing.
     #[derive(Debug, Clone)]
     struct Ping;
 
@@ -86,13 +97,13 @@ mod tests {
 
     impl Protocol for Echo {
         type Message = Ping;
-        fn on_start(&mut self, ctx: &mut dyn Context<Ping>) {
+        fn on_start(&mut self, ctx: &mut impl Context<Ping>) {
             let targets: Vec<NodeId> = ctx.neighbors().to_vec();
             for to in targets {
                 ctx.send(to, Ping);
             }
         }
-        fn on_message(&mut self, _from: NodeId, _msg: Ping, _ctx: &mut dyn Context<Ping>) {
+        fn on_message(&mut self, _from: NodeId, _msg: Ping, _ctx: &mut impl Context<Ping>) {
             self.got += 1;
         }
         fn is_terminated(&self) -> bool {

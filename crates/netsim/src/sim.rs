@@ -24,6 +24,18 @@
 //! The buckets are lists threaded through the one payload slab rather than
 //! deques of their own, so the queue's memory follows the number of
 //! pending events, not the busiest tick.
+//!
+//! Sends are scheduled the moment a handler makes them. The handler gets a
+//! `SimCtx`, which borrows the node's neighbour row and `Transit`, the
+//! struct holding everything a send touches: the queue, the delay sampler,
+//! the loss coin, the cut, FIFO and link-sequence tables, the metrics and
+//! the trace. `SimCtx::send` checks neighbourship with one binary search and
+//! pushes the message straight into the queue, so nothing is buffered
+//! between the handler and the queue. Handlers are generic over their
+//! context, so these calls are static. When a message wakes a node that
+//! has not started, its delivery is counted and traced first, then
+//! `on_start` and `on_message` run; the trace of that event therefore
+//! reads `Deliver`, the start's sends, then the message's sends.
 
 use crate::cancel::CancelToken;
 use crate::delay::{DelayModel, DelaySampler};
@@ -299,15 +311,136 @@ impl<M> EventQueue<M> {
     }
 }
 
-/// Context handed to a protocol while it processes one event: sends are
-/// buffered and scheduled by the simulator after the handler returns.
+/// Everything a send touches: the event queue, the delay sampler, the loss
+/// coin, the per-link tables, the metrics and the trace. [`SimCtx`] borrows
+/// it mutably while a handler runs, alongside the node and its neighbour
+/// row, so each send is scheduled the moment the handler makes it.
+struct Transit<M> {
+    queue: EventQueue<M>,
+    sampler: DelaySampler,
+    /// Loss coin stream, present only when the fault plan has `loss > 0`
+    /// (so benign runs draw no extra randomness at all).
+    loss_rng: Option<SmallRng>,
+    /// Probability that the loss coin eats a send (the fault plan's `loss`).
+    loss: f64,
+    /// The per-link tables below are indexed by directed link: the link
+    /// `u → v` is `graph.row_start(u) + slot`, where `slot` is `v`'s position
+    /// in `u`'s sorted neighbour row.
+    ///
+    /// Cut time per directed link (both directions of every scheduled cut;
+    /// `u64::MAX` = never cut). Empty unless the fault plan has cuts.
+    cut_at: Vec<u64>,
+    /// Last scheduled delivery time per directed link, used to keep links FIFO
+    /// even under non-monotone random delays.
+    link_last_delivery: Vec<u64>,
+    /// Next run-unique message id (ids start at 1; 0 is the "no message"
+    /// sentinel on crash trace events). Only advanced while tracing.
+    next_msg_id: u64,
+    /// Next per-directed-link send sequence number. Empty unless tracing
+    /// (the FIFO order itself is enforced by `link_last_delivery`).
+    link_seq: Vec<u64>,
+    metrics: Metrics,
+    trace: TraceRecorder,
+}
+
+impl<M: NetMessage> Transit<M> {
+    /// Schedules one send `from → target` made at time `now` down the
+    /// directed link `link` (see the per-link tables), or drops it if a cut
+    /// or the loss coin eats it.
+    fn schedule_send(
+        &mut self,
+        now: u64,
+        from: NodeId,
+        target: NodeId,
+        link: usize,
+        causal_depth: u64,
+        msg: M,
+    ) {
+        // Message identities only exist for auditable traces: a benign
+        // untraced run allocates nothing and the ids stay at the sentinel.
+        let (msg_id, link_seq) = if self.trace.is_enabled() {
+            let id = self.next_msg_id;
+            self.next_msg_id += 1;
+            let seq = self.link_seq[link];
+            self.link_seq[link] += 1;
+            (id, seq)
+        } else {
+            (0, 0)
+        };
+        if self.trace.is_enabled() {
+            self.trace.record(TraceEvent {
+                time: now,
+                kind: TraceEventKind::Send,
+                from,
+                to: target,
+                message_kind: msg.kind().into(),
+                msg_id,
+                seq: link_seq,
+            });
+        }
+        // A cut link eats every send at or after the cut time (messages
+        // already in flight are still delivered).
+        let cut = self
+            .cut_at
+            .get(link)
+            .is_some_and(|&cut_time| now >= cut_time);
+        // Then the loss coin (a cut send burns no coin). Dropped sends
+        // consume neither a delay sample nor a FIFO slot, so the
+        // surviving traffic keeps its per-link FIFO ordering.
+        let lost = cut
+            || self
+                .loss_rng
+                .as_mut()
+                .is_some_and(|rng| rng.gen_bool(self.loss));
+        if lost {
+            self.metrics.record_drop();
+            if self.trace.is_enabled() {
+                self.trace.record(TraceEvent {
+                    time: now,
+                    kind: TraceEventKind::Drop,
+                    from,
+                    to: target,
+                    message_kind: msg.kind().into(),
+                    msg_id,
+                    seq: link_seq,
+                });
+            }
+            return;
+        }
+        let delay = self.sampler.sample(from, target);
+        let delivery = (now + delay.max(1)).max(self.link_last_delivery[link]);
+        self.link_last_delivery[link] = delivery;
+        self.queue.push(
+            delivery,
+            Event {
+                to: target,
+                kind: EventKind::Message {
+                    from,
+                    msg,
+                    causal_depth: causal_depth + 1,
+                    msg_id,
+                    link_seq,
+                },
+            },
+        );
+    }
+}
+
+/// Context handed to a protocol while it processes one event: each send is
+/// scheduled on the spot, in send order, with the event's time and causal
+/// depth.
 struct SimCtx<'a, M> {
     id: NodeId,
     neighbors: &'a [NodeId],
     network_size: usize,
-    /// `(target, neighbour slot, message)` per send, in send order; the slot
-    /// indexes the per-link tables without a second search.
-    outbox: &'a mut Vec<(NodeId, usize, M)>,
+    /// Time of the event being processed.
+    now: u64,
+    /// First directed link of this node's row: the link to its `slot`-th
+    /// neighbour is `row + slot`.
+    row: usize,
+    /// Causal depth of the event being processed (0 for a start).
+    causal_depth: u64,
+    transit: &'a mut Transit<M>,
 }
 
 impl<M: NetMessage> Context<M> for SimCtx<'_, M> {
@@ -328,7 +461,9 @@ impl<M: NetMessage> Context<M> for SimCtx<'_, M> {
             to
         );
         // The assert above makes the fallback unreachable.
-        self.outbox.push((to, slot.unwrap_or(0), msg));
+        let link = self.row + slot.unwrap_or(0);
+        self.transit
+            .schedule_send(self.now, self.id, to, link, self.causal_depth, msg);
     }
     fn network_size(&self) -> usize {
         self.network_size
@@ -343,41 +478,17 @@ pub(crate) struct Simulator<P: Protocol> {
     /// of the graph's CSR rows — the simulator materialises no adjacency of
     /// its own, so thousands of runs can share one `Arc<Graph>`.
     graph: Arc<Graph>,
-    queue: EventQueue<P::Message>,
     clock: u64,
     processed_events: u64,
     started: Vec<bool>,
     /// Nodes that have crash-stopped (fault injection); a crashed node
     /// processes no events and every message addressed to it is dropped.
     crashed: Vec<bool>,
-    sampler: DelaySampler,
-    /// Loss coin stream, present only when the fault plan has `loss > 0`
-    /// (so benign runs draw no extra randomness at all).
-    loss_rng: Option<SmallRng>,
-    /// The per-link tables below are indexed by directed link: the link
-    /// `u → v` is `graph.row_start(u) + slot`, where `slot` is `v`'s position
-    /// in `u`'s sorted neighbour row.
-    ///
-    /// Cut time per directed link (both directions of every scheduled cut;
-    /// `u64::MAX` = never cut). Empty unless the fault plan has cuts.
-    cut_at: Vec<u64>,
-    /// Last scheduled delivery time per directed link, used to keep links FIFO
-    /// even under non-monotone random delays.
-    link_last_delivery: Vec<u64>,
-    /// Next run-unique message id (ids start at 1; 0 is the "no message"
-    /// sentinel on crash trace events). Only advanced while tracing.
-    next_msg_id: u64,
-    /// Next per-directed-link send sequence number. Empty unless tracing
-    /// (the FIFO order itself is enforced by `link_last_delivery`).
-    link_seq: Vec<u64>,
-    /// Sends buffered by the handler of the event being processed; reused
-    /// across events, so scheduling allocates nothing in the steady state.
-    outbox: Vec<(NodeId, usize, P::Message)>,
-    metrics: Metrics,
+    /// The queue and everything else a send touches (see [`Transit`]).
+    transit: Transit<P::Message>,
     /// Deliveries per message kind not yet folded into `metrics` (folded
     /// once, when [`Simulator::run`] returns).
     kinds: KindCounts,
-    trace: TraceRecorder,
     config: SimConfig,
 }
 
@@ -432,24 +543,27 @@ impl<P: Protocol> Simulator<P> {
         } else {
             Vec::new()
         };
-        let mut sim = Simulator {
-            nodes,
-            graph: Arc::clone(graph),
+        let transit = Transit {
             queue: EventQueue::new(),
-            clock: 0,
-            processed_events: 0,
-            started: vec![false; n],
-            crashed: vec![false; n],
             sampler,
             loss_rng,
+            loss: config.faults.loss,
             cut_at,
             link_last_delivery: vec![0; links],
             next_msg_id: 1,
             link_seq,
-            outbox: Vec::new(),
             metrics: Metrics::new(n),
-            kinds: KindCounts::default(),
             trace,
+        };
+        let mut sim = Simulator {
+            nodes,
+            graph: Arc::clone(graph),
+            clock: 0,
+            processed_events: 0,
+            started: vec![false; n],
+            crashed: vec![false; n],
+            transit,
+            kinds: KindCounts::default(),
             config,
         };
         sim.schedule_crashes();
@@ -474,7 +588,7 @@ impl<P: Protocol> Simulator<P> {
     fn schedule_crashes(&mut self) {
         let crashes = self.config.faults.crashes.clone();
         for crash in crashes {
-            self.queue.push(
+            self.transit.queue.push(
                 crash.at,
                 Event {
                     to: crash.node,
@@ -497,7 +611,7 @@ impl<P: Protocol> Simulator<P> {
             StartModel::Selected(list) => list.iter().map(|&u| (u, 0)).collect(),
         };
         for (node, time) in starts {
-            self.queue.push(
+            self.transit.queue.push(
                 time,
                 Event {
                     to: node,
@@ -510,7 +624,8 @@ impl<P: Protocol> Simulator<P> {
     /// Processes a single event without folding the per-kind counters into
     /// the metrics. Returns `false` when the queue is empty (quiescence).
     fn process_event(&mut self) -> bool {
-        let Some((time, event)) = self.queue.pop() else {
+        let transit = &mut self.transit;
+        let Some((time, event)) = transit.queue.pop() else {
             return false;
         };
         self.clock = self.clock.max(time);
@@ -521,9 +636,9 @@ impl<P: Protocol> Simulator<P> {
         if matches!(event.kind, EventKind::Crash) {
             if !self.crashed[to.index()] {
                 self.crashed[to.index()] = true;
-                self.metrics.record_crash();
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEvent {
+                transit.metrics.record_crash();
+                if transit.trace.is_enabled() {
+                    transit.trace.record(TraceEvent {
                         time,
                         kind: TraceEventKind::Crash,
                         from: to,
@@ -549,10 +664,10 @@ impl<P: Protocol> Simulator<P> {
                 // The network carried the message until now, so the delivery
                 // attempt still advances the quiescence clock; a start event
                 // of a corpse is a pure no-op and does not.
-                self.metrics.record_activity(time);
-                self.metrics.record_drop();
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEvent {
+                transit.metrics.record_activity(time);
+                transit.metrics.record_drop();
+                if transit.trace.is_enabled() {
+                    transit.trace.record(TraceEvent {
                         time,
                         kind: TraceEventKind::Drop,
                         from: *from,
@@ -568,26 +683,28 @@ impl<P: Protocol> Simulator<P> {
         // Starts and deliveries are protocol activity: the quiescence clock
         // follows every one of them, so staggered-start and message-free runs
         // report the true final clock (not just the last delivery time).
-        self.metrics.record_activity(time);
+        transit.metrics.record_activity(time);
+        let started = std::mem::replace(&mut self.started[to.index()], true);
         // Split borrows: the node is taken from `nodes`, the neighbour slice
-        // straight from the shared graph and the outbox from its own field;
-        // all three are disjoint.
+        // straight from the shared graph and the scheduling state from
+        // `transit`; all three are disjoint.
+        let network_size = self.nodes.len();
+        let node = &mut self.nodes[to.index()];
         let mut ctx = SimCtx {
             id: to,
             neighbors: self.graph.neighbor_slice(to),
-            network_size: self.nodes.len(),
-            outbox: &mut self.outbox,
+            network_size,
+            now: time,
+            row: self.graph.row_start(to),
+            causal_depth: 0,
+            transit,
         };
-        let node = &mut self.nodes[to.index()];
-        let causal_depth = match event.kind {
+        match event.kind {
             EventKind::Start => {
-                if self.started[to.index()] {
-                    // A node never starts twice.
-                    return true;
+                // A node never starts twice.
+                if !started {
+                    node.on_start(&mut ctx);
                 }
-                self.started[to.index()] = true;
-                node.on_start(&mut ctx);
-                0
             }
             EventKind::Message {
                 from,
@@ -596,23 +713,16 @@ impl<P: Protocol> Simulator<P> {
                 msg_id,
                 link_seq,
             } => {
-                // A message wakes up a node that has not spontaneously
-                // started yet (the standard convention for asynchronous
-                // wake-up): deliver the start first.
-                if !self.started[to.index()] {
-                    self.started[to.index()] = true;
-                    node.on_start(&mut ctx);
-                }
                 self.kinds.bump(msg.kind());
-                self.metrics.record_delivery(
+                ctx.transit.metrics.record_delivery(
                     from.index(),
                     to.index(),
                     msg.encoded_bits(),
                     causal_depth,
                     time,
                 );
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEvent {
+                if ctx.transit.trace.is_enabled() {
+                    ctx.transit.trace.record(TraceEvent {
                         time,
                         kind: TraceEventKind::Deliver,
                         from,
@@ -622,100 +732,19 @@ impl<P: Protocol> Simulator<P> {
                         seq: link_seq,
                     });
                 }
+                // A message wakes up a node that has not spontaneously
+                // started yet (the standard convention for asynchronous
+                // wake-up): the start runs first, after the delivery is
+                // recorded, and its sends share the message's causal depth.
+                ctx.causal_depth = causal_depth;
+                if !started {
+                    node.on_start(&mut ctx);
+                }
                 node.on_message(from, msg, &mut ctx);
-                causal_depth
             }
             EventKind::Crash => unreachable!("crash events return before the handler"),
-        };
-        // Schedule the buffered sends, dropping the ones fault injection eats.
-        let row = self.graph.row_start(to);
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for (target, slot, msg) in outbox.drain(..) {
-            self.schedule_send(time, to, target, row + slot, causal_depth, msg);
         }
-        self.outbox = outbox;
         true
-    }
-
-    /// Schedules one send `from → target` made at time `now` down the
-    /// directed link `link` (see the per-link tables), or drops it if a cut
-    /// or the loss coin eats it.
-    fn schedule_send(
-        &mut self,
-        now: u64,
-        from: NodeId,
-        target: NodeId,
-        link: usize,
-        causal_depth: u64,
-        msg: P::Message,
-    ) {
-        // Message identities only exist for auditable traces: a benign
-        // untraced run allocates nothing and the ids stay at the sentinel.
-        let (msg_id, link_seq) = if self.trace.is_enabled() {
-            let id = self.next_msg_id;
-            self.next_msg_id += 1;
-            let seq = self.link_seq[link];
-            self.link_seq[link] += 1;
-            (id, seq)
-        } else {
-            (0, 0)
-        };
-        if self.trace.is_enabled() {
-            self.trace.record(TraceEvent {
-                time: now,
-                kind: TraceEventKind::Send,
-                from,
-                to: target,
-                message_kind: msg.kind().into(),
-                msg_id,
-                seq: link_seq,
-            });
-        }
-        // A cut link eats every send at or after the cut time (messages
-        // already in flight are still delivered).
-        let cut = self
-            .cut_at
-            .get(link)
-            .is_some_and(|&cut_time| now >= cut_time);
-        // Then the loss coin (a cut send burns no coin). Dropped sends
-        // consume neither a delay sample nor a FIFO slot, so the
-        // surviving traffic keeps its per-link FIFO ordering.
-        let lost = cut
-            || self
-                .loss_rng
-                .as_mut()
-                .is_some_and(|rng| rng.gen_bool(self.config.faults.loss));
-        if lost {
-            self.metrics.record_drop();
-            if self.trace.is_enabled() {
-                self.trace.record(TraceEvent {
-                    time: now,
-                    kind: TraceEventKind::Drop,
-                    from,
-                    to: target,
-                    message_kind: msg.kind().into(),
-                    msg_id,
-                    seq: link_seq,
-                });
-            }
-            return;
-        }
-        let delay = self.sampler.sample(from, target);
-        let delivery = (now + delay.max(1)).max(self.link_last_delivery[link]);
-        self.link_last_delivery[link] = delivery;
-        self.queue.push(
-            delivery,
-            Event {
-                to: target,
-                kind: EventKind::Message {
-                    from,
-                    msg,
-                    causal_depth: causal_depth + 1,
-                    msg_id,
-                    link_seq,
-                },
-            },
-        );
     }
 
     /// Events between cancellation polls in [`Simulator::run`]: frequent
@@ -728,7 +757,7 @@ impl<P: Protocol> Simulator<P> {
     /// per-kind counters into the metrics.
     pub(crate) fn run(&mut self, cancel: &CancelToken) -> ExecStatus {
         let status = self.run_events(cancel);
-        self.kinds.fold_into(&mut self.metrics);
+        self.kinds.fold_into(&mut self.transit.metrics);
         status
     }
 
@@ -745,7 +774,7 @@ impl<P: Protocol> Simulator<P> {
                 return ExecStatus::Quiesced;
             }
         }
-        if self.queue.is_empty() {
+        if self.transit.queue.is_empty() {
             ExecStatus::Quiesced
         } else {
             ExecStatus::EventLimitExceeded
@@ -761,8 +790,8 @@ impl<P: Protocol> Simulator<P> {
         ExecRun {
             topology: self.graph,
             nodes: self.nodes,
-            metrics: self.metrics,
-            trace: self.trace,
+            metrics: self.transit.metrics,
+            trace: self.transit.trace,
             status,
             crashed: self.crashed,
             workers: 1,
@@ -811,7 +840,7 @@ mod tests {
 
     impl Protocol for Flood {
         type Message = Token;
-        fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+        fn on_start(&mut self, ctx: &mut impl Context<Token>) {
             if self.id == NodeId(0) && !self.seen {
                 self.seen = true;
                 let targets: Vec<NodeId> = ctx.neighbors().to_vec();
@@ -821,7 +850,7 @@ mod tests {
                 }
             }
         }
-        fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
+        fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut impl Context<Token>) {
             self.max_hops_seen = self.max_hops_seen.max(msg.hops);
             if !self.seen {
                 self.seen = true;
@@ -945,9 +974,12 @@ mod tests {
         };
         let mut sim = flood_sim(&g, cfg.clone());
         assert_eq!(sim.run(&CancelToken::new()), ExecStatus::Quiesced);
-        let by_kind = &sim.metrics.messages_by_kind;
+        let by_kind = &sim.transit.metrics.messages_by_kind;
         assert_eq!(by_kind.len(), 2, "{by_kind:?}");
-        assert_eq!(by_kind.values().sum::<u64>(), sim.metrics.messages_total);
+        assert_eq!(
+            by_kind.values().sum::<u64>(),
+            sim.transit.metrics.messages_total
+        );
 
         // A run stopped by its event cap folds the counters too: for every
         // cap, the per-kind counts of the partial run sum to its total.
@@ -1042,7 +1074,7 @@ mod tests {
         let mut sim = flood_sim(&g, cfg);
         assert_eq!(sim.run(&CancelToken::new()), ExecStatus::Quiesced);
         assert_eq!(
-            sim.metrics.quiescence_time, sim.clock,
+            sim.transit.metrics.quiescence_time, sim.clock,
             "quiescence time must equal the clock at the last start/delivery"
         );
     }
@@ -1073,8 +1105,8 @@ mod tests {
         };
         let mut sim = flood_sim(&g, cfg);
         assert_eq!(sim.run(&CancelToken::new()), ExecStatus::Quiesced);
-        assert_eq!(sim.metrics.dropped_messages, 1);
-        assert_eq!(sim.metrics.quiescence_time, 1, "drop at the corpse");
+        assert_eq!(sim.transit.metrics.dropped_messages, 1);
+        assert_eq!(sim.transit.metrics.quiescence_time, 1, "drop at the corpse");
         assert_eq!(sim.clock, 100, "the clock still reaches the late crash");
 
         // Same principle for starts: a staggered start addressed to a node
@@ -1099,8 +1131,8 @@ mod tests {
             };
             let mut sim = flood_sim(&g, cfg);
             assert_eq!(sim.run(&CancelToken::new()), ExecStatus::Quiesced);
-            assert!(sim.metrics.quiescence_time <= sim.clock);
-            some_seed_diverges |= sim.metrics.quiescence_time < sim.clock;
+            assert!(sim.transit.metrics.quiescence_time <= sim.clock);
+            some_seed_diverges |= sim.transit.metrics.quiescence_time < sim.clock;
         }
         assert!(
             some_seed_diverges,
@@ -1175,7 +1207,7 @@ mod tests {
         let mut b = flood_sim(&g, explicit);
         assert_eq!(a.run(&CancelToken::new()), ExecStatus::Quiesced);
         assert_eq!(b.run(&CancelToken::new()), ExecStatus::Quiesced);
-        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(a.transit.metrics, b.transit.metrics);
         assert_eq!(a.clock, b.clock);
     }
 
@@ -1359,13 +1391,13 @@ mod tests {
         }
         impl Protocol for Greeter {
             type Message = Token;
-            fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
                 let n = ctx.network_size();
                 for to in ctx.neighbors().to_vec() {
                     ctx.send(to, Token { hops: 0, n });
                 }
             }
-            fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
+            fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut impl Context<Token>) {
                 if !self.answered {
                     self.answered = true;
                     let n = ctx.network_size();
@@ -1445,10 +1477,10 @@ mod tests {
         struct Bad;
         impl Protocol for Bad {
             type Message = Token;
-            fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
                 ctx.send(NodeId(2), Token { hops: 0, n: 3 });
             }
-            fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
+            fn on_message(&mut self, _: NodeId, _: Token, _: &mut impl Context<Token>) {}
         }
         let g = Arc::new(generators::path(3).unwrap());
         // Node 0's only neighbour is node 1, so this panics during the run.
@@ -1476,7 +1508,7 @@ mod tests {
         struct FifoProbe(Role);
         impl Protocol for FifoProbe {
             type Message = Numbered;
-            fn on_start(&mut self, ctx: &mut dyn Context<Numbered>) {
+            fn on_start(&mut self, ctx: &mut impl Context<Numbered>) {
                 if let Role::Sender = self.0 {
                     if ctx.id() == NodeId(0) {
                         for i in 0..50 {
@@ -1485,7 +1517,7 @@ mod tests {
                     }
                 }
             }
-            fn on_message(&mut self, _: NodeId, msg: Numbered, _: &mut dyn Context<Numbered>) {
+            fn on_message(&mut self, _: NodeId, msg: Numbered, _: &mut impl Context<Numbered>) {
                 if let Role::Receiver(got) = &mut self.0 {
                     got.push(msg.0);
                 }

@@ -32,7 +32,7 @@ pub(crate) struct Flood {
 
 impl Protocol for Flood {
     type Message = Token;
-    fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+    fn on_start(&mut self, ctx: &mut impl Context<Token>) {
         if self.id == NodeId(0) {
             self.seen = true;
             let targets: Vec<NodeId> = ctx.neighbors().to_vec();
@@ -42,7 +42,7 @@ impl Protocol for Flood {
             }
         }
     }
-    fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
+    fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut impl Context<Token>) {
         if !self.seen {
             self.seen = true;
             let targets: Vec<NodeId> = ctx

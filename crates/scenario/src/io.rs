@@ -41,7 +41,7 @@
 
 use mdst_graph::{Graph, GraphError, NodeId, StreamingBuilder};
 use std::fmt;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::path::Path;
 
 /// Supported on-disk graph formats.
@@ -162,30 +162,44 @@ fn strip_line(raw: &str) -> &str {
     no_comment.trim()
 }
 
+/// Longest line, newline excluded, that the edge-list, DIMACS and
+/// MatrixMarket scanners accept. Their lines hold a few numbers each, so
+/// 1 MiB is far above any real file and bounds the line buffer. METIS
+/// adjacency lines grow with a vertex's degree and are not capped.
+const MAX_LINE: u64 = 1 << 20;
+
 /// Drives `f` over `reader`'s lines with 1-based numbers, reusing one buffer
-/// so million-line files do not allocate per line.
+/// so million-line files do not allocate per line. A line longer than
+/// `max_line` bytes (newline excluded) is an [`IoError::Parse`] naming it;
+/// at most `max_line + 1` bytes of it are ever buffered.
 fn for_each_line<R: BufRead>(
     mut reader: R,
+    max_line: u64,
     mut f: impl FnMut(usize, &str) -> Result<(), IoError>,
 ) -> Result<(), IoError> {
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut line_no = 0usize;
     loop {
         line.clear();
         line_no += 1;
-        let n = reader
-            .read_line(&mut line)
+        let n = (&mut reader)
+            .take(max_line.saturating_add(1))
+            .read_until(b'\n', &mut line)
             .map_err(|e| IoError::Io(e.to_string()))?;
         if n == 0 {
             return Ok(());
         }
-        if line.ends_with('\n') {
+        if line.ends_with(b"\n") {
             line.pop();
-            if line.ends_with('\r') {
+            if line.ends_with(b"\r") {
                 line.pop();
             }
+        } else if n as u64 > max_line {
+            return parse_err(line_no, format!("line is longer than {max_line} bytes"));
         }
-        f(line_no, &line)?;
+        let text = std::str::from_utf8(&line)
+            .map_err(|_| IoError::Io("stream did not contain valid UTF-8".to_string()))?;
+        f(line_no, text)?;
     }
 }
 
@@ -310,7 +324,7 @@ fn edge_list_line(line_no: usize, raw: &str) -> Result<Option<(usize, usize)>, I
 /// no header: the sink discovers the node count as `max(endpoint) + 1`.
 fn scan_edge_list<R: BufRead>(reader: R, sink: &mut Sink) -> Result<(), IoError> {
     let mut any = false;
-    for_each_line(reader, |line_no, raw| {
+    for_each_line(reader, MAX_LINE, |line_no, raw| {
         if let Some((u, v)) = edge_list_line(line_no, raw)? {
             any = true;
             sink.edge(u, v)?;
@@ -372,7 +386,7 @@ fn dimacs_endpoint(token: Option<&str>, n: usize, line_no: usize) -> Result<usiz
 fn scan_dimacs<R: BufRead>(reader: R, sink: &mut Sink) -> Result<usize, IoError> {
     // (n, m) once the problem line is parsed.
     let mut problem: Option<(usize, usize)> = None;
-    for_each_line(reader, |line_no, raw| {
+    for_each_line(reader, MAX_LINE, |line_no, raw| {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('c') {
             return Ok(());
@@ -494,7 +508,7 @@ fn scan_metis<R: BufRead>(reader: R, sink: &mut Sink) -> Result<usize, IoError> 
     let mut header: Option<(usize, usize, bool, bool, bool, usize)> = None;
     let mut vertex = 0usize;
     let mut line_neighbors: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    for_each_line(reader, |line_no, raw| {
+    for_each_line(reader, u64::MAX, |line_no, raw| {
         // Comments vanish; empty lines are *kept* for the data section,
         // because a METIS file is positional — an isolated vertex is exactly
         // one blank adjacency line.
@@ -644,7 +658,7 @@ fn scan_matrix_market<R: BufRead>(reader: R, sink: &mut Sink) -> Result<(), IoEr
     let mut size: Option<usize> = None;
     let mut nnz = 0usize;
     let mut entries = 0usize;
-    for_each_line(reader, |line_no, raw| {
+    for_each_line(reader, MAX_LINE, |line_no, raw| {
         if line_no == 1 {
             let banner_fields: Vec<String> = raw
                 .split_whitespace()
@@ -986,6 +1000,32 @@ mod tests {
         let err = parse_dimacs("p edge 3 2\ne 1 2\n").unwrap_err();
         assert!(matches!(err, IoError::Inconsistent { .. }), "{err}");
         assert!(!err.to_string().contains("line 0"), "{err}");
+    }
+
+    #[test]
+    fn lines_longer_than_the_cap_are_parse_errors() {
+        // 2 MiB with no newline: rejected on line 1 after buffering 1 MiB.
+        let err = parse_edge_list(&"1".repeat(2 << 20)).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 1, .. }), "{err}");
+        assert!(err.to_string().contains("longer than"), "{err}");
+        let padding = " ".repeat(2 << 20);
+        let dimacs = format!("p edge 2 1\ne 1 2{padding}\n");
+        let err = parse_dimacs(&dimacs).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 2, .. }), "{err}");
+        let mm = format!("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 1{padding}\n");
+        let err = parse_graph(&mm, GraphFormat::MatrixMarket).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 3, .. }), "{err}");
+        // A line of exactly the cap is fine, and METIS adjacency lines,
+        // which grow with degree, are not capped at all.
+        let at_cap = format!("0 1{}\n", " ".repeat(MAX_LINE as usize - 3));
+        assert_eq!(parse_edge_list(&at_cap).unwrap().edge_count(), 1);
+        let metis = format!("2 1\n2{padding}\n1\n");
+        assert_eq!(
+            parse_graph(&metis, GraphFormat::Metis)
+                .unwrap()
+                .edge_count(),
+            1
+        );
     }
 
     #[test]

@@ -119,7 +119,7 @@ fn batched_pool_traces_audit_clean_and_match_sim_link_counts_across_batch_sizes(
     struct EchoSt(NodeId);
     impl Protocol for EchoSt {
         type Message = Echo;
-        fn on_start(&mut self, ctx: &mut dyn Context<Echo>) {
+        fn on_start(&mut self, ctx: &mut impl Context<Echo>) {
             if self.0 == NodeId(0) {
                 for i in 0..ctx.neighbors().len() {
                     let to = ctx.neighbors()[i];
@@ -127,7 +127,7 @@ fn batched_pool_traces_audit_clean_and_match_sim_link_counts_across_batch_sizes(
                 }
             }
         }
-        fn on_message(&mut self, from: NodeId, msg: Echo, ctx: &mut dyn Context<Echo>) {
+        fn on_message(&mut self, from: NodeId, msg: Echo, ctx: &mut impl Context<Echo>) {
             if msg.0 > 0 {
                 for i in 0..ctx.neighbors().len() {
                     let to = ctx.neighbors()[i];

@@ -90,7 +90,7 @@ impl DfsTokenSt {
 
     /// Tarry's forwarding rule: any unused link except the parent link, the
     /// parent link only as a last resort.
-    fn forward_token(&mut self, ctx: &mut dyn Context<TokenMsg>) {
+    fn forward_token(&mut self, ctx: &mut impl Context<TokenMsg>) {
         let n = ctx.network_size();
         let next_non_parent = ctx
             .neighbors()
@@ -124,7 +124,7 @@ impl DfsTokenSt {
 impl Protocol for DfsTokenSt {
     type Message = TokenMsg;
 
-    fn on_start(&mut self, ctx: &mut dyn Context<TokenMsg>) {
+    fn on_start(&mut self, ctx: &mut impl Context<TokenMsg>) {
         if self.is_root() && !self.visited {
             self.visited = true;
             if ctx.neighbors().is_empty() {
@@ -136,7 +136,7 @@ impl Protocol for DfsTokenSt {
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: TokenMsg, ctx: &mut dyn Context<TokenMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: TokenMsg, ctx: &mut impl Context<TokenMsg>) {
         match msg {
             TokenMsg::Token { n } => {
                 if !self.visited {

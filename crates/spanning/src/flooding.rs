@@ -96,7 +96,7 @@ impl FloodingSt {
         self.id == self.root
     }
 
-    fn join_wave(&mut self, parent: Option<NodeId>, ctx: &mut dyn Context<FloodMsg>) {
+    fn join_wave(&mut self, parent: Option<NodeId>, ctx: &mut impl Context<FloodMsg>) {
         self.in_wave = true;
         self.parent = parent;
         self.expected = ctx
@@ -113,7 +113,7 @@ impl FloodingSt {
         self.maybe_report(ctx);
     }
 
-    fn maybe_report(&mut self, ctx: &mut dyn Context<FloodMsg>) {
+    fn maybe_report(&mut self, ctx: &mut impl Context<FloodMsg>) {
         if !self.in_wave || self.reported || !self.expected.is_empty() {
             return;
         }
@@ -136,13 +136,13 @@ impl FloodingSt {
 impl Protocol for FloodingSt {
     type Message = FloodMsg;
 
-    fn on_start(&mut self, ctx: &mut dyn Context<FloodMsg>) {
+    fn on_start(&mut self, ctx: &mut impl Context<FloodMsg>) {
         if self.is_root() && !self.in_wave {
             self.join_wave(None, ctx);
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: FloodMsg, ctx: &mut dyn Context<FloodMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: FloodMsg, ctx: &mut impl Context<FloodMsg>) {
         match msg {
             FloodMsg::Probe { .. } => {
                 if !self.in_wave && !self.is_root() {

@@ -35,7 +35,7 @@ struct TreeBroadcast {
 
 impl Protocol for TreeBroadcast {
     type Message = Token;
-    fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+    fn on_start(&mut self, ctx: &mut impl Context<Token>) {
         if self.is_root {
             self.received = true;
             let n = ctx.network_size();
@@ -44,7 +44,7 @@ impl Protocol for TreeBroadcast {
             }
         }
     }
-    fn on_message(&mut self, _from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
+    fn on_message(&mut self, _from: NodeId, msg: Token, ctx: &mut impl Context<Token>) {
         if !self.received {
             self.received = true;
             for &c in self.children.clone().iter() {

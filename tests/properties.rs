@@ -102,14 +102,14 @@ struct FifoProbe {
 
 impl Protocol for FifoProbe {
     type Message = Numbered;
-    fn on_start(&mut self, ctx: &mut dyn Context<Numbered>) {
+    fn on_start(&mut self, ctx: &mut impl Context<Numbered>) {
         if self.id == NodeId(0) {
             for i in 0..self.burst {
                 ctx.send(NodeId(1), Numbered(i));
             }
         }
     }
-    fn on_message(&mut self, _: NodeId, msg: Numbered, _: &mut dyn Context<Numbered>) {
+    fn on_message(&mut self, _: NodeId, msg: Numbered, _: &mut impl Context<Numbered>) {
         self.got.push(msg.0);
     }
 }
