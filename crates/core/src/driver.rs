@@ -263,6 +263,9 @@ pub struct RunReport {
     /// OS threads the backend used: 1 for the simulator, the pool size for
     /// the pool.
     pub workers: usize,
+    /// Per-worker scheduling counters of the improvement execution (empty
+    /// for the simulator).
+    pub worker_stats: Vec<mdst_netsim::WorkerStats>,
     /// Which backend executed the improvement.
     pub executor: ExecutorKind,
     /// Message trace of the improvement phase, recorded by every backend
@@ -552,6 +555,7 @@ impl<'obs> Pipeline<'obs> {
             improvements,
             wall_ms: run.wall_time.as_secs_f64() * 1e3,
             workers: run.workers,
+            worker_stats: run.worker_stats,
             executor: config.executor,
             trace: run.trace,
         };

@@ -221,6 +221,25 @@ pub struct ExecRun<P> {
     /// Wall-clock duration of the execution proper (excluding protocol
     /// construction).
     pub wall_time: Duration,
+    /// Scheduling counters of every pool worker, indexed by worker; empty
+    /// for the simulator, which has no workers to count.
+    pub worker_stats: Vec<WorkerStats>,
+}
+
+/// Scheduling counters of one pool worker over one run: plain per-worker
+/// tallies, merged by nobody, so counting costs no shared write.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct WorkerStats {
+    /// Scheduling quanta run (one node's wake-up plus up to
+    /// [`ExecConfig::batch`] messages each).
+    pub quanta: u64,
+    /// Continuation chains run: quanta started from a run queue, each
+    /// followed by the nodes its flushes handed straight back.
+    pub chains: u64,
+    /// Chains that began with a node stolen from a sibling's run queue.
+    pub steals: u64,
+    /// Nanoseconds spent finding no work (yielding or sleeping).
+    pub idle_ns: u64,
 }
 
 impl<P: Protocol> ExecRun<P> {
@@ -452,6 +471,7 @@ mod tests {
         let g = Arc::new(generators::cycle(6).unwrap());
         let sim = run_flood(ExecutorKind::Sim, &g, &ExecConfig::default()).unwrap();
         assert_eq!(sim.workers, 1);
+        assert!(sim.worker_stats.is_empty(), "the simulator has no workers");
         let pool = run_flood(
             ExecutorKind::Pool,
             &g,
@@ -462,5 +482,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pool.workers, 2);
+        assert_eq!(pool.worker_stats.len(), 2);
+        let quanta: u64 = pool.worker_stats.iter().map(|s| s.quanta).sum();
+        assert!(quanta >= 6, "every node runs at least its wake-up quantum");
     }
 }

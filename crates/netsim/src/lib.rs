@@ -61,7 +61,9 @@ pub mod trace;
 pub use cancel::CancelToken;
 pub use controlled::{ControlledEvent, ControlledNet, NotEnabled, StartDiscipline};
 pub use delay::DelayModel;
-pub use exec::{ExecConfig, ExecError, ExecRun, ExecStatus, ExecutorKind, UnknownExecutor};
+pub use exec::{
+    ExecConfig, ExecError, ExecRun, ExecStatus, ExecutorKind, UnknownExecutor, WorkerStats,
+};
 pub use fault::{CrashAt, CutAt, FaultPlan};
 pub use message::NetMessage;
 pub use metrics::Metrics;

@@ -60,7 +60,7 @@
 
 use crate::cancel::CancelToken;
 use crate::delay::DelayModel;
-use crate::exec::{ExecConfig, ExecError, ExecRun, ExecStatus};
+use crate::exec::{ExecConfig, ExecError, ExecRun, ExecStatus, WorkerStats};
 use crate::message::NetMessage;
 use crate::metrics::{KindCounts, Metrics};
 use crate::protocol::{Context, Protocol};
@@ -407,7 +407,8 @@ impl PoolRuntime {
         };
 
         let started_at = Instant::now();
-        let mut per_worker: Vec<(Metrics, Vec<TraceEvent>)> = Vec::with_capacity(workers);
+        let mut per_worker: Vec<(Metrics, Vec<TraceEvent>, WorkerStats)> =
+            Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
@@ -427,9 +428,11 @@ impl PoolRuntime {
 
         let mut metrics = Metrics::new(n);
         let mut merged_events: Vec<TraceEvent> = Vec::new();
-        for (m, events) in per_worker {
+        let mut worker_stats = Vec::with_capacity(workers);
+        for (m, events, stats) in per_worker {
             metrics.merge(&m);
             merged_events.extend(events);
+            worker_stats.push(stats);
         }
         let trace = if T::ENABLED {
             // The global stamp is unique per event, so sorting by it totally
@@ -467,6 +470,7 @@ impl PoolRuntime {
             crashed: vec![false; n],
             workers,
             wall_time,
+            worker_stats,
         }
     }
 }
@@ -619,11 +623,13 @@ fn worker_loop<P: Protocol, T: TraceMode>(
     w: usize,
     workers: usize,
     shared: &Shared<P, T>,
-) -> (Metrics, Vec<TraceEvent>) {
+) -> (Metrics, Vec<TraceEvent>, WorkerStats) {
     let _abort_guard = AbortOnPanic(&shared.aborted);
     let mut metrics = Metrics::new(shared.n);
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut scratch = Scratch::new();
+    let mut stats = WorkerStats::default();
+    let mut idle_since: Option<Instant> = None;
     let mut idle_spins = 0u32;
     loop {
         if shared.cancel.is_cancelled() {
@@ -633,10 +639,18 @@ fn worker_loop<P: Protocol, T: TraceMode>(
         if shared.aborted.load(Ordering::SeqCst) {
             break;
         }
-        let next = pop_local(w, shared).or_else(|| steal(w, workers, shared));
+        let next = pop_local(w, shared).or_else(|| {
+            let stolen = steal(w, workers, shared);
+            stats.steals += stolen.is_some() as u64;
+            stolen
+        });
         match next {
             Some(u) => {
                 idle_spins = 0;
+                if let Some(since) = idle_since.take() {
+                    stats.idle_ns += since.elapsed().as_nanos() as u64;
+                }
+                stats.chains += 1;
                 // Chain continuation: a batched quantum hands back one node
                 // its flush just made runnable and the worker runs it
                 // immediately — the common wave pattern (one message in, one
@@ -647,6 +661,7 @@ fn worker_loop<P: Protocol, T: TraceMode>(
                         break;
                     }
                     next = process_node(u, w, shared, &mut metrics, &mut events, &mut scratch);
+                    stats.quanta += 1;
                 }
                 // Settle the chain's deferred accounting: one Release
                 // decrement for the whole chain (see `Scratch::in_flight_debt`)
@@ -660,6 +675,7 @@ fn worker_loop<P: Protocol, T: TraceMode>(
                 flush_processed(shared, &mut scratch.processed_local);
             }
             None => {
+                idle_since.get_or_insert_with(Instant::now);
                 // Acquire pairs with the Release decrement in `process_node`:
                 // a zero read happens-after every worker's final decrement,
                 // and the counter is monotone at zero (see the increment
@@ -679,8 +695,11 @@ fn worker_loop<P: Protocol, T: TraceMode>(
             }
         }
     }
+    if let Some(since) = idle_since {
+        stats.idle_ns += since.elapsed().as_nanos() as u64;
+    }
     scratch.kinds.fold_into(&mut metrics);
-    (metrics, events)
+    (metrics, events, stats)
 }
 
 fn pop_local<P: Protocol, T: TraceMode>(w: usize, shared: &Shared<P, T>) -> Option<u32> {

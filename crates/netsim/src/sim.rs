@@ -796,6 +796,7 @@ impl<P: Protocol> Simulator<P> {
             crashed: self.crashed,
             workers: 1,
             wall_time,
+            worker_stats: Vec::new(),
         }
     }
 }

@@ -41,6 +41,15 @@ fn main() {
             report.workers,
             report.wall_ms
         );
+        for (w, stats) in report.worker_stats.iter().enumerate() {
+            println!(
+                "  worker {w}: {} quanta, {} chains, {} steals, {:.2}ms idle",
+                stats.quanta,
+                stats.chains,
+                stats.steals,
+                stats.idle_ns as f64 / 1e6
+            );
+        }
         assert!(report.tree().is_spanning_tree_of(&graph));
         assert!(verify_termination_certificate(&graph, report.tree()));
         degrees.push(report.final_degree);
