@@ -2,7 +2,7 @@
 //!
 //! Static happens-before analysis of execution traces.
 //!
-//! Every backend of `mdst-netsim` (discrete-event simulator, work-stealing
+//! Every backend of `mdst-netsim` (discrete-event simulator, sharded worker
 //! pool, step-controlled net) can record a
 //! [`mdst_netsim::TraceRecorder`] whose events carry a run-unique message id
 //! and a per-directed-link sequence number. This crate replays such a trace

@@ -11,8 +11,9 @@
 //!   deliveries on a link, deleting a send, forging a duplicate delivery —
 //!   is flagged with the matching rule label;
 //! * cross-backend agreement: the same seed/topology run on the simulator
-//!   and the work-stealing pool both audit clean and agree on the per-link
-//!   message counts;
+//!   and the sharded pool both audit clean and agree on the per-link
+//!   message counts, and a pool flood whose hops nearly all cross shards
+//!   audits clean;
 //! * a differential oracle: the first auditor implementation, kept here as
 //!   [`reference`], returns the same [`AuditReport`] — findings and their
 //!   order included — on real traces and on random mutations of them.
@@ -21,8 +22,8 @@ use mdst_analysis::{audit, audit_events, AuditReport, Rule};
 use mdst_core::{Pipeline, PipelineConfig};
 use mdst_graph::{generators, NodeId};
 use mdst_netsim::{
-    Context, ControlledEvent, ControlledNet, DelayModel, ExecutorKind, FaultPlan, NetMessage,
-    Protocol, SimConfig, StartDiscipline, TraceEvent, TraceEventKind,
+    CancelToken, Context, ControlledEvent, ControlledNet, DelayModel, ExecConfig, ExecutorKind,
+    FaultPlan, NetMessage, Protocol, SimConfig, StartDiscipline, TraceEvent, TraceEventKind,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -319,6 +320,36 @@ fn all_backends_audit_clean_and_agree_on_per_link_counts() {
             );
         }
     }
+}
+
+#[test]
+fn a_sharded_pool_flood_with_single_message_quanta_audits_clean() {
+    // Four shards and one message per quantum: nearly every hop crosses a
+    // shard through an outbox hand-over, so a hand-over that reordered a
+    // link or let a delivery outrun its send would show up as a finding.
+    let graph = Arc::new(generators::gnp_connected(40, 0.15, 11).unwrap());
+    let config = ExecConfig {
+        sim: SimConfig {
+            record_trace: true,
+            ..Default::default()
+        },
+        workers: 4,
+        batch: 1,
+    };
+    let run = ExecutorKind::Pool
+        .run(
+            &graph,
+            |id, _| Flood { id, seen: false },
+            &config,
+            &CancelToken::new(),
+        )
+        .unwrap();
+    assert_eq!(run.workers, 4);
+    assert!(run.all_terminated(), "the flood reaches every node");
+    let verdict = audit(&run.trace);
+    assert!(verdict.is_clean(), "{:#?}", verdict.findings);
+    let sends: u64 = verdict.links.iter().map(|l| l.sends).sum();
+    assert_eq!(sends, run.metrics.messages_total);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! executes on the discrete-event simulator (its metrics are the paper's
 //! construction-cost tables); the improvement phase runs on whichever
 //! [`ExecutorKind`] backend the session selects — the simulator or the
-//! work-stealing pool — through [`ExecutorKind::run`], the one entry both
+//! sharded worker pool — through [`ExecutorKind::run`], the one entry both
 //! backends share.
 //!
 //! ## One session API
@@ -405,9 +405,9 @@ impl<'obs> Pipeline<'obs> {
     }
 
     /// Mailbox messages the pool backend drains per scheduling quantum
-    /// (`0` = the backend default). Larger batches amortise per-quantum
-    /// locking; smaller batches interleave nodes more fairly. Ignored by the
-    /// other backends.
+    /// (`0` = the backend default). Larger batches spread a quantum's fixed
+    /// cost over more messages; smaller batches interleave nodes more
+    /// fairly. Ignored by the other backends.
     #[must_use = "builder methods return the updated session; chain or reassign it"]
     pub fn batch(mut self, batch: usize) -> Self {
         self.config.batch = batch;

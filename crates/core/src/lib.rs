@@ -7,7 +7,7 @@
 //! * [`distributed`] — the message-driven node automaton implementing the
 //!   paper's rounds (SearchDegree, MoveRoot, Cut, BFS, BFSBack, Choose,
 //!   Update/Child, Stop), runnable on the `mdst-netsim` simulator or
-//!   work-stealing pool.
+//!   sharded worker pool.
 //! * [`driver`] — the experiment pipeline behind the unified [`Pipeline`]
 //!   session builder: build an initial spanning tree (any `mdst-spanning`
 //!   construction), run the distributed improvement on any executor backend,

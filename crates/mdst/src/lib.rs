@@ -76,7 +76,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`mdst_graph`] | graphs, rooted trees, generators, classic algorithms |
-//! | [`mdst_netsim`] | asynchronous message-passing executors: discrete-event simulator, work-stealing pool |
+//! | [`mdst_netsim`] | asynchronous message-passing executors: discrete-event simulator, sharded worker pool |
 //! | [`mdst_spanning`] | distributed spanning-tree constructions (the startup step) |
 //! | [`mdst_core`] | the distributed MDegST protocol, the `Pipeline` session API, baselines, bounds, verification |
 //! | [`mdst_check`] | exhaustive small-state model checker: every schedule on every ≤6-node topology, minimized counterexamples |

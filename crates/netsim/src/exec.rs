@@ -7,7 +7,7 @@
 //! | backend | scheduling | faults/delays | traces | scale |
 //! |---|---|---|---|---|
 //! | [`ExecutorKind::Sim`] (discrete-event simulator) | deterministic | full (`DelayModel`, `FaultPlan`) | yes (simulated clock) | ~10³ nodes comfortably |
-//! | [`ExecutorKind::Pool`] (work-stealing pool) | worker pool on real OS threads, batched message fabric | none (the OS scheduler is the adversary) | yes (atomic global stamp) | ~10⁶ nodes on a fixed pool |
+//! | [`ExecutorKind::Pool`] (sharded worker pool) | one node range per worker on real OS threads, cross-shard messages handed over in batches | none (the OS scheduler is the adversary) | yes (atomic global stamp) | ~10⁶ nodes on a fixed pool |
 //!
 //! Both take the same inputs — a graph, a per-node protocol factory, an
 //! [`ExecConfig`] and a [`CancelToken`] — and produce the same [`ExecRun`]:
@@ -44,7 +44,8 @@ pub enum ExecutorKind {
     /// The deterministic discrete-event simulator (full delay/fault support).
     #[default]
     Sim,
-    /// A fixed work-stealing worker pool multiplexing all nodes.
+    /// A fixed worker pool multiplexing all nodes, each worker owning one
+    /// contiguous shard of them.
     Pool,
 }
 
@@ -167,8 +168,9 @@ pub struct ExecConfig {
     pub workers: usize,
     /// Mailbox messages the pool backend drains per scheduling quantum
     /// (`0` = the default, [`ExecConfig::DEFAULT_BATCH`]). Larger batches
-    /// amortise per-quantum locking; smaller batches interleave nodes more
-    /// fairly. Ignored by the simulator; swept as the `batch` axis in
+    /// spread a quantum's fixed cost (a run-queue turn, and at most one
+    /// hand-over per target shard) over more messages; smaller batches
+    /// interleave nodes more fairly. Ignored by the simulator; swept as the `batch` axis in
     /// `mdst-scenario` campaigns.
     pub batch: usize,
 }
@@ -233,11 +235,18 @@ pub struct WorkerStats {
     /// Scheduling quanta run (one node's wake-up plus up to
     /// [`ExecConfig::batch`] messages each).
     pub quanta: u64,
-    /// Continuation chains run: quanta started from a run queue, each
-    /// followed by the nodes its flushes handed straight back.
+    /// Chains run: runs of quanta that end in a hand-over of the worker's
+    /// outboxes to other shards, or at the end of a session.
     pub chains: u64,
-    /// Chains that began with a node stolen from a sibling's run queue.
-    pub steals: u64,
+    /// Sessions run: a shard locked, its queue run until it was empty.
+    pub sessions: u64,
+    /// Sessions run on a shard other than the worker's home shard, while
+    /// that shard's home worker was idle.
+    pub foreign_sessions: u64,
+    /// Outboxes handed over, one inbox lock each.
+    pub handovers: u64,
+    /// Messages those hand-overs carried to other shards.
+    pub handed: u64,
     /// Nanoseconds spent finding no work (yielding or sleeping).
     pub idle_ns: u64,
 }

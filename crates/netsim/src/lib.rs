@@ -18,8 +18,9 @@
 //!   analysis talks about: message count per message kind, total encoded bits,
 //!   and the longest causal dependency chain.
 //! * [`ExecutorKind::Pool`] — the same [`protocol::Protocol`] state machines
-//!   driven by a work-stealing pool of real OS threads (per-node mailboxes,
-//!   run queues with stealing, quiescence via in-flight counters),
+//!   driven by a pool of real OS threads, each owning one contiguous shard
+//!   of the nodes (per-node mailboxes, one run queue per shard, batched
+//!   hand-overs between shards, quiescence via in-flight counters),
 //!   demonstrating that the protocol tolerates genuine nondeterministic
 //!   scheduling, not just simulated asynchrony, on up to millions of nodes.
 //! * [`controlled::ControlledNet`] — a step-controlled execution that exposes

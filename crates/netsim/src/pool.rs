@@ -1,59 +1,65 @@
-//! Work-stealing pool runtime: thousands of nodes on a fixed worker pool.
+//! Sharded pool runtime: thousands of nodes on a fixed worker pool.
 //!
 //! Runs the protocols under genuine OS nondeterminism well into the
 //! `n ≥ 10⁴` regime where the paper's `O(Δ* + log n)` degree bound becomes
 //! interesting. This runtime multiplexes every node over a fixed pool of
-//! workers, around a **batched message fabric**:
+//! workers, around a **sharded message fabric**:
 //!
-//! * **per-node mailboxes** — each node owns a mutex-guarded cell holding its
-//!   protocol state and a FIFO mailbox of in-flight envelopes. A link `{u,v}`
-//!   stays FIFO because `u`'s handler appends to `v`'s mailbox in send order
-//!   and the mailbox drains in order.
+//! * **one owning shard per node** — the nodes are split into `workers`
+//!   contiguous ranges: node `u` belongs to shard `⌊u·W/n⌋`, and shard `w`
+//!   starts at node `⌈w·n/W⌉`. A shard is one mutex-guarded state (its
+//!   nodes' protocol states, mailboxes and run queue), an inbox for
+//!   messages from other shards, and a `ready` flag, each on its own cache
+//!   line. Node cells carry no lock of their own: whoever holds the shard
+//!   lock owns every node in it, so a node's handlers never run on two
+//!   workers at once.
+//! * **sessions** — a worker locks a shard, routes its inbox into the
+//!   mailboxes, and runs the shard's run queue until it is empty, routing
+//!   the inbox again whenever `ready` says more arrived. Each worker tries
+//!   its home shard (shard `w` for worker `w`) first and may run another
+//!   shard only while that shard's home worker is idle (yielding or
+//!   asleep), and only by `try_lock` — no worker ever blocks on a shard.
+//!   Without that takeover, an oversubscribed pool (more workers than
+//!   CPUs) waits at every hop for the OS to schedule one particular thread.
 //! * **quantum = drain batch** — a scheduled node processes its pending
-//!   wake-up plus up to [`ExecConfig::batch`] mailbox messages per quantum,
-//!   so one flooded hub cannot monopolise a worker while other nodes starve.
-//!   Envelopes are consumed straight out of the mailbox's `VecDeque` (whose
-//!   capacity stays with the cell), so steady-state quanta allocate nothing.
-//! * **bucketed send coalescing** — every send a quantum produces is routed,
-//!   at `send` time, into a worker-local bucket per neighbour slot: the
-//!   binary search that validates neighbourship anyway *is* the routing
-//!   step, so grouping by destination costs no sort and no extra pass. The
-//!   buckets are flushed *after* the source cell unlocks (never two cell
-//!   locks at once): walking the slots in order takes **one**
-//!   destination-cell lock per non-empty bucket and appends the link's
-//!   whole message group in handler send order — per-link FIFO for free.
-//!   The quantum's sends are added to the in-flight counter with **one**
-//!   atomic RMW before any message becomes visible, instead of one RMW per
-//!   message, and a flush that wakes exactly one destination hands it back
-//!   as the worker's immediate continuation, skipping the run queue.
-//! * **striped run queues with stealing** — each worker owns a deque of
-//!   runnable node ids; it pops locally from the front and, when empty,
-//!   steals from the back of a sibling's queue. A node is enqueued at most
-//!   once (a `scheduled` flag in its cell), so the queues stay small and a
-//!   node's handlers never run on two workers at once. All of a flush's
-//!   newly runnable destinations are enqueued under one queue lock.
+//!   wake-up plus up to [`ExecConfig::batch`] mailbox messages per quantum
+//!   and, if messages remain, goes to the back of the run queue, so one
+//!   flooded hub cannot monopolise a session while other nodes starve.
+//! * **sends** — a send to a node of the same shard goes straight into that
+//!   node's mailbox (the session owns it); a send to another shard is
+//!   appended to the worker's outbox for that shard. After every chain of
+//!   quanta that filled an outbox, each non-empty outbox is handed over
+//!   with **one** inbox lock, so cross-shard traffic costs one lock per
+//!   shard pair and chain, not one per message or per destination node.
+//!   A worker never releases a shard lock while its outboxes hold
+//!   messages, so a link's messages enter the target inbox in send order
+//!   whichever worker ran the sender, and the inbox is routed in order:
+//!   every link stays FIFO.
 //! * **quiescence via in-flight counters** — a shared counter tracks every
 //!   queued-or-processing unit of work (initial wake-ups plus undelivered
-//!   messages). Senders increment *before* any message of the flush becomes
-//!   visible and the processing worker decrements only after the handler's
-//!   own sends are counted, so the counter reaching zero really means the
-//!   network is quiescent, never a transient gap. The counter uses
-//!   relaxed/acquire-release orderings; the happens-before argument lives on
-//!   the increment site in `process_node`.
+//!   messages). A worker adds its sends and gives back its processed units
+//!   in one RMW before any of those sends becomes visible to another
+//!   worker, so the counter never dips below the work that exists and
+//!   reaching zero really means the network is quiescent. The argument
+//!   lives on [`Scratch::settle`].
+//! * **bounded transit memory** — envelopes are flat (the target id rides
+//!   in the padding beside the sender id), and every outbox or inbox
+//!   buffer that changed hands is trimmed back to [`TRANSIT_KEEP`] entries
+//!   after use, so a burst of all-to-all traffic leaves no high-water
+//!   buffer behind.
 //! * **per-node memory diet** — the runtime is monomorphised over a
 //!   compile-time `TraceMode`: on untraced runs the per-envelope message
 //!   identity and the per-cell link sequence counters are zero-sized *types*,
 //!   not zeroed fields, so the no-trace hot path never stores or copies
-//!   trace bookkeeping at all. Run queues and wake lists hold `u32` node ids
-//!   (the graph caps node ids at 2³²), and drained mailbox buffers are
-//!   recycled through a worker-local `MailboxPool` bucketed by capacity
-//!   class, so retained mailbox capacity scales with the active frontier
-//!   instead of parking one high-water buffer in every one of a million
-//!   cells.
+//!   trace bookkeeping at all. Run queues hold `u32` node ids (the graph
+//!   caps node ids at 2³²), and drained mailbox buffers are recycled through
+//!   a worker-local `MailboxPool` bucketed by capacity class, so retained
+//!   mailbox capacity scales with the active frontier instead of parking
+//!   one high-water buffer in every one of a million cells.
 //!
 //! The runtime reports the same [`Metrics`] as the simulator (message
 //! counts, bits, causal depth) in the same [`ExecRun`], plus the wall-clock
-//! duration, and honors the `max_events` cap
+//! duration and per-worker [`WorkerStats`], and honors the `max_events` cap
 //! ([`ExecStatus::EventLimitExceeded`]). It has no simulated clock, so its
 //! entry, [`PoolRuntime::run`], rejects delay models, staggered starts and
 //! fault plans.
@@ -69,7 +75,7 @@ use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use mdst_graph::{Graph, NodeId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Compile-time selector for the pool's trace bookkeeping. The runtime is
@@ -92,9 +98,8 @@ trait TraceMode: Send + Sync + 'static {
     fn link_seq(meta: Self::Meta) -> u64;
     /// Hands out the next sequence number on `slot`, lazily sizing the
     /// counter vector to `degree` on the cell's first traced send. Only
-    /// called while the processing worker owns the cell exclusively (the
-    /// `scheduled` flag), so the send order on each link maps one-to-one
-    /// onto consecutive sequence numbers.
+    /// called by the worker holding the sender's shard lock, so the send
+    /// order on each link maps one-to-one onto consecutive sequence numbers.
     fn next_link_seq(seqs: &mut Self::LinkSeqs, slot: usize, degree: usize) -> u64;
 }
 
@@ -118,8 +123,7 @@ impl TraceMode for Untraced {
 }
 
 /// The traced instantiation: envelopes carry their identity, cells their
-/// per-link counters (dense by neighbour slot, unlike the `HashMap` this
-/// replaced — no per-send entry churn).
+/// per-link counters (dense by neighbour slot, no per-send entry churn).
 enum Traced {}
 
 /// Trace identity of one in-flight message (see [`TraceEvent::msg_id`]).
@@ -152,22 +156,23 @@ impl TraceMode for Traced {
     }
 }
 
-/// A message in flight between two nodes. The trace identity is a zero-sized
-/// blank on untraced runs (see [`TraceMode`]), shrinking the envelope by 16
-/// bytes exactly where a million-node flood holds millions of them.
+/// A message in flight between two nodes, in a mailbox, an outbox or an
+/// inbox alike. The target id shares the sender id's word, so an envelope
+/// bound for another shard needs no wrapper; the trace identity is a
+/// zero-sized blank on untraced runs (see [`TraceMode`]).
 struct Envelope<M, T: TraceMode> {
-    from: NodeId,
-    msg: M,
+    from: u32,
+    to: u32,
     causal_depth: u64,
+    msg: M,
     meta: T::Meta,
 }
 
-/// The mutex-guarded per-node state.
-struct NodeCell<P: Protocol, T: TraceMode> {
-    protocol: P,
-    mailbox: VecDeque<Envelope<P::Message, T>>,
-    /// Whether the node currently sits in some run queue or is being
-    /// processed. Guarantees single-worker ownership of the protocol state.
+/// The per-node state a shard keeps beside its node's protocol.
+struct NodeCell<M, T: TraceMode> {
+    mailbox: VecDeque<Envelope<M, T>>,
+    /// Whether the node sits in its shard's run queue or is being processed;
+    /// keeps it in the queue at most once.
     scheduled: bool,
     /// Whether an initial wake-up is still owed (carries one in-flight unit).
     pending_start: bool,
@@ -179,6 +184,42 @@ struct NodeCell<P: Protocol, T: TraceMode> {
     link_seq: T::LinkSeqs,
 }
 
+/// Everything a session owns while it holds a shard. The protocols sit
+/// apart from the cells so a handler borrowing its own protocol can still
+/// push into the mailboxes of its shard mates.
+struct ShardState<P: Protocol, T: TraceMode> {
+    protocols: Vec<P>,
+    cells: Vec<NodeCell<P::Message, T>>,
+    /// Runnable node ids, in FIFO order.
+    queue: VecDeque<u32>,
+}
+
+/// Pads a value to its own pair of cache lines, so the flags and locks that
+/// different workers write never share a line.
+#[repr(align(128))]
+struct Line<T>(T);
+
+impl<T> std::ops::Deref for Line<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// Messages handed over to a shard by the other shards, in hand-over order.
+type Inbox<M, T> = Mutex<Vec<Envelope<M, T>>>;
+
+/// One shard of the fabric (see the module docs).
+struct Shard<P: Protocol, T: TraceMode> {
+    state: Line<Mutex<ShardState<P, T>>>,
+    inbox: Line<Inbox<P::Message, T>>,
+    /// Set under the inbox lock by every hand-over and cleared under it by
+    /// the session that takes the inbox: a hint read without the lock, so a
+    /// stale `true` costs one empty inbox check and a stale `false` only
+    /// delays the session until the store becomes visible.
+    ready: Line<AtomicBool>,
+}
+
 /// Counters shared by every worker of one traced run: the global event stamp
 /// (total recording order across workers) and the message-id allocator.
 struct TraceShared {
@@ -187,10 +228,10 @@ struct TraceShared {
 }
 
 struct Shared<P: Protocol, T: TraceMode> {
-    cells: Vec<Mutex<NodeCell<P, T>>>,
-    /// Striped run queues of runnable node ids — `u32`, half the queue
-    /// traffic of `usize` ids (the graph caps node ids at 2³²).
-    queues: Vec<Mutex<VecDeque<u32>>>,
+    shards: Vec<Shard<P, T>>,
+    /// Per worker: whether it is idle (yielding or asleep), which is what
+    /// lets another worker take over its home shard.
+    idle: Vec<Line<AtomicBool>>,
     /// Shared topology; workers borrow neighbour slices from its CSR rows,
     /// so the pool allocates no per-run adjacency at all.
     graph: Arc<Graph>,
@@ -199,8 +240,9 @@ struct Shared<P: Protocol, T: TraceMode> {
     processed: AtomicU64,
     aborted: AtomicBool,
     /// Cooperative cancellation flag, polled by every worker at the top of
-    /// its scheduling loop. A raised token also raises `aborted`, reusing
-    /// the event-cap drain-out path; `cancelled` remembers which it was.
+    /// its scheduling loop and with every processed-units flush. A raised
+    /// token also raises `aborted`, reusing the event-cap drain-out path;
+    /// `cancelled` remembers which it was.
     cancel: CancelToken,
     cancelled: AtomicBool,
     max_events: u64,
@@ -211,29 +253,45 @@ struct Shared<P: Protocol, T: TraceMode> {
     trace: Option<TraceShared>,
 }
 
-/// Context handed to a protocol while one worker processes its node: each
-/// send is routed straight into the per-neighbour bucket the flush later
-/// drains, reusing the slot that the neighbourship check computes anyway —
-/// so grouping by destination costs nothing beyond the validation, and the
-/// flush needs no sort.
-struct BatchedCtx<'a, M, T: TraceMode> {
-    id: NodeId,
-    neighbors: &'a [NodeId],
-    network_size: usize,
-    buckets: &'a mut [Vec<Buffered<M, T>>],
-    current_depth: u64,
+impl<P: Protocol, T: TraceMode> Shared<P, T> {
+    /// Shard owning node `u`: `⌊u·W/n⌋`.
+    fn shard_of(&self, u: u32) -> usize {
+        (u as u64 * self.shards.len() as u64 / self.n as u64) as usize
+    }
 }
 
-impl<M: NetMessage, T: TraceMode> Context<M> for BatchedCtx<'_, M, T> {
+/// First node of shard `w` of `shards` over `n` nodes: `⌈w·n/W⌉`, the
+/// inverse of [`Shared::shard_of`].
+fn shard_start(w: usize, shards: usize, n: usize) -> u32 {
+    (w as u64 * n as u64).div_ceil(shards as u64) as u32
+}
+
+/// Context handed to a protocol while a session processes one of its
+/// nodes: sends to shard mates land in their mailboxes at once, sends to
+/// other shards in the worker's outboxes.
+struct ShardCtx<'a, P: Protocol, T: TraceMode> {
+    id: NodeId,
+    neighbors: &'a [NodeId],
+    shared: &'a Shared<P, T>,
+    /// First node of the session's shard; `cells[v - base]` is node `v`.
+    base: u32,
+    cells: &'a mut [NodeCell<P::Message, T>],
+    queue: &'a mut VecDeque<u32>,
+    scratch: &'a mut Scratch<P::Message, T>,
+    events: &'a mut Vec<TraceEvent>,
+    current_depth: u64,
+    /// Sends of the current quantum.
+    sent: u64,
+}
+
+impl<P: Protocol, T: TraceMode> Context<P::Message> for ShardCtx<'_, P, T> {
     fn id(&self) -> NodeId {
         self.id
     }
     fn neighbors(&self) -> &[NodeId] {
         self.neighbors
     }
-    fn send(&mut self, to: NodeId, msg: M) {
-        // The neighbourship check *is* the routing step: the binary search
-        // that validates the destination also yields its bucket slot.
+    fn send(&mut self, to: NodeId, msg: P::Message) {
         let slot = self.neighbors.binary_search(&to);
         assert!(
             slot.is_ok(),
@@ -242,19 +300,102 @@ impl<M: NetMessage, T: TraceMode> Context<M> for BatchedCtx<'_, M, T> {
             msg,
             to
         );
-        // The assert above makes the fallback unreachable.
-        self.buckets[slot.unwrap_or(0)].push(Buffered {
-            msg,
+        self.sent += 1;
+        let mut meta = T::Meta::default();
+        if T::ENABLED {
+            if let Some(tracing) = &self.shared.trace {
+                // The sender's cell is ours while the session holds its
+                // shard, so consecutive sends on a link get consecutive
+                // sequence numbers.
+                let msg_id = tracing.next_msg_id.fetch_add(1, Ordering::SeqCst);
+                let own = &mut self.cells[(self.id.0 - self.base) as usize];
+                // The assert above makes the fallback unreachable.
+                let link_seq =
+                    T::next_link_seq(&mut own.link_seq, slot.unwrap_or(0), self.neighbors.len());
+                self.events.push(TraceEvent {
+                    time: tracing.stamp.fetch_add(1, Ordering::SeqCst),
+                    kind: TraceEventKind::Send,
+                    from: self.id,
+                    to,
+                    message_kind: msg.kind().into(),
+                    msg_id,
+                    seq: link_seq,
+                });
+                meta = T::meta(msg_id, link_seq);
+            }
+        }
+        let envelope = Envelope {
+            from: self.id.0,
+            to: to.0,
             causal_depth: self.current_depth + 1,
-            meta: T::Meta::default(),
-        });
+            msg,
+            meta,
+        };
+        match to.0.checked_sub(self.base) {
+            Some(local) if (local as usize) < self.cells.len() => {
+                let cell = &mut self.cells[local as usize];
+                deposit(cell, envelope, self.queue, &mut self.scratch.mailboxes);
+            }
+            _ => self.scratch.post(self.shared.shard_of(to.0), envelope),
+        }
     }
     fn network_size(&self) -> usize {
-        self.network_size
+        self.shared.n
     }
 }
 
-/// Runs protocols on a fixed work-stealing worker pool. See the module docs;
+impl<P: Protocol, T: TraceMode> ShardCtx<'_, P, T> {
+    /// Takes the next message out of the current node's mailbox, charges it
+    /// to the worker's metrics, makes its causal depth the current one and,
+    /// on traced runs, records its Deliver event. The stamp is drawn after
+    /// the message left the mailbox, which happens-after its send stamp (a
+    /// hand-over and the inbox routing both pass through the target's inbox
+    /// lock), so a message's Deliver always outranks its Send in the merged
+    /// order.
+    fn receive(&mut self, metrics: &mut Metrics) -> Option<Envelope<P::Message, T>> {
+        let local = (self.id.0 - self.base) as usize;
+        let envelope = self.cells[local].mailbox.pop_front()?;
+        self.scratch.kinds.bump(envelope.msg.kind());
+        metrics.record_payload(envelope.msg.encoded_bits(), envelope.causal_depth);
+        self.current_depth = envelope.causal_depth;
+        if T::ENABLED {
+            if let Some(tracing) = &self.shared.trace {
+                self.events.push(TraceEvent {
+                    time: tracing.stamp.fetch_add(1, Ordering::SeqCst),
+                    kind: TraceEventKind::Deliver,
+                    from: NodeId(envelope.from),
+                    to: self.id,
+                    message_kind: envelope.msg.kind().into(),
+                    msg_id: T::msg_id(envelope.meta),
+                    seq: T::link_seq(envelope.meta),
+                });
+            }
+        }
+        Some(envelope)
+    }
+}
+
+/// Appends `envelope` to its target's mailbox and queues the target if it
+/// was not runnable yet. A drained mailbox holds no buffer; it takes a
+/// recycled one from the worker's pool instead of growing a fresh one.
+fn deposit<M, T: TraceMode>(
+    cell: &mut NodeCell<M, T>,
+    envelope: Envelope<M, T>,
+    queue: &mut VecDeque<u32>,
+    mailboxes: &mut MailboxPool<Envelope<M, T>>,
+) {
+    if cell.mailbox.capacity() == 0 {
+        cell.mailbox = mailboxes.take(1);
+    }
+    let to = envelope.to;
+    cell.mailbox.push_back(envelope);
+    if !cell.scheduled {
+        cell.scheduled = true;
+        queue.push_back(to);
+    }
+}
+
+/// Runs protocols on a fixed sharded worker pool. See the module docs;
 /// runs reach it through [`crate::exec::ExecutorKind::run`].
 pub(crate) struct PoolRuntime;
 
@@ -285,8 +426,9 @@ impl PoolRuntime {
     /// a raised `cancel` token, and returns the final node states plus
     /// metrics. The factory receives each node's identity and sorted
     /// neighbour list. Every worker polls `cancel` at the top of its
-    /// scheduling loop; a raised token drains the pool exactly like an
-    /// event-cap abort, reported as [`ExecStatus::Cancelled`].
+    /// scheduling loop and inside its sessions; a raised token drains the
+    /// pool exactly like an event-cap abort, reported as
+    /// [`ExecStatus::Cancelled`].
     ///
     /// The configuration is validated up front: everything that needs a
     /// simulated clock (a delay model other than unit, a staggered start, a
@@ -363,34 +505,43 @@ impl PoolRuntime {
     {
         let n = graph.node_count();
         let workers = Self::effective_workers(config.workers, n);
-        let cells: Vec<Mutex<NodeCell<P, T>>> = (0..n)
-            .map(|u| {
-                Mutex::new(NodeCell {
-                    protocol: factory(NodeId::new(u), graph.neighbor_slice(NodeId::new(u))),
-                    mailbox: VecDeque::new(),
-                    scheduled: false,
-                    pending_start: false,
-                    started: false,
-                    link_seq: T::LinkSeqs::default(),
-                })
+        let mut starts = vec![false; n];
+        for &u in &starters {
+            starts[u] = true;
+        }
+        let shards: Vec<Shard<P, T>> = (0..workers)
+            .map(|w| {
+                let range = shard_start(w, workers, n)..shard_start(w + 1, workers, n);
+                let protocols = range
+                    .clone()
+                    .map(|u| factory(NodeId(u), graph.neighbor_slice(NodeId(u))))
+                    .collect();
+                let cells = range
+                    .clone()
+                    .map(|u| NodeCell {
+                        mailbox: VecDeque::new(),
+                        scheduled: starts[u as usize],
+                        pending_start: starts[u as usize],
+                        started: false,
+                        link_seq: T::LinkSeqs::default(),
+                    })
+                    .collect();
+                let queue: VecDeque<u32> = range.filter(|&u| starts[u as usize]).collect();
+                Shard {
+                    ready: Line(AtomicBool::new(!queue.is_empty())),
+                    state: Line(Mutex::new(ShardState {
+                        protocols,
+                        cells,
+                        queue,
+                    })),
+                    inbox: Line(Mutex::new(Vec::new())),
+                }
             })
             .collect();
-        for &u in &starters {
-            let mut cell = lock_ignore_poison(&cells[u]);
-            cell.pending_start = true;
-            cell.scheduled = true;
-        }
-        let mut queues: Vec<Mutex<VecDeque<u32>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, &u) in starters.iter().enumerate() {
-            queues[i % workers]
-                .get_mut()
-                .expect("queue poisoned")
-                .push_back(u as u32);
-        }
+        drop(starts);
         let shared = Shared {
-            cells,
-            queues,
+            shards,
+            idle: (0..workers).map(|_| Line(AtomicBool::new(false))).collect(),
             graph: Arc::clone(graph),
             in_flight: AtomicI64::new(starters.len() as i64),
             processed: AtomicU64::new(0),
@@ -413,7 +564,7 @@ impl PoolRuntime {
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
                 let shared = &shared;
-                handles.push(scope.spawn(move || worker_loop(w, workers, shared)));
+                handles.push(scope.spawn(move || worker_loop(w, shared)));
             }
             for handle in handles {
                 match handle.join() {
@@ -452,15 +603,24 @@ impl PoolRuntime {
         } else {
             ExecStatus::Quiesced
         };
-        let nodes: Vec<P> = shared
-            .cells
-            .into_iter()
-            .map(|cell| {
-                cell.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .protocol
-            })
-            .collect();
+        // Shards cover consecutive node ranges, so concatenating their
+        // protocols in shard order indexes them by identity. Growing the
+        // first shard's vector in place and appending the others frees each
+        // shard's states as they move, instead of holding two copies of
+        // every node's state at once.
+        let mut protocols = shared.shards.into_iter().map(|shard| {
+            shard
+                .state
+                .0
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .protocols
+        });
+        let mut nodes: Vec<P> = protocols.next().unwrap_or_default();
+        nodes.reserve_exact(n - nodes.len());
+        for mut rest in protocols {
+            nodes.append(&mut rest);
+        }
         ExecRun {
             topology: Arc::clone(graph),
             nodes,
@@ -478,10 +638,18 @@ impl PoolRuntime {
 /// Acquires a mutex, recovering the data on poisoning: when a sibling worker
 /// panicked mid-quantum the pool is aborting anyway, and the recovering
 /// workers only need the lock to drain out, not for consistency.
-fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Takes a shard lock if it is free, never waiting for it (poisoning is
+/// recovered as in [`lock_ignore_poison`]).
+fn try_lock_shard<T>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match mutex.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 /// Flips the abort flag when dropped during a panic, so a protocol panic on
@@ -497,15 +665,6 @@ impl Drop for AbortOnPanic<'_> {
     }
 }
 
-/// One buffered send sitting in a destination bucket: the payload, its
-/// causal depth, and the trace identity assigned just before the flush
-/// (zero-sized on untraced runs).
-struct Buffered<M, T: TraceMode> {
-    msg: M,
-    causal_depth: u64,
-    meta: T::Meta,
-}
-
 /// Mailbox capacity classes `2⁰ ..= 2^(MAILBOX_CLASSES−1)`; larger drained
 /// buffers go back to the allocator instead of the pool.
 const MAILBOX_CLASSES: usize = 17;
@@ -514,14 +673,20 @@ const MAILBOX_CLASSES: usize = 17;
 /// takes them back.
 const MAILBOX_POOL_PER_CLASS: usize = 32;
 
+/// Capacity an outbox, inbox or transit buffer keeps after it changed hands
+/// and was emptied: enough for a chain's typical hand-over, so steady
+/// traffic allocates nothing, while a burst's high-water buffer goes back
+/// to the allocator instead of circulating between workers.
+const TRANSIT_KEEP: usize = 256;
+
 /// Worker-local pool of drained mailbox buffers, bucketed by power-of-two
 /// capacity class (≈ the receiver's degree class under flooding: a mailbox's
 /// high-water mark tracks how many neighbours talk to the node per wave).
 /// Settling a fully drained node donates its buffer here instead of letting
 /// the capacity rot in the cell forever; waking an empty mailbox takes one
-/// back, sized to the incoming burst. Retained mailbox capacity then scales
-/// with the active frontier, not the node count — the difference between a
-/// million idle high-water deques and a few dozen live ones.
+/// back. Retained mailbox capacity then scales with the active frontier,
+/// not the node count — the difference between a million idle high-water
+/// deques and a few dozen live ones.
 struct MailboxPool<E> {
     classes: Vec<Vec<VecDeque<E>>>,
 }
@@ -574,63 +739,136 @@ impl<E> MailboxPool<E> {
     }
 }
 
-/// Worker-local buffers recycled across scheduling quanta, so the steady
-/// state of a long run allocates nothing per quantum: the destination
-/// buckets and the wake list all reuse the capacity high-watermark of
-/// earlier quanta.
-struct Scratch<P: Protocol, T: TraceMode> {
-    /// Per-neighbour-slot send buckets: `buckets[slot]` holds this quantum's
-    /// messages down link `slot`, in handler send order. Routing happens at
-    /// `send` time (the neighbourship binary search yields the slot), so the
-    /// flush never sorts — it walks the slots in order, one destination lock
-    /// per non-empty bucket. Grown to the widest degree seen, never shrunk;
-    /// the flush drains every bucket, so they are always empty between
-    /// quanta.
-    buckets: Vec<Vec<Buffered<P::Message, T>>>,
-    /// Destinations that became runnable during the flush.
-    wake: Vec<u32>,
-    /// Processed units owed to `in_flight` by the current continuation
-    /// chain: one Release decrement per chain instead of one per quantum.
-    /// Deferral is always safe — the counter stays an over-approximation
-    /// until the flush, so the idle zero-test can only fire late, never
-    /// early.
-    in_flight_debt: i64,
+/// Shrinks an emptied transit buffer back to [`TRANSIT_KEEP`] entries.
+fn trim<E>(buffer: &mut Vec<E>) {
+    debug_assert!(buffer.is_empty(), "only emptied buffers are trimmed");
+    if buffer.capacity() > TRANSIT_KEEP {
+        buffer.shrink_to(TRANSIT_KEEP);
+    }
+}
+
+/// Worker-local state recycled across sessions, so the steady state of a
+/// long run allocates nothing per quantum.
+struct Scratch<M, T: TraceMode> {
+    /// Per target shard: this chain's messages to that shard, in send order.
+    outboxes: Vec<Vec<Envelope<M, T>>>,
+    /// Shards whose outbox is non-empty, in first-send order.
+    dirty: Vec<u32>,
+    /// The inbox a session took over, being routed into mailboxes.
+    transit: Vec<Envelope<M, T>>,
+    /// Sends minus processed units not yet applied to the shared
+    /// `in_flight` counter (see [`Scratch::settle`]).
+    in_flight_delta: i64,
     /// Processed units not yet folded into the shared counter (flushed
-    /// every [`PROCESSED_STRIDE`] units and at every chain end).
+    /// every [`PROCESSED_STRIDE`] units and at every session end).
     processed_local: u64,
     /// Recycled mailbox buffers, bucketed by capacity class (see
     /// [`MailboxPool`]).
-    mailboxes: MailboxPool<Envelope<P::Message, T>>,
+    mailboxes: MailboxPool<Envelope<M, T>>,
     /// This worker's deliveries per message kind, folded into its metrics
     /// when the worker exits (before the per-worker merge).
     kinds: KindCounts,
 }
 
-impl<P: Protocol, T: TraceMode> Scratch<P, T> {
-    fn new() -> Self {
+impl<M, T: TraceMode> Scratch<M, T> {
+    fn new(shards: usize) -> Self {
         Scratch {
-            buckets: Vec::new(),
-            wake: Vec::new(),
-            in_flight_debt: 0,
+            outboxes: (0..shards).map(|_| Vec::new()).collect(),
+            dirty: Vec::new(),
+            transit: Vec::new(),
+            in_flight_delta: 0,
             processed_local: 0,
             mailboxes: MailboxPool::new(),
             kinds: KindCounts::default(),
+        }
+    }
+
+    /// Appends a message for another shard to that shard's outbox.
+    fn post(&mut self, shard: usize, envelope: Envelope<M, T>) {
+        let outbox = &mut self.outboxes[shard];
+        if outbox.is_empty() {
+            self.dirty.push(shard as u32);
+        }
+        outbox.push(envelope);
+    }
+
+    /// Applies the pending sends-minus-processed delta to `in_flight` in one
+    /// RMW. Called before a hand-over makes any send visible and at every
+    /// session end, never later.
+    ///
+    /// The counter stays an over-approximation of the outstanding work at
+    /// every instant: a processed unit leaves it only in the same RMW that
+    /// adds every send its quantum made, and a send enters it before any
+    /// other worker can see the message (shard mates' mailboxes are
+    /// invisible until the session ends, which settles first; other shards
+    /// see the message only after the hand-over, which settles first). So
+    /// the counter reaches zero only when no undelivered message and no
+    /// unfinished quantum exists, after which nothing can increment it
+    /// again: new work is only created inside quanta. The Release here
+    /// pairs with the idle worker's Acquire zero-test, so a worker that
+    /// reads zero also sees every node state the run left behind.
+    fn settle<P: Protocol<Message = M>>(&mut self, shared: &Shared<P, T>) {
+        if self.in_flight_delta != 0 {
+            shared
+                .in_flight
+                .fetch_add(self.in_flight_delta, Ordering::Release);
+            self.in_flight_delta = 0;
+        }
+    }
+
+    /// Hands every non-empty outbox to its shard's inbox, one lock each.
+    /// An empty inbox swaps buffers with the outbox instead of copying.
+    fn hand_over<P: Protocol<Message = M>>(
+        &mut self,
+        shared: &Shared<P, T>,
+        stats: &mut WorkerStats,
+    ) {
+        if self.dirty.is_empty() {
+            return;
+        }
+        self.settle(shared);
+        for shard in self.dirty.drain(..) {
+            let target = &shared.shards[shard as usize];
+            let outbox = &mut self.outboxes[shard as usize];
+            stats.handovers += 1;
+            stats.handed += outbox.len() as u64;
+            {
+                let mut inbox = lock_ignore_poison(&target.inbox);
+                if inbox.is_empty() {
+                    std::mem::swap(&mut *inbox, outbox);
+                } else {
+                    inbox.append(outbox);
+                }
+                target.ready.store(true, Ordering::Release);
+            }
+            trim(outbox);
         }
     }
 }
 
 fn worker_loop<P: Protocol, T: TraceMode>(
     w: usize,
-    workers: usize,
     shared: &Shared<P, T>,
 ) -> (Metrics, Vec<TraceEvent>, WorkerStats) {
     let _abort_guard = AbortOnPanic(&shared.aborted);
+    let workers = shared.shards.len();
     let mut metrics = Metrics::new(shared.n);
     let mut events: Vec<TraceEvent> = Vec::new();
-    let mut scratch = Scratch::new();
+    let mut scratch = Scratch::new(workers);
     let mut stats = WorkerStats::default();
     let mut idle_since: Option<Instant> = None;
     let mut idle_spins = 0u32;
+    let mut session = |s: usize, state: &mut ShardState<P, T>, stats: &mut WorkerStats| {
+        run_session(
+            s,
+            state,
+            shared,
+            &mut metrics,
+            &mut events,
+            &mut scratch,
+            stats,
+        )
+    };
     loop {
         if shared.cancel.is_cancelled() {
             shared.cancelled.store(true, Ordering::SeqCst);
@@ -639,60 +877,58 @@ fn worker_loop<P: Protocol, T: TraceMode>(
         if shared.aborted.load(Ordering::SeqCst) {
             break;
         }
-        let next = pop_local(w, shared).or_else(|| {
-            let stolen = steal(w, workers, shared);
-            stats.steals += stolen.is_some() as u64;
-            stolen
-        });
-        match next {
-            Some(u) => {
-                idle_spins = 0;
-                if let Some(since) = idle_since.take() {
-                    stats.idle_ns += since.elapsed().as_nanos() as u64;
-                }
-                stats.chains += 1;
-                // Chain continuation: a batched quantum hands back one node
-                // its flush just made runnable and the worker runs it
-                // immediately — the common wave pattern (one message in, one
-                // message out) never round-trips through the run queue.
-                let mut next = Some(u);
-                while let Some(u) = next {
-                    if shared.aborted.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    next = process_node(u, w, shared, &mut metrics, &mut events, &mut scratch);
-                    stats.quanta += 1;
-                }
-                // Settle the chain's deferred accounting: one Release
-                // decrement for the whole chain (see `Scratch::in_flight_debt`)
-                // and any processed units below the flush stride.
-                if scratch.in_flight_debt != 0 {
-                    shared
-                        .in_flight
-                        .fetch_sub(scratch.in_flight_debt, Ordering::Release);
-                    scratch.in_flight_debt = 0;
-                }
-                flush_processed(shared, &mut scratch.processed_local);
+        // Home first; another shard only while its home worker is idle, so
+        // shards stay on their home cores whenever their workers run.
+        let mut ran = false;
+        if shared.shards[w].ready.load(Ordering::Acquire) {
+            if let Some(mut state) = try_lock_shard(&shared.shards[w].state) {
+                shared.idle[w].store(false, Ordering::Relaxed);
+                session(w, &mut state, &mut stats);
+                ran = true;
             }
-            None => {
-                idle_since.get_or_insert_with(Instant::now);
-                // Acquire pairs with the Release decrement in `process_node`:
-                // a zero read happens-after every worker's final decrement,
-                // and the counter is monotone at zero (see the increment
-                // site), so breaking here never abandons live work.
-                if shared.in_flight.load(Ordering::Acquire) == 0 {
+        }
+        if !ran {
+            for offset in 1..workers {
+                let s = (w + offset) % workers;
+                if !shared.shards[s].ready.load(Ordering::Acquire)
+                    || !shared.idle[s].load(Ordering::Relaxed)
+                {
+                    continue;
+                }
+                if let Some(mut state) = try_lock_shard(&shared.shards[s].state) {
+                    shared.idle[w].store(false, Ordering::Relaxed);
+                    stats.foreign_sessions += 1;
+                    session(s, &mut state, &mut stats);
+                    ran = true;
                     break;
                 }
-                // Another worker still holds work; back off politely. The
-                // yield-then-sleep ladder keeps latency low without burning
-                // a core per idle worker on big pools.
-                idle_spins += 1;
-                if idle_spins < 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
             }
+        }
+        if ran {
+            idle_spins = 0;
+            if let Some(since) = idle_since.take() {
+                stats.idle_ns += since.elapsed().as_nanos() as u64;
+            }
+            continue;
+        }
+        if idle_since.is_none() {
+            idle_since = Some(Instant::now());
+            shared.idle[w].store(true, Ordering::Relaxed);
+        }
+        // Acquire pairs with the Release in `Scratch::settle`: a zero read
+        // happens-after every worker's final settle, and the counter is
+        // monotone at zero, so breaking here never abandons live work.
+        if shared.in_flight.load(Ordering::Acquire) == 0 {
+            break;
+        }
+        // Another worker still holds work; back off politely. The
+        // yield-then-sleep ladder keeps latency low without burning a core
+        // per idle worker on big pools.
+        idle_spins += 1;
+        if idle_spins < 64 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(Duration::from_micros(50));
         }
     }
     if let Some(since) = idle_since {
@@ -702,315 +938,191 @@ fn worker_loop<P: Protocol, T: TraceMode>(
     (metrics, events, stats)
 }
 
-fn pop_local<P: Protocol, T: TraceMode>(w: usize, shared: &Shared<P, T>) -> Option<u32> {
-    let mut queue = lock_ignore_poison(&shared.queues[w]);
-    let popped = queue.pop_front();
-    // Start pulling the *next* runnable node's cell line while the popped
-    // one is processed — a whole quantum of latency to hide the miss behind
-    // (node indices are effectively random, so the line is almost always
-    // cold).
-    if let Some(&front) = queue.front() {
-        std::hint::black_box(shared.cells[front as usize].is_poisoned());
-    }
-    popped
-}
-
-/// Steals from the back of a sibling queue, scanning siblings round-robin
-/// from the worker's own position so thieves spread out.
-fn steal<P: Protocol, T: TraceMode>(
-    w: usize,
-    workers: usize,
+/// Moves shard `s`'s inbox into its nodes' mailboxes, in hand-over order.
+/// Returns whether anything arrived.
+fn route_inbox<P: Protocol, T: TraceMode>(
+    s: usize,
+    state: &mut ShardState<P, T>,
     shared: &Shared<P, T>,
-) -> Option<u32> {
-    for offset in 1..workers {
-        let victim = (w + offset) % workers;
-        if let Some(u) = lock_ignore_poison(&shared.queues[victim]).pop_back() {
-            return Some(u);
+    scratch: &mut Scratch<P::Message, T>,
+) -> bool {
+    let shard = &shared.shards[s];
+    {
+        let mut inbox = lock_ignore_poison(&shard.inbox);
+        shard.ready.store(false, Ordering::Relaxed);
+        if inbox.is_empty() {
+            return false;
         }
+        std::mem::swap(&mut *inbox, &mut scratch.transit);
     }
-    None
+    let base = shard_start(s, shared.shards.len(), shared.n);
+    for envelope in scratch.transit.drain(..) {
+        let cell = &mut state.cells[(envelope.to - base) as usize];
+        deposit(cell, envelope, &mut state.queue, &mut scratch.mailboxes);
+    }
+    trim(&mut scratch.transit);
+    true
 }
 
-/// Processes one scheduling quantum of node `u`: the pending wake-up (if
-/// any) plus up to [`ExecConfig::batch`] mailbox messages, drained into the
-/// recycled [`Scratch`]; then flushes the buffered sends per destination
-/// group and settles the node's `scheduled` flag. Returns one node the flush
-/// made runnable, for immediate local continuation.
-fn process_node<P: Protocol, T: TraceMode>(
-    u: u32,
-    w: usize,
+/// One session on shard `s`: runs its queue until both the queue and the
+/// inbox are empty (or the run aborts), handing outboxes over after every
+/// chain of quanta that filled one, and settles the worker's in-flight and
+/// processed accounting before the caller unlocks the shard.
+fn run_session<P: Protocol, T: TraceMode>(
+    s: usize,
+    state: &mut ShardState<P, T>,
     shared: &Shared<P, T>,
     metrics: &mut Metrics,
     events: &mut Vec<TraceEvent>,
-    scratch: &mut Scratch<P, T>,
-) -> Option<u32> {
+    scratch: &mut Scratch<P::Message, T>,
+    stats: &mut WorkerStats,
+) {
+    stats.sessions += 1;
+    let base = shard_start(s, shared.shards.len(), shared.n);
+    let shard = &shared.shards[s];
+    route_inbox(s, state, shared, scratch);
+    // Whether quanta ran since the last hand-over (an open chain).
+    let mut chain = false;
+    loop {
+        if shared.aborted.load(Ordering::Relaxed) {
+            break;
+        }
+        let Some(u) = state.queue.pop_front() else {
+            // The queue ran dry: finish only if nothing arrived meanwhile.
+            if shard.ready.load(Ordering::Acquire) && route_inbox(s, state, shared, scratch) {
+                continue;
+            }
+            break;
+        };
+        run_quantum(u, base, state, shared, metrics, events, scratch);
+        stats.quanta += 1;
+        chain = true;
+        if !scratch.dirty.is_empty() {
+            stats.chains += 1;
+            chain = false;
+            scratch.hand_over(shared, stats);
+        }
+        if scratch.processed_local >= PROCESSED_STRIDE {
+            flush_processed(shared, &mut scratch.processed_local);
+        }
+        // Pick up what other shards handed over while this one ran, so
+        // their messages join the queue instead of waiting for it to empty.
+        if shard.ready.load(Ordering::Relaxed) {
+            route_inbox(s, state, shared, scratch);
+        }
+    }
+    // A chain cut short by the end of the session.
+    stats.chains += chain as u64;
+    scratch.settle(shared);
+    flush_processed(shared, &mut scratch.processed_local);
+}
+
+/// Processes one scheduling quantum of node `u` (of the shard starting at
+/// `base`): the pending wake-up (if any) plus up to [`ExecConfig::batch`]
+/// mailbox messages, then requeues the node if messages remain.
+fn run_quantum<P: Protocol, T: TraceMode>(
+    u: u32,
+    base: u32,
+    state: &mut ShardState<P, T>,
+    shared: &Shared<P, T>,
+    metrics: &mut Metrics,
+    events: &mut Vec<TraceEvent>,
+    scratch: &mut Scratch<P::Message, T>,
+) {
+    let local = (u - base) as usize;
     let node = u as usize;
-    scratch.wake.clear();
-    let neighbors = shared.graph.neighbor_slice(NodeId(u));
-    if scratch.buckets.len() < neighbors.len() {
-        // Grow to this node's degree, never shrink: slots beyond a later
-        // node's degree sit empty and cost one `is_empty` test each.
-        scratch.buckets.resize_with(neighbors.len(), Vec::new);
-    }
-    let units = {
-        let mut cell = lock_ignore_poison(&shared.cells[node]);
-        let start_unit = cell.pending_start;
-        cell.pending_start = false;
-        let take = cell.mailbox.len().min(shared.batch);
-        // Split the cell borrow so the mailbox drain and the protocol
-        // handlers can overlap: envelopes are consumed straight out of the
-        // mailbox in one pass — no intermediate buffer, no second copy —
-        // while the `VecDeque` keeps its capacity inside the cell, so no
-        // quantum reallocates anything.
-        let NodeCell {
-            protocol,
-            mailbox,
-            started,
-            ..
-        } = &mut *cell;
-        let wake = !*started && (start_unit || take > 0);
-        if wake {
-            *started = true;
-            // A spontaneous wake-up starts a causal chain (depth 0). A node
-            // woken by its first message instead inherits that message's
-            // depth, exactly like the simulator, so wake-up sends extend the
-            // chain that caused them and causal_time agrees across backends.
-            let wake_depth = if start_unit {
-                0
-            } else {
-                mailbox.front().map(|e| e.causal_depth).unwrap_or(0)
-            };
-            let mut ctx = BatchedCtx {
-                id: NodeId(u),
-                neighbors,
-                network_size: shared.n,
-                buckets: &mut scratch.buckets,
-                current_depth: wake_depth,
-            };
-            protocol.on_start(&mut ctx);
-        }
-        // Endpoint columns are charged in batch below (`record_received_batch`
-        // after the drain, `record_sent_batch` at the flush); the per-message
-        // loop only records what varies per message.
-        for envelope in mailbox.drain(..take) {
-            scratch.kinds.bump(envelope.msg.kind());
-            metrics.record_payload(envelope.msg.encoded_bits(), envelope.causal_depth);
-            if T::ENABLED {
-                if let Some(tracing) = &shared.trace {
-                    // The deliver stamp is drawn after the mailbox drain, which
-                    // happens-after the sender's push, which happens-after the
-                    // send stamp — so a message's Deliver always outranks its
-                    // Send in the merged order. Handlers only append to the
-                    // worker-local buckets (Send stamps are assigned after this
-                    // loop), so every Deliver of the batch still stamps before
-                    // any Send of the batch.
-                    events.push(TraceEvent {
-                        time: tracing.stamp.fetch_add(1, Ordering::SeqCst),
-                        kind: TraceEventKind::Deliver,
-                        from: envelope.from,
-                        to: NodeId(u),
-                        message_kind: envelope.msg.kind().into(),
-                        msg_id: T::msg_id(envelope.meta),
-                        seq: T::link_seq(envelope.meta),
-                    });
-                }
-            }
-            let mut ctx = BatchedCtx {
-                id: NodeId(u),
-                neighbors,
-                network_size: shared.n,
-                buckets: &mut scratch.buckets,
-                current_depth: envelope.causal_depth,
-            };
-            protocol.on_message(envelope.from, envelope.msg, &mut ctx);
-        }
-        let batch_len = take;
-        if batch_len > 0 {
-            metrics.record_received_batch(node, batch_len as u64);
-        }
-        // Assign trace identities to this quantum's sends while the source
-        // cell (and with it the per-link sequence counters) is still
-        // exclusively owned, and before any mailbox push makes the messages
-        // visible to other workers. Each bucket holds its link's messages in
-        // handler send order, so walking the slots hands out per-link
-        // sequence numbers that stay FIFO-faithful — no sort was ever
-        // needed, `send` routed by slot already.
-        if T::ENABLED {
-            if let Some(tracing) = &shared.trace {
-                let slots = &mut scratch.buckets[..neighbors.len()];
-                for (slot, bucket) in slots.iter_mut().enumerate() {
-                    for entry in bucket.iter_mut() {
-                        let msg_id = tracing.next_msg_id.fetch_add(1, Ordering::SeqCst);
-                        let link_seq = T::next_link_seq(&mut cell.link_seq, slot, neighbors.len());
-                        events.push(TraceEvent {
-                            time: tracing.stamp.fetch_add(1, Ordering::SeqCst),
-                            kind: TraceEventKind::Send,
-                            from: NodeId(u),
-                            to: neighbors[slot],
-                            message_kind: entry.msg.kind().into(),
-                            msg_id,
-                            seq: link_seq,
-                        });
-                        entry.meta = T::meta(msg_id, link_seq);
-                    }
-                }
-            }
-        }
-        // Untraced runs settle here, before the flush and inside this same
-        // guard: a mailbox residue keeps the node scheduled (it wakes
-        // itself); otherwise `scheduled` drops now and a concurrent sender
-        // re-enqueues the node the normal way — no lost wake-up, because
-        // senders observe the flag under this very lock. Skipping the
-        // post-flush relock is safe because nothing below touches the
-        // source cell again: a sibling worker claiming `u` mid-flush only
-        // interleaves whole mailbox appends elsewhere, a reordering the
-        // delivery model already allows (the simulator's random delay
-        // models reorder links too). Traced runs settle *after* the flush
-        // instead — a concurrent quantum of `u` could otherwise push later
-        // link sequence numbers ahead of this quantum's unflushed ones and
-        // fail the auditor's per-link FIFO rule.
-        if !T::ENABLED {
-            if cell.mailbox.is_empty() {
-                cell.scheduled = false;
-                // Donate the drained buffer to the worker-local pool instead
-                // of parking its high-water capacity in the cell forever; a
-                // later sender takes one back sized to its burst.
-                if cell.mailbox.capacity() > 0 {
-                    scratch.mailboxes.donate(std::mem::take(&mut cell.mailbox));
-                }
-            } else {
-                scratch.wake.push(u);
-            }
-        }
-        start_unit as i64 + batch_len as i64
+    let ShardState {
+        protocols,
+        cells,
+        queue,
+    } = state;
+    let protocol = &mut protocols[local];
+    let cell = &mut cells[local];
+    let start_unit = std::mem::take(&mut cell.pending_start);
+    let take = cell.mailbox.len().min(shared.batch);
+    let wake = !cell.started && (start_unit || take > 0);
+    cell.started |= wake;
+    let queued = queue.len();
+    let mut ctx = ShardCtx {
+        id: NodeId(u),
+        neighbors: shared.graph.neighbor_slice(NodeId(u)),
+        shared,
+        base,
+        cells,
+        queue,
+        scratch,
+        events,
+        current_depth: 0,
+        sent: 0,
     };
-    // Flush the buckets with the source cell unlocked (never two cell locks
-    // at once — the lock order between two talking nodes would otherwise
-    // deadlock). On traced runs the source stays exclusively ours via
-    // `scheduled` until the post-flush settle below.
-    {
-        let slots = &mut scratch.buckets[..neighbors.len()];
-        let total: usize = slots.iter().map(Vec::len).sum();
-        if total > 0 {
-            // Count the whole flush before any of its messages becomes
-            // visible — one RMW per quantum instead of one per message.
-            //
-            // Relaxed suffices here: `in_flight` is only *read* for the
-            // zero-test in `worker_loop`, and zero is reliable on its own
-            // modification order. Every message's increment precedes its
-            // consumer's decrement in that order (the increment precedes the
-            // mailbox push in the sender's program order; the consumer's
-            // decrement follows draining that push, which the dest-cell mutex
-            // orders after it), and the final decrement of each quantum
-            // (Release, below) follows the increments of every message that
-            // quantum produced. So the counter's value only touches zero when
-            // no undelivered message and no unfinished quantum exists — at
-            // which point nothing can ever increment it again, because new
-            // work is only created from inside quanta. A zero read is
-            // therefore never transient, whatever its ordering.
-            shared.in_flight.fetch_add(total as i64, Ordering::Relaxed);
-            metrics.record_sent_batch(node, total as u64);
-            // Warm every destination cell before taking any lock: the
-            // indices are effectively random, so each bucket's first touch
-            // would otherwise stall on a cold cache line inside the critical
-            // section. The relaxed poison-flag load shares its line with the
-            // cell's lock word, and issuing all of them back-to-back lets
-            // the misses overlap instead of serialising one per bucket.
-            for (slot, bucket) in slots.iter().enumerate() {
-                if !bucket.is_empty() {
-                    std::hint::black_box(shared.cells[neighbors[slot].index()].is_poisoned());
-                }
-            }
-            for (slot, bucket) in slots.iter_mut().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let dest = neighbors[slot];
-                let needs_enqueue = {
-                    // One destination-cell lock per *bucket*: everything this
-                    // quantum sent down the link lands under one guard.
-                    let mut cell = lock_ignore_poison(&shared.cells[dest.index()]);
-                    // Waking an unallocated mailbox: reuse a recycled buffer
-                    // sized to this burst rather than growing a fresh one.
-                    if cell.mailbox.capacity() == 0 {
-                        cell.mailbox = scratch.mailboxes.take(bucket.len());
-                    }
-                    for entry in bucket.drain(..) {
-                        cell.mailbox.push_back(Envelope {
-                            from: NodeId(u),
-                            msg: entry.msg,
-                            causal_depth: entry.causal_depth,
-                            meta: entry.meta,
-                        });
-                    }
-                    if cell.scheduled {
-                        false
-                    } else {
-                        cell.scheduled = true;
-                        true
-                    }
-                };
-                if needs_enqueue {
-                    scratch.wake.push(dest.0);
-                }
-            }
+    // A node woken by its first message delivers that message before its
+    // wake-up runs (and traces it first, like the simulator), and the
+    // wake-up's sends inherit its depth, so they extend the chain that
+    // caused them and causal_time agrees across backends. A spontaneous
+    // wake-up starts a causal chain at depth 0.
+    let mut woken_by = None;
+    if wake {
+        if !start_unit {
+            woken_by = ctx.receive(metrics);
+        }
+        protocol.on_start(&mut ctx);
+    }
+    for _ in 0..take {
+        let Some(envelope) = woken_by.take().or_else(|| ctx.receive(metrics)) else {
+            break;
+        };
+        protocol.on_message(NodeId(envelope.from), envelope.msg, &mut ctx);
+    }
+    let sent = ctx.sent;
+    let scratch = ctx.scratch;
+    // A quantum that woke exactly one shard mate is the wave pattern (one
+    // message in, one message out): run that node next, so the wave stays
+    // on one hot path instead of queueing behind the whole frontier. Several
+    // wake-ups are the flood pattern and keep FIFO order, so their mailboxes
+    // accumulate into fatter quanta.
+    if ctx.queue.len() == queued + 1 {
+        if let Some(next) = ctx.queue.pop_back() {
+            ctx.queue.push_front(next);
         }
     }
-    // Traced runs settle here, after the flush (see the pre-flush comment):
-    // keep the node runnable if messages arrived meanwhile.
-    if T::ENABLED {
-        let mut cell = lock_ignore_poison(&shared.cells[node]);
-        if cell.mailbox.is_empty() {
-            cell.scheduled = false;
-            if cell.mailbox.capacity() > 0 {
-                scratch.mailboxes.donate(std::mem::take(&mut cell.mailbox));
-            }
-        } else {
-            scratch.wake.push(u);
-        }
+    if take > 0 {
+        metrics.record_received_batch(node, take as u64);
     }
-    // A single wake-up is the wave pattern (one message in, one message
-    // out): hand it straight back as the worker's continuation — the flush
-    // already owns it exclusively (`scheduled` is set and it sits in no
-    // queue), skipping the queue round-trip. Several wake-ups are the flood
-    // pattern instead: publish them all under one run-queue lock and let the
-    // queue interleave destinations, so their mailboxes accumulate into
-    // fatter quanta than chasing any one of them immediately would find.
-    let next = if scratch.wake.len() == 1 {
-        scratch.wake.pop()
+    if sent > 0 {
+        metrics.record_sent_batch(node, sent);
+    }
+    let cell = &mut ctx.cells[local];
+    if cell.mailbox.is_empty() {
+        cell.scheduled = false;
+        // Donate the drained buffer to the worker-local pool instead of
+        // parking its high-water capacity in the cell forever; the next
+        // delivery takes one back.
+        if cell.mailbox.capacity() > 0 {
+            scratch.mailboxes.donate(std::mem::take(&mut cell.mailbox));
+        }
     } else {
-        None
-    };
-    if !scratch.wake.is_empty() {
-        lock_ignore_poison(&shared.queues[w]).extend(scratch.wake.drain(..));
+        ctx.queue.push_back(u);
     }
-    // Only now give the processed units back — every send above is already
-    // counted (and the continuation's mailbox still holds its counted
-    // messages), so the counter never dips to zero early. The give-back is
-    // deferred to the chain's single Release `fetch_sub` in `worker_loop`:
-    // deferral only keeps `in_flight` elevated longer, which can delay the
-    // idle zero-test but never satisfy it spuriously.
-    scratch.in_flight_debt += units;
+    let units = start_unit as i64 + take as i64;
+    scratch.in_flight_delta += sent as i64 - units;
     scratch.processed_local += units as u64;
-    if scratch.processed_local >= PROCESSED_STRIDE {
-        flush_processed(shared, &mut scratch.processed_local);
-    }
-    next
 }
 
 /// How many locally-counted processed units a worker accumulates before
 /// folding them into the shared `processed` counter. The event cap must
-/// still fire *inside* a continuation chain — a ping-pong pair is one
-/// endless chain, so a chain-end-only flush would never run — hence the
-/// small bound: the cap overshoots by at most `PROCESSED_STRIDE` units per
-/// worker instead of firing on the exact unit, which the cap (a safety
-/// valve, not an accounting figure) tolerates.
+/// still fire *inside* a session — with one worker the whole run is one
+/// session, and a ping-pong pair never ends one — hence the small bound:
+/// the cap overshoots by at most `PROCESSED_STRIDE` units per worker
+/// instead of firing on the exact unit, which the cap (a safety valve, not
+/// an accounting figure) tolerates.
 const PROCESSED_STRIDE: u64 = 64;
 
 /// Folds a worker's locally-accumulated processed units into the shared
-/// counter and trips the abort flag when the event cap is crossed. Relaxed
-/// suffices for the counter: it is monotone and only compared against a
-/// threshold, and the `aborted` flag carries its own SeqCst ordering.
+/// counter, trips the abort flag when the event cap is crossed, and polls
+/// the cancel token (a session can outlast any number of scheduling-loop
+/// turns). Relaxed suffices for the counter: it is monotone and only
+/// compared against a threshold, and the flags carry their own SeqCst
+/// ordering.
 fn flush_processed<P: Protocol, T: TraceMode>(shared: &Shared<P, T>, local: &mut u64) {
     if *local == 0 {
         return;
@@ -1018,6 +1130,10 @@ fn flush_processed<P: Protocol, T: TraceMode>(shared: &Shared<P, T>, local: &mut
     let processed = shared.processed.fetch_add(*local, Ordering::Relaxed) + *local;
     *local = 0;
     if processed > shared.max_events {
+        shared.aborted.store(true, Ordering::SeqCst);
+    }
+    if shared.cancel.is_cancelled() {
+        shared.cancelled.store(true, Ordering::SeqCst);
         shared.aborted.store(true, Ordering::SeqCst);
     }
 }
@@ -1217,28 +1333,6 @@ mod tests {
     #[test]
     fn event_cap_aborts_instead_of_hanging() {
         // A ping-pong pair that never terminates: the cap must fire.
-        struct PingPong;
-        #[derive(Debug, Clone)]
-        struct Ball;
-        impl NetMessage for Ball {
-            fn kind(&self) -> &'static str {
-                "Ball"
-            }
-            fn encoded_bits(&self) -> usize {
-                8
-            }
-        }
-        impl Protocol for PingPong {
-            type Message = Ball;
-            fn on_start(&mut self, ctx: &mut impl Context<Ball>) {
-                if ctx.id() == NodeId(0) {
-                    ctx.send(NodeId(1), Ball);
-                }
-            }
-            fn on_message(&mut self, from: NodeId, _msg: Ball, ctx: &mut impl Context<Ball>) {
-                ctx.send(from, Ball);
-            }
-        }
         let g = Arc::new(generators::path(2).unwrap());
         let run = pool(
             &g,
@@ -1304,7 +1398,10 @@ mod tests {
             panic!("node 1 is the receiver");
         };
         let expected: Vec<u64> = (0..500).collect();
-        assert_eq!(got, &expected, "per-link FIFO order must survive stealing");
+        assert_eq!(
+            got, &expected,
+            "per-link FIFO order must survive hand-overs"
+        );
     }
 
     /// Checks a traced flood's merged trace: every send delivered, unique
@@ -1434,6 +1531,176 @@ mod tests {
         let run = pool(&g, |_, _| Silent, &config);
         assert_eq!(run.status, ExecStatus::Quiesced);
         assert_eq!(run.metrics.messages_total, 0);
+    }
+
+    /// Two nodes that bat a ball back and forth forever; node 0 serves.
+    struct PingPong;
+
+    #[derive(Debug, Clone)]
+    struct Ball;
+
+    impl NetMessage for Ball {
+        fn kind(&self) -> &'static str {
+            "Ball"
+        }
+        fn encoded_bits(&self) -> usize {
+            8
+        }
+    }
+
+    impl Protocol for PingPong {
+        type Message = Ball;
+        fn on_start(&mut self, ctx: &mut impl Context<Ball>) {
+            if ctx.id() == NodeId(0) {
+                ctx.send(NodeId(1), Ball);
+            }
+        }
+        fn on_message(&mut self, from: NodeId, _msg: Ball, ctx: &mut impl Context<Ball>) {
+            ctx.send(from, Ball);
+        }
+    }
+
+    #[test]
+    fn a_ping_pong_across_shards_hits_the_event_cap() {
+        // Nodes 0 and 1 live in different shards, so every hop is a
+        // hand-over and no chain ever continues locally: the cap must still
+        // fire from the processed-units flush.
+        let g = Arc::new(generators::path(2).unwrap());
+        let run = pool(
+            &g,
+            |_, _| PingPong,
+            &ExecConfig {
+                workers: 2,
+                ..with_sim(SimConfig {
+                    max_events: 500,
+                    ..Default::default()
+                })
+            },
+        );
+        assert_eq!(run.workers, 2);
+        assert_eq!(run.status, ExecStatus::EventLimitExceeded);
+        let handovers: u64 = run.worker_stats.iter().map(|s| s.handovers).sum();
+        assert!(handovers > 0, "every hop crosses a shard");
+    }
+
+    #[test]
+    fn a_token_walked_across_eight_shards_quiesces_with_the_exact_count() {
+        // A single token walks node 0 → 63 and back. Eight shards of eight
+        // nodes: a hand-over that lost or stranded the token would hang
+        // this test instead of quiescing.
+        struct Walker {
+            visits: u32,
+        }
+        impl Protocol for Walker {
+            type Message = Token;
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
+                if ctx.id() == NodeId(0) {
+                    self.visits += 1;
+                    ctx.send(NodeId(1), Token { n: 1 });
+                }
+            }
+            fn on_message(&mut self, _: NodeId, msg: Token, ctx: &mut impl Context<Token>) {
+                self.visits += 1;
+                // `n` counts hops; the walk turns around at the far end.
+                let last = ctx.network_size() as u32 - 1;
+                let here = ctx.id().0;
+                let outbound = msg.n <= last as usize;
+                let next = match (outbound, here) {
+                    (true, h) if h < last => Some(h + 1),
+                    (_, h) if h > 0 => Some(h - 1),
+                    _ => None,
+                };
+                if let Some(next) = next {
+                    ctx.send(NodeId(next), Token { n: msg.n + 1 });
+                }
+            }
+        }
+        let g = Arc::new(generators::path(64).unwrap());
+        let run = pool(
+            &g,
+            |_, _| Walker { visits: 0 },
+            &ExecConfig {
+                workers: 8,
+                ..with_sim(SimConfig {
+                    start: StartModel::Selected(vec![NodeId(0)]),
+                    ..Default::default()
+                })
+            },
+        );
+        assert_eq!(run.workers, 8);
+        assert_eq!(run.status, ExecStatus::Quiesced);
+        assert_eq!(run.metrics.messages_total, 2 * 63);
+        assert_eq!(run.metrics.causal_time, 2 * 63);
+        // The ends are visited once each way round, the inner nodes twice.
+        assert_eq!(run.nodes[0].visits, 2);
+        assert_eq!(run.nodes[63].visits, 1);
+        assert!(run.nodes[1..63].iter().all(|w| w.visits == 2));
+        let handed: u64 = run.worker_stats.iter().map(|s| s.handed).sum();
+        assert_eq!(handed, 2 * 7, "the token crosses seven shard borders twice");
+    }
+
+    #[test]
+    #[should_panic(expected = "node 7 exploded")]
+    fn a_panic_in_the_last_shard_is_reraised_while_the_others_idle() {
+        // Eight nodes on four workers: node 7 is in the last shard, and
+        // every other node stays silent, so the other workers are idle when
+        // the panic aborts the pool.
+        struct Fuse;
+        impl Protocol for Fuse {
+            type Message = Token;
+            fn on_start(&mut self, ctx: &mut impl Context<Token>) {
+                if ctx.id() == NodeId(7) {
+                    panic!("node 7 exploded");
+                }
+            }
+            fn on_message(&mut self, _: NodeId, _: Token, _: &mut impl Context<Token>) {}
+        }
+        let g = Arc::new(generators::path(8).unwrap());
+        let _ = pool(
+            &g,
+            |_, _| Fuse,
+            &ExecConfig {
+                workers: 4,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    fn worker_stats_count_hand_overs_only_across_shards() {
+        let g = Arc::new(generators::complete(6).unwrap());
+        let handovers = |workers: usize| {
+            let run = pool(
+                &g,
+                flood,
+                &ExecConfig {
+                    workers,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(run.worker_stats.len(), workers);
+            assert!(run.nodes.iter().all(|p| p.seen));
+            run.worker_stats.iter().map(|s| s.handovers).sum::<u64>()
+        };
+        assert!(handovers(2) >= 1, "a flood crosses between two shards");
+        assert_eq!(handovers(1), 0, "one shard has no one to hand over to");
+    }
+
+    #[test]
+    fn shards_cover_the_nodes_in_contiguous_ranges() {
+        for (n, workers) in [(10, 3), (64, 8), (7, 7), (1000, 64), (5, 1)] {
+            let starts: Vec<u32> = (0..=workers).map(|w| shard_start(w, workers, n)).collect();
+            assert_eq!(starts[0], 0);
+            assert_eq!(starts[workers] as usize, n);
+            for u in 0..n as u32 {
+                let s = (u as u64 * workers as u64 / n as u64) as usize;
+                assert!(
+                    starts[s] <= u && u < starts[s + 1],
+                    "n={n} W={workers} u={u}"
+                );
+            }
+            assert!(starts.windows(2).all(|w| w[0] < w[1]), "no shard is empty");
+        }
     }
 
     #[test]

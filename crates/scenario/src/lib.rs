@@ -83,7 +83,7 @@
 //!
 //! * `sim` — the deterministic discrete-event simulator (full delay/fault
 //!   support, trace recording);
-//! * `pool` — a fixed work-stealing pool of OS threads multiplexing
+//! * `pool` — a fixed sharded pool of OS threads multiplexing
 //!   thousands of nodes (real nondeterministic scheduling, and the scale
 //!   backend).
 //!

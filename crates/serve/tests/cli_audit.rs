@@ -49,7 +49,7 @@ fn audit_subcommand_passes_a_large_pool_trace() {
     use serde::Serialize;
     use std::sync::Arc;
 
-    // A 1,000-node run on the work-stealing pool: the merged multi-worker
+    // A 1,000-node run on the sharded pool: the merged multi-worker
     // trace must audit clean through the offline CLI path too.
     let graph = Arc::new(generators::random_connected(1000, 500, 99).unwrap());
     let config = PipelineConfig {

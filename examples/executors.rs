@@ -1,7 +1,7 @@
 //! Runs the same MDegST improvement on both executor backends, each reached
 //! through `ExecutorKind::run` by way of the `Pipeline` session, and compares
 //! their verdicts and wall times: the discrete-event simulator and the
-//! work-stealing pool of OS threads.
+//! sharded pool of OS threads, whose per-worker counters it prints.
 //!
 //! ```text
 //! cargo run --release --example executors
@@ -43,10 +43,14 @@ fn main() {
         );
         for (w, stats) in report.worker_stats.iter().enumerate() {
             println!(
-                "  worker {w}: {} quanta, {} chains, {} steals, {:.2}ms idle",
+                "  worker {w}: {} quanta, {} chains, {} sessions ({} foreign), \
+                 {} hand-overs carrying {} messages, {:.2}ms idle",
                 stats.quanta,
                 stats.chains,
-                stats.steals,
+                stats.sessions,
+                stats.foreign_sessions,
+                stats.handovers,
+                stats.handed,
                 stats.idle_ns as f64 / 1e6
             );
         }

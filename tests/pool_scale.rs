@@ -1,4 +1,4 @@
-//! Scale test of the work-stealing pool: the acceptance bar for the executor
+//! Scale test of the sharded pool: the acceptance bar for the executor
 //! refactor is a 5,000-node run completing on at most 64 worker threads —
 //! the regime one OS thread per node structurally cannot reach (it would
 //! need 5,000 OS threads).

@@ -1,4 +1,4 @@
-//! The discrete-event simulator and the work-stealing pool must agree: the
+//! The discrete-event simulator and the sharded pool must agree: the
 //! protocol's outcome depends only on the tree structure, never on message
 //! timing, so running it under real OS scheduling is an end-to-end check
 //! that no hidden synchrony assumption crept in. Pool runs pin at least four
@@ -81,11 +81,11 @@ fn pool_and_simulated_runs_exchange_the_same_messages() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The batched fabric must agree with the simulator for *every* graph
-    /// seed and every drain-batch size, not just the default: the batch knob
-    /// only reshapes scheduling quanta, never the message flow. Small batch
-    /// sizes are the adversarial end — a batch of 1 maximises flush count
-    /// and continuation churn.
+    /// The sharded fabric must agree with the simulator for *every* graph
+    /// seed, drain-batch size and worker count, not just the defaults: the
+    /// batch knob only reshapes scheduling quanta, never the message flow.
+    /// Small batch sizes are the adversarial end — a batch of 1 maximises
+    /// requeues and cross-shard hand-overs.
     #[test]
     fn batched_pool_matches_the_simulator_for_any_seed_and_batch(
         seed in any::<u64>(),
