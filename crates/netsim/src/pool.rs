@@ -823,9 +823,6 @@ impl<M, T: TraceMode> Scratch<M, T> {
         shared: &Shared<P, T>,
         stats: &mut WorkerStats,
     ) {
-        if self.dirty.is_empty() {
-            return;
-        }
         self.settle(shared);
         for shard in self.dirty.drain(..) {
             let target = &shared.shards[shard as usize];
